@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -9,8 +10,9 @@ import (
 )
 
 // TestEnergyAwareBatchClassifierProperty audits every routing decision
-// the energy-aware policy makes across 300 randomized trials against
-// two independent re-derivations:
+// the energy-aware policy makes across 300 randomized trials, and on
+// every multi-spec fleet (see multiSpecFleets), against two independent
+// re-derivations:
 //
 //  1. a scalar reference scan with the eq. 10 classification written
 //     out inline (the pre-batch router, re-implemented here so the
@@ -19,109 +21,125 @@ import (
 //     collected (speedup, greenup) ratio columns — the batched
 //     classifier the production router is built on.
 //
-// All three must pick the same replica for every request, and the
-// batched outcome column must equal the inline scalar outcomes
-// element-wise. This pins the cluster router against any drift in the
-// batch classifier (and vice versa).
+// Both references price with the scalar Fleet.estimate oracle, not the
+// price tables the policy routes on. All three must pick the same
+// replica for every request, and the batched outcome column must equal
+// the inline scalar outcomes element-wise. This pins the cluster router
+// against any drift in the batch classifier (and vice versa).
 func TestEnergyAwareBatchClassifierProperty(t *testing.T) {
 	for trial := 0; trial < propTrials; trial++ {
-		sc := propScenario(trial, []string{EnergyAware})
-		decisions := 0
-		var ts, es, sp, gr []float64
-		var inlineOuts, batchOuts []core.TradeoffOutcome
-		opts := Options{
-			Workers: 1,
-			routeObserver: func(now float64, req workload.Request, chosen int, f *Fleet) {
-				decisions++
-				n := f.NumReplicas()
-				if cap(ts) < n {
-					ts, es = make([]float64, n), make([]float64, n)
-				}
-				ts, es = ts[:n], es[:n]
-				for i := 0; i < n; i++ {
-					ts[i], es[i] = f.estimate(now, i, f.reps[i].model, req)
-				}
+		auditEnergyAware(t, fmt.Sprintf("trial %d", trial), propScenario(trial, nil), nil)
+	}
+	for _, fl := range multiSpecFleets(t) {
+		auditEnergyAware(t, fl.sc.Name, fl.sc, fl.tr)
+	}
+}
 
-				// Scalar reference scan, classifier inlined.
-				best := 0
-				bestT, bestE := ts[0], es[0]
-				sp, gr = sp[:0], gr[:0]
-				inlineOuts = inlineOuts[:0]
-				for i := 1; i < n; i++ {
-					speedup, greenup := bestT/ts[i], bestE/es[i]
-					sp = append(sp, speedup)
-					gr = append(gr, greenup)
-					var out core.TradeoffOutcome
-					switch {
-					case speedup > 1 && greenup > 1:
-						out = core.Both
-					case speedup > 1:
-						out = core.SpeedupOnly
-					case greenup > 1:
-						out = core.GreenupOnly
-					default:
-						out = core.Neither
-					}
-					inlineOuts = append(inlineOuts, out)
-					switch out {
-					case core.Both:
+// auditEnergyAware runs sc (on tr, or its generated workload when tr is
+// nil) under the energy-aware policy alone and checks every decision.
+func auditEnergyAware(t *testing.T, label string, sc Scenario, tr *workload.Trace) {
+	t.Helper()
+	sc.Policies = []string{EnergyAware}
+	decisions := 0
+	var ts, es, sp, gr []float64
+	var inlineOuts, batchOuts []core.TradeoffOutcome
+	opts := Options{
+		Workers: 1,
+		Trace:   tr,
+		routeObserver: func(now float64, req workload.Request, chosen int, f *Fleet) {
+			decisions++
+			n := f.NumReplicas()
+			if cap(ts) < n {
+				ts, es = make([]float64, n), make([]float64, n)
+			}
+			ts, es = ts[:n], es[:n]
+			for i := 0; i < n; i++ {
+				ts[i], es[i] = f.estimate(now, i, f.reps[i].model, req)
+			}
+
+			// Scalar reference scan, classifier inlined.
+			best := 0
+			bestT, bestE := ts[0], es[0]
+			sp, gr = sp[:0], gr[:0]
+			inlineOuts = inlineOuts[:0]
+			for i := 1; i < n; i++ {
+				speedup, greenup := bestT/ts[i], bestE/es[i]
+				sp = append(sp, speedup)
+				gr = append(gr, greenup)
+				var out core.TradeoffOutcome
+				switch {
+				case speedup > 1 && greenup > 1:
+					out = core.Both
+				case speedup > 1:
+					out = core.SpeedupOnly
+				case greenup > 1:
+					out = core.GreenupOnly
+				default:
+					out = core.Neither
+				}
+				inlineOuts = append(inlineOuts, out)
+				switch out {
+				case core.Both:
+					best, bestT, bestE = i, ts[i], es[i]
+				case core.GreenupOnly:
+					if ts[i] <= 2*bestT {
 						best, bestT, bestE = i, ts[i], es[i]
-					case core.GreenupOnly:
-						if ts[i] <= 2*bestT {
-							best, bestT, bestE = i, ts[i], es[i]
-						}
-					case core.SpeedupOnly:
-						if greenup >= 0.95 {
-							best, bestT, bestE = i, ts[i], es[i]
-						}
+					}
+				case core.SpeedupOnly:
+					if greenup >= 0.95 {
+						best, bestT, bestE = i, ts[i], es[i]
 					}
 				}
-				if best != chosen {
-					t.Fatalf("trial %d decision %d: policy chose %d, scalar reference chose %d",
-						trial, decisions, chosen, best)
-				}
+			}
+			if best != chosen {
+				t.Fatalf("%s decision %d: policy chose %d, scalar reference chose %d",
+					label, decisions, chosen, best)
+			}
 
-				// Batched classification of the same ratio columns must
-				// reproduce the inline outcomes and the same final choice.
-				if cap(batchOuts) < len(sp) {
-					batchOuts = make([]core.TradeoffOutcome, len(sp))
+			// Batched classification of the same ratio columns must
+			// reproduce the inline outcomes and the same final choice.
+			if cap(batchOuts) < len(sp) {
+				batchOuts = make([]core.TradeoffOutcome, len(sp))
+			}
+			batchOuts = batchOuts[:len(sp)]
+			core.ClassifyRatiosInto(batchOuts, sp, gr)
+			for j := range batchOuts {
+				if batchOuts[j] != inlineOuts[j] {
+					t.Fatalf("%s decision %d challenger %d: batch outcome %v != inline %v (speedup=%g greenup=%g)",
+						label, decisions, j+1, batchOuts[j], inlineOuts[j], sp[j], gr[j])
 				}
-				batchOuts = batchOuts[:len(sp)]
-				core.ClassifyRatiosInto(batchOuts, sp, gr)
-				for j := range batchOuts {
-					if batchOuts[j] != inlineOuts[j] {
-						t.Fatalf("trial %d decision %d challenger %d: batch outcome %v != inline %v (speedup=%g greenup=%g)",
-							trial, decisions, j+1, batchOuts[j], inlineOuts[j], sp[j], gr[j])
-					}
-				}
-				bBest := 0
-				bT, bE := ts[0], es[0]
-				for i := 1; i < n; i++ {
-					speedup, greenup := bT/ts[i], bE/es[i]
-					switch core.ClassifyRatios(speedup, greenup) {
-					case core.Both:
+			}
+			bBest := 0
+			bT, bE := ts[0], es[0]
+			for i := 1; i < n; i++ {
+				speedup, greenup := bT/ts[i], bE/es[i]
+				switch core.ClassifyRatios(speedup, greenup) {
+				case core.Both:
+					bBest, bT, bE = i, ts[i], es[i]
+				case core.GreenupOnly:
+					if ts[i] <= 2*bT {
 						bBest, bT, bE = i, ts[i], es[i]
-					case core.GreenupOnly:
-						if ts[i] <= 2*bT {
-							bBest, bT, bE = i, ts[i], es[i]
-						}
-					case core.SpeedupOnly:
-						if greenup >= 0.95 {
-							bBest, bT, bE = i, ts[i], es[i]
-						}
+					}
+				case core.SpeedupOnly:
+					if greenup >= 0.95 {
+						bBest, bT, bE = i, ts[i], es[i]
 					}
 				}
-				if bBest != chosen {
-					t.Fatalf("trial %d decision %d: policy chose %d, batched-classifier scan chose %d",
-						trial, decisions, chosen, bBest)
-				}
-			},
-		}
-		if _, err := RunScenario(context.Background(), sc, opts); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if decisions != sc.Workload.Requests {
-			t.Fatalf("trial %d: observed %d decisions for %d requests", trial, decisions, sc.Workload.Requests)
-		}
+			}
+			if bBest != chosen {
+				t.Fatalf("%s decision %d: policy chose %d, batched-classifier scan chose %d",
+					label, decisions, chosen, bBest)
+			}
+		},
+	}
+	if _, err := RunScenario(context.Background(), sc, opts); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want := sc.Workload.Requests
+	if tr != nil {
+		want = len(tr.Requests)
+	}
+	if decisions != want {
+		t.Fatalf("%s: observed %d decisions for %d requests", label, decisions, want)
 	}
 }

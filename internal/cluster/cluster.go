@@ -16,7 +16,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"time"
@@ -62,6 +61,15 @@ type ReplicaSpec struct {
 	OperatingPoint string `json:"operating_point,omitempty"`
 }
 
+// precisionName returns the precision string the production server
+// keys requests with (empty means double).
+func (spec ReplicaSpec) precisionName() string {
+	if spec.Precision == "" {
+		return "double"
+	}
+	return spec.Precision
+}
+
 // Options parameterise RunScenario.
 type Options struct {
 	// Workers bounds the policy-level parallelism (each policy cell is
@@ -97,12 +105,13 @@ type replica struct {
 	spec    ReplicaSpec
 	params  core.Params
 	model   model.EnergyModel // prices router estimates; analytic unless spec.Model overrides
+	prices  []kernelPrice     // the spec's price table, indexed by kernel id
 	cache   *server.ResultCache
 	flights *server.FlightTable[*simFlight]
 
 	clock float64 // current simulation time, read by the cache's now()
 
-	queue     []job // FIFO; head is queue[qhead]
+	queue     []pending // FIFO of engine runs; head is queue[qhead]
 	qhead     int
 	busy      bool
 	busyTill  float64
@@ -117,30 +126,26 @@ type replica struct {
 }
 
 // simFlight is the in-flight state for one coalesced key: the requests
-// that joined after the leader, waiting for its completion.
+// that joined after the leader, waiting for its completion. Finished
+// flights return to their cell's free list with their waiter slices.
 type simFlight struct {
 	waiters []pending
 }
 
-// pending is one request waiting inside the simulator, with the arrival
-// instant latency is measured from.
+// pending is one request inside the simulator: its trace index, its
+// kernel id, and the arrival instant latency is measured from.
 type pending struct {
-	req     workload.Request
 	arrival float64
+	idx     int32
+	kernel  int32
 }
 
-// job is one queued engine execution.
-type job struct {
-	p   pending
-	key uint64
-	svc float64 // service time, priced once at enqueue
-}
-
-// newReplica builds replica i of the fleet.
-func newReplica(i int, spec ReplicaSpec) (*replica, error) {
+// resolveSpec returns the roofline parameters replica i's spec serves
+// at and the EnergyModel its router estimates price with.
+func resolveSpec(i int, spec ReplicaSpec) (core.Params, model.EnergyModel, error) {
 	m, ok := machine.Find(spec.Machine)
 	if !ok {
-		return nil, fmt.Errorf("cluster: replica %d names unknown machine %q", i, spec.Machine)
+		return core.Params{}, nil, fmt.Errorf("cluster: replica %d names unknown machine %q", i, spec.Machine)
 	}
 	var prec machine.Precision
 	switch spec.Precision {
@@ -149,32 +154,39 @@ func newReplica(i int, spec ReplicaSpec) (*replica, error) {
 	case "single":
 		prec = machine.Single
 	default:
-		return nil, fmt.Errorf("cluster: replica %d has unknown precision %q", i, spec.Precision)
+		return core.Params{}, nil, fmt.Errorf("cluster: replica %d has unknown precision %q", i, spec.Precision)
 	}
 	params := core.FromMachine(m, prec)
-	var em model.EnergyModel
 	switch {
 	case spec.OperatingPoint != "":
 		op, found := m.Point(spec.OperatingPoint)
 		if !found {
-			return nil, fmt.Errorf("cluster: replica %d: machine %q has no operating point %q", i, spec.Machine, spec.OperatingPoint)
+			return core.Params{}, nil, fmt.Errorf("cluster: replica %d: machine %q has no operating point %q", i, spec.Machine, spec.OperatingPoint)
 		}
 		if spec.Model != "" && spec.Model != model.AnalyticName {
-			return nil, fmt.Errorf("cluster: replica %d: model %q cannot price operating point %q; a model fitted at base clock has no beliefs about other points", i, spec.Model, spec.OperatingPoint)
+			return core.Params{}, nil, fmt.Errorf("cluster: replica %d: model %q cannot price operating point %q; a model fitted at base clock has no beliefs about other points", i, spec.Model, spec.OperatingPoint)
 		}
 		params = params.AtOperatingPoint(op)
-		em = model.NewAnalytic(params)
+		return params, model.NewAnalytic(params), nil
 	case spec.Model == "" || spec.Model == model.AnalyticName:
 		// Built directly from the resolved machine so DVFS-catalog-only
 		// machines (the multi-SM family) work; identical parameters to
 		// model.For for base catalog keys.
-		em = model.NewAnalytic(params)
+		return params, model.NewAnalytic(params), nil
 	default:
-		var err error
-		em, err = model.For(spec.Model, spec.Machine, prec)
+		em, err := model.For(spec.Model, spec.Machine, prec)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
+			return core.Params{}, nil, fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
+		return params, em, nil
+	}
+}
+
+// newReplica builds replica i of the fleet.
+func newReplica(i int, spec ReplicaSpec) (*replica, error) {
+	params, em, err := resolveSpec(i, spec)
+	if err != nil {
+		return nil, err
 	}
 	r := &replica{id: i, spec: spec, params: params, model: em}
 	r.cache = server.NewResultCache(
@@ -189,12 +201,9 @@ func newReplica(i int, spec ReplicaSpec) (*replica, error) {
 
 // key returns the production cache/coalescing key this replica computes
 // for req — the same hash the live server's POST /v1/eval handler uses.
+// The event loop reads the same key from the replica's price table.
 func (r *replica) key(req workload.Request) uint64 {
-	prec := r.spec.Precision
-	if prec == "" {
-		prec = "double"
-	}
-	return server.EvalKey(r.spec.Machine, prec, req.Work, req.Intensity)
+	return server.EvalKey(r.spec.Machine, r.spec.precisionName(), req.Work, req.Intensity)
 }
 
 // queueLen counts requests in service or queued (coalesced waiters
@@ -222,6 +231,10 @@ func (r *replica) pendingWork(now float64) float64 {
 type Fleet struct {
 	reps       []*replica
 	hitLatency float64
+	// kernel is the kernel id of the request being routed, set by the
+	// event loop before every Route call so policies can read the
+	// replicas' price tables.
+	kernel int32
 	// estT and estE are scratch columns the energy-aware policy gathers
 	// per-replica (time, energy) estimates into before classifying them
 	// with the batch eq. 10 vocabulary; reused across Route calls so
@@ -246,54 +259,6 @@ func (f *Fleet) WouldHit(i int, req workload.Request) bool {
 	return f.reps[i].cache.Peek(f.reps[i].key(req))
 }
 
-// Event kinds inside the simulation heap.
-const (
-	evCompletion = iota // a replica finishes an engine run
-	evArrival           // a closed-loop client issues its next request
-)
-
-// simEvent is one heap entry. seq breaks time ties deterministically in
-// insertion order; completions sort before arrivals at equal times so a
-// freed replica is visible to the router at the same instant.
-type simEvent struct {
-	time    float64
-	kind    int
-	seq     uint64
-	replica int     // evCompletion
-	p       pending // evArrival
-}
-
-// eventHeap is a min-heap over (time, kind, seq).
-type eventHeap []simEvent
-
-// Len implements heap.Interface.
-func (h eventHeap) Len() int { return len(h) }
-
-// Less implements heap.Interface.
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].seq < h[j].seq
-}
-
-// Swap implements heap.Interface.
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-// Push implements heap.Interface.
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(simEvent)) }
-
-// Pop implements heap.Interface.
-func (h *eventHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
 // maxSpansPerPolicy bounds the virtual spans one policy cell records,
 // so tracing a million-request scenario cannot swamp the ring buffer.
 const maxSpansPerPolicy = 2000
@@ -304,9 +269,11 @@ type sim struct {
 	policy  Policy
 	closed  bool
 	trace   []workload.Request
-	nextCli []int // per-client cursor into trace (closed loop)
+	kernels []int32 // per trace request: its kernel id
+	nextCli []int   // per-client cursor into trace (closed loop)
 
-	events eventHeap
+	events eventQueue
+	free   []*simFlight // finished flights, ready for reuse
 	seq    uint64
 
 	now       float64
@@ -320,22 +287,23 @@ type sim struct {
 }
 
 // push schedules an event.
-func (s *sim) push(ev simEvent) {
-	ev.seq = s.seq
+func (s *sim) push(time float64, kind uint64, arg int32) {
+	s.events.push(newEvent(time, kind, s.seq, arg))
 	s.seq++
-	heap.Push(&s.events, ev)
 }
 
 // runPolicy drives the whole request stream through a fresh fleet under
 // one policy and returns that cell's report. Single-threaded by
-// construction: every data structure here is confined to this call.
-func runPolicy(sc *Scenario, tr *workload.Trace, policy Policy, opts Options, policyIdx int) (PolicyReport, error) {
+// construction: every data structure here is confined to this call,
+// apart from the price tables, which are only read.
+func runPolicy(sc *Scenario, tr *workload.Trace, kernels []int32, prices [][]kernelPrice, policy Policy, opts Options, policyIdx int) (PolicyReport, error) {
 	reps := make([]*replica, len(sc.Replicas))
 	for i, spec := range sc.Replicas {
 		r, err := newReplica(i, spec)
 		if err != nil {
 			return PolicyReport{}, err
 		}
+		r.prices = prices[i]
 		reps[i] = r
 	}
 	s := &sim{
@@ -343,6 +311,8 @@ func runPolicy(sc *Scenario, tr *workload.Trace, policy Policy, opts Options, po
 		policy:   policy,
 		closed:   tr.Closed,
 		trace:    tr.Requests,
+		kernels:  kernels,
+		events:   make(eventQueue, 0, tr.Clients+len(reps)),
 		observer: opts.routeObserver,
 		tracer:   opts.Tracer,
 		track0:   uint64(policyIdx)*trackStride + 1,
@@ -354,24 +324,22 @@ func runPolicy(sc *Scenario, tr *workload.Trace, policy Policy, opts Options, po
 		// to client i exactly once under the i%C assignment.
 		s.nextCli = make([]int, tr.Clients)
 		for c := 0; c < tr.Clients; c++ {
-			req := tr.Requests[c]
-			s.push(simEvent{time: req.Time, kind: evArrival, p: pending{req: req, arrival: req.Time}})
+			s.push(tr.Requests[c].Time, evArrival, int32(c))
 			s.nextCli[c] = c + tr.Clients
 		}
-		for s.events.Len() > 0 {
-			s.step(heap.Pop(&s.events).(simEvent))
+		for len(s.events) > 0 {
+			s.step(s.events.pop())
 		}
 	} else {
-		// Open loop: merge the pre-sorted arrival stream with the heap.
-		next := 0
-		for next < len(s.trace) || s.events.Len() > 0 {
-			if s.events.Len() > 0 && (next >= len(s.trace) || s.events[0].time <= s.trace[next].Time) {
-				s.step(heap.Pop(&s.events).(simEvent))
+		// Open loop: merge the pre-sorted arrival stream with the queue,
+		// which then holds only completions.
+		for next := 0; next < len(s.trace) || len(s.events) > 0; {
+			if len(s.events) > 0 && (next >= len(s.trace) || s.events[0].time <= s.trace[next].Time) {
+				s.step(s.events.pop())
 				continue
 			}
-			req := s.trace[next]
+			s.arrive(pending{arrival: s.trace[next].Time, idx: int32(next), kernel: s.kernels[next]})
 			next++
-			s.arrive(pending{req: req, arrival: req.Time})
 		}
 	}
 	return s.report(policy.Name())
@@ -381,15 +349,14 @@ func runPolicy(sc *Scenario, tr *workload.Trace, policy Policy, opts Options, po
 // replica tracks never collide.
 const trackStride = 256
 
-// step dispatches one heap event.
+// step dispatches one queued event.
 func (s *sim) step(ev simEvent) {
 	s.now = ev.time
-	switch ev.kind {
-	case evCompletion:
-		s.complete(ev.replica)
-	case evArrival:
-		s.arrive(ev.p)
+	if ev.kind() == evCompletion {
+		s.complete(int(ev.arg))
+		return
 	}
+	s.arrive(pending{arrival: ev.time, idx: ev.arg, kernel: s.kernels[ev.arg]})
 }
 
 // arrive routes one request and applies the cache / coalesce / enqueue
@@ -398,28 +365,29 @@ func (s *sim) arrive(p pending) {
 	if p.arrival > s.now {
 		s.now = p.arrival
 	}
-	idx := s.policy.Route(s.now, p.req, s.fleet)
+	s.fleet.kernel = p.kernel
+	idx := s.policy.Route(s.now, s.trace[p.idx], s.fleet)
 	if s.observer != nil {
-		s.observer(s.now, p.req, idx, s.fleet)
+		s.observer(s.now, s.trace[p.idx], idx, s.fleet)
 	}
 	rep := s.fleet.reps[idx]
 	rep.clock = s.now
 	rep.requests++
-	key := rep.key(p.req)
-	if _, ok := rep.cache.Get(key); ok {
+	price := &rep.prices[p.kernel]
+	if _, ok := rep.cache.Get(price.key); ok {
 		s.finish(p, s.now+s.fleet.hitLatency)
 		return
 	}
-	if f, joined := rep.flights.Begin(key, &simFlight{}); joined {
+	// Offer a spare flight; it leaves the free list only if p leads.
+	if f, joined := rep.flights.Begin(price.key, s.spareFlight()); joined {
 		rep.coalesced++
 		f.waiters = append(f.waiters, p)
 		return
 	}
-	k := core.KernelAt(p.req.Work, p.req.Intensity)
-	j := job{p: p, key: key, svc: rep.params.CappedTime(k)}
-	rep.queue = append(rep.queue, j)
+	s.free = s.free[:len(s.free)-1]
+	rep.queue = append(rep.queue, p)
 	if rep.busy {
-		rep.queuedSvc += j.svc
+		rep.queuedSvc += price.svc
 	} else {
 		s.startService(rep)
 	}
@@ -428,13 +396,24 @@ func (s *sim) arrive(p pending) {
 	}
 }
 
+// spareFlight returns the flight on top of the free list without taking
+// it, allocating one only when the list is empty.
+func (s *sim) spareFlight() *simFlight {
+	if n := len(s.free); n > 0 {
+		return s.free[n-1]
+	}
+	f := &simFlight{}
+	s.free = append(s.free, f)
+	return f
+}
+
 // startService begins the head-of-queue job on an idle replica.
 func (s *sim) startService(rep *replica) {
-	j := rep.queue[rep.qhead]
+	svc := rep.prices[rep.queue[rep.qhead].kernel].svc
 	rep.busy = true
-	rep.busyTill = s.now + j.svc
-	s.push(simEvent{time: rep.busyTill, kind: evCompletion, replica: rep.id})
-	s.record(rep, s.now, j.svc)
+	rep.busyTill = s.now + svc
+	s.push(rep.busyTill, evCompletion, int32(rep.id))
+	s.record(rep, s.now, svc)
 }
 
 // record emits one virtual "replica.serve" span, bounded per policy.
@@ -468,21 +447,23 @@ func (s *sim) complete(id int) {
 		rep.queue = rep.queue[:0]
 		rep.qhead = 0
 	}
+	price := &rep.prices[j.kernel]
 	rep.engine++
-	rep.busyTime += j.svc
-	rep.kernelJ += rep.params.CappedEnergy(core.KernelAt(j.p.req.Work, j.p.req.Intensity))
-	rep.cache.Put(j.key, hitBody)
-	s.finish(j.p, s.now)
-	if f, ok := rep.flights.Lookup(j.key); ok {
+	rep.busyTime += price.svc
+	rep.kernelJ += price.joules
+	rep.cache.Put(price.key, hitBody)
+	s.finish(j, s.now)
+	if f, ok := rep.flights.Lookup(price.key); ok {
 		for _, w := range f.waiters {
 			s.finish(w, s.now)
 		}
-		rep.flights.Finish(j.key)
+		rep.flights.Finish(price.key)
+		f.waiters = f.waiters[:0]
+		s.free = append(s.free, f)
 	}
 	rep.busy = false
 	if rep.qhead < len(rep.queue) {
-		nxt := rep.queue[rep.qhead]
-		rep.queuedSvc -= nxt.svc
+		rep.queuedSvc -= rep.prices[rep.queue[rep.qhead].kernel].svc
 		if rep.queuedSvc < 0 {
 			rep.queuedSvc = 0
 		}
@@ -500,21 +481,22 @@ func (s *sim) finish(p pending, done float64) {
 	if !s.closed {
 		return
 	}
-	c := p.req.Client
+	c := s.trace[p.idx].Client
 	i := s.nextCli[c]
 	if i >= len(s.trace) {
 		return
 	}
 	s.nextCli[c] = i + len(s.nextCli)
-	req := s.trace[i]
-	at := done + req.Time // Time is the think delay for closed traces
-	s.push(simEvent{time: at, kind: evArrival, p: pending{req: req, arrival: at}})
+	// Time is the think delay for closed traces.
+	s.push(done+s.trace[i].Time, evArrival, int32(i))
 }
 
 // RunScenario generates (or replays) the scenario's workload and drives
-// it through a fresh fleet under every listed policy. Policy cells run
-// in parallel up to opts.Workers; each cell is single-threaded and owns
-// its fleet, so the report bytes are independent of the worker count.
+// it through a fresh fleet under every listed policy. The trace's
+// kernels are indexed and priced once per distinct replica spec, and
+// every cell reads those tables. Policy cells run in parallel up to
+// opts.Workers; each cell is single-threaded and owns its fleet, so the
+// report bytes are independent of the worker count.
 func RunScenario(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -527,6 +509,11 @@ func RunScenario(ctx context.Context, sc Scenario, opts Options) (*Report, error
 			return nil, err
 		}
 	}
+	ix := indexKernels(tr.Requests)
+	prices, err := priceReplicas(sc.Replicas, ix)
+	if err != nil {
+		return nil, err
+	}
 	policies := sc.Policies
 	if len(policies) == 0 {
 		policies = PolicyNames()
@@ -536,7 +523,7 @@ func RunScenario(ctx context.Context, sc Scenario, opts Options) (*Report, error
 		if err != nil {
 			return PolicyReport{}, err
 		}
-		return runPolicy(&sc, tr, p, opts, i)
+		return runPolicy(&sc, tr, ix.ids, prices, p, opts, i)
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -221,6 +222,39 @@ func TestTracerReceivesVirtualSpans(t *testing.T) {
 		}
 		if ev.Dur <= 0 || ev.Track == 0 {
 			t.Fatalf("span missing virtual timing: %+v", ev)
+		}
+	}
+}
+
+// TestFleetAllocsPerRequest pins the event loop's allocation budget at
+// 0.5 allocations per simulated request, on one smoke scenario run (an
+// open loop) and one closed-loop smoke variant, counting everything a
+// RunScenario call allocates: workload generation, kernel indexing,
+// price tables, per-cell fleets and reports. The steady state should
+// allocate only in the production cache's Put, once per engine run.
+func TestFleetAllocsPerRequest(t *testing.T) {
+	closed := smokeScenario(t, 0)
+	closed.Workload.Kind = workload.Closed
+	closed.Workload.Clients = 64
+	closed.Workload.ThinkSeconds = 0.05
+	for _, sc := range []Scenario{smokeScenario(t, 0), closed} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rep, err := RunScenario(context.Background(), sc, Options{Workers: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Workload.Kind, err)
+		}
+		simulated := 0
+		for _, p := range rep.Policies {
+			simulated += p.Requests
+		}
+		perReq := float64(after.Mallocs-before.Mallocs) / float64(simulated)
+		t.Logf("%s: %d allocations for %d simulated requests (%.3f per request)",
+			sc.Workload.Kind, after.Mallocs-before.Mallocs, simulated, perReq)
+		if perReq > 0.5 {
+			t.Errorf("%s: %.3f allocations per simulated request, budget 0.5", sc.Workload.Kind, perReq)
 		}
 	}
 }

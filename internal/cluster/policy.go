@@ -118,7 +118,8 @@ func (energyAware) Name() string { return EnergyAware }
 // predicted cache hit costs the hit latency and its idle-power energy;
 // a miss waits out the replica's pending work and then runs the
 // kernel, costing em's capped time and energy predictions (eq. 6/9
-// under the default analytic model).
+// under the default analytic model). It is the scalar oracle the tests
+// hold estimateInto's table-priced columns to.
 func (f *Fleet) estimate(now float64, i int, em model.EnergyModel, req workload.Request) (t, e float64) {
 	rep := f.reps[i]
 	if rep.cache.Peek(rep.key(req)) {
@@ -128,21 +129,27 @@ func (f *Fleet) estimate(now float64, i int, em model.EnergyModel, req workload.
 	return rep.pendingWork(now) + em.CappedTime(k), em.CappedEnergy(k)
 }
 
-// estimateInto gathers the per-replica (time, energy) estimates for req
-// into the fleet's scratch columns, growing them only on the first call
-// for a given fleet size. Each replica is priced by its own EnergyModel
-// (ReplicaSpec.Model; analytic by default, which makes the gathered
-// columns — and therefore every routing decision — byte-identical to
-// the pre-interface router).
-func (f *Fleet) estimateInto(now float64, req workload.Request) (t, e []float64) {
+// estimateInto gathers the per-replica (time, energy) estimates for the
+// request being routed into the fleet's scratch columns, growing them
+// only on the first call for a given fleet size. Each replica's
+// estimate reads its price table at f.kernel, where the miss columns
+// hold its own EnergyModel's predictions (ReplicaSpec.Model; analytic
+// by default). Every column equals what estimate computes, bit for
+// bit; the lockstep tests pin that on every routing decision.
+func (f *Fleet) estimateInto(now float64) (t, e []float64) {
 	n := len(f.reps)
 	if cap(f.estT) < n {
 		f.estT = make([]float64, n)
 		f.estE = make([]float64, n)
 	}
 	t, e = f.estT[:n], f.estE[:n]
-	for i := 0; i < n; i++ {
-		t[i], e[i] = f.estimate(now, i, f.reps[i].model, req)
+	for i, rep := range f.reps {
+		p := &rep.prices[f.kernel]
+		if rep.cache.Peek(p.key) {
+			t[i], e[i] = f.hitLatency, rep.params.Pi0*f.hitLatency
+			continue
+		}
+		t[i], e[i] = rep.pendingWork(now)+p.estT, p.estE
 	}
 	return t, e
 }
@@ -180,7 +187,7 @@ func routeFromEstimates(t, e []float64) int {
 // Route implements Policy: it gathers every replica's estimate into the
 // fleet's scratch columns and applies the eq. 10 incumbent scan (see
 // routeFromEstimates).
-func (energyAware) Route(now float64, req workload.Request, f *Fleet) int {
-	t, e := f.estimateInto(now, req)
+func (energyAware) Route(now float64, _ workload.Request, f *Fleet) int {
+	t, e := f.estimateInto(now)
 	return routeFromEstimates(t, e)
 }

@@ -663,17 +663,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace implements GET /debug/trace (Debug only): the current
 // span ring buffer as Chrome trace_event JSON, loadable in
-// chrome://tracing or https://ui.perfetto.dev. ?reset=1 clears the
-// buffer after the dump, so successive captures don't overlap.
+// chrome://tracing or https://ui.perfetto.dev. ?reset=1 drains the
+// buffer: the dump and the clear happen under one lock, so successive
+// captures neither overlap nor lose the spans recorded between them.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("requests_debug_trace_total").Inc()
 	w.Header().Set("Content-Type", "application/json")
-	if err := s.tracer.WriteChrome(w); err != nil {
-		s.writeError(w, err)
-		return
-	}
+	var err error
 	if r.URL.Query().Get("reset") == "1" {
-		s.tracer.Reset()
+		err = s.tracer.Drain().WriteChrome(w)
+	} else {
+		err = s.tracer.WriteChrome(w)
+	}
+	if err != nil {
+		s.writeError(w, err)
 	}
 }
 

@@ -48,13 +48,22 @@ type chromeTrace struct {
 // MarshalChrome renders the recorded spans as Chrome trace_event JSON.
 // On a disabled tracer it returns an empty, still-valid trace.
 func (t *Tracer) MarshalChrome() ([]byte, error) {
-	events := t.Events()
+	return t.snapshot(false).MarshalChrome()
+}
+
+// WriteChrome writes the trace_event JSON to w.
+func (t *Tracer) WriteChrome(w io.Writer) error {
+	return t.snapshot(false).WriteChrome(w)
+}
+
+// MarshalChrome renders the snapshot as Chrome trace_event JSON.
+func (s Snapshot) MarshalChrome() ([]byte, error) {
 	out := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(events)),
+		TraceEvents:     make([]chromeEvent, 0, len(s.Events)),
 		DisplayTimeUnit: "ms",
-		Dropped:         t.Dropped(),
+		Dropped:         s.Dropped,
 	}
-	for _, ev := range events {
+	for _, ev := range s.Events {
 		ce := chromeEvent{
 			Name: ev.Name,
 			Cat:  "span",
@@ -75,9 +84,9 @@ func (t *Tracer) MarshalChrome() ([]byte, error) {
 	return json.MarshalIndent(out, "", " ")
 }
 
-// WriteChrome writes the trace_event JSON to w.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	data, err := t.MarshalChrome()
+// WriteChrome writes the snapshot's trace_event JSON to w.
+func (s Snapshot) WriteChrome(w io.Writer) error {
+	data, err := s.MarshalChrome()
 	if err != nil {
 		return err
 	}

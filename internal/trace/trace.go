@@ -274,17 +274,46 @@ func (t *Tracer) Record(ev Event) {
 // Events returns the recorded spans, oldest first. On a disabled
 // tracer it returns nil.
 func (t *Tracer) Events() []Event {
+	return t.snapshot(false).Events
+}
+
+// Snapshot is one consistent copy of a tracer's ring.
+type Snapshot struct {
+	// Events are the recorded spans, oldest first.
+	Events []Event
+	// Dropped counts the spans the ring overwrote before this copy was
+	// taken: since the tracer was created, reset or last drained.
+	Dropped uint64
+}
+
+// Drain returns the recorded spans with the drop count and empties the
+// ring, all under one lock, so a span recorded concurrently lands
+// either in this snapshot or in the next one, never in neither. On a
+// disabled tracer it returns an empty snapshot.
+func (t *Tracer) Drain() Snapshot {
+	return t.snapshot(true)
+}
+
+// snapshot copies the ring and the drop count under one lock, emptying
+// the ring as well when drain is set.
+func (t *Tracer) snapshot(drain bool) Snapshot {
 	if t == nil {
-		return nil
+		return Snapshot{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	s := Snapshot{Dropped: t.dropped}
 	if !t.filled {
-		return append([]Event(nil), t.ring[:t.next]...)
+		s.Events = append([]Event(nil), t.ring[:t.next]...)
+	} else {
+		s.Events = make([]Event, 0, len(t.ring))
+		s.Events = append(s.Events, t.ring[t.next:]...)
+		s.Events = append(s.Events, t.ring[:t.next]...)
 	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	return append(out, t.ring[:t.next]...)
+	if drain {
+		t.next, t.filled, t.dropped = 0, false, 0
+	}
+	return s
 }
 
 // Len returns the number of recorded spans currently in the ring.

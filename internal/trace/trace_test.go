@@ -173,6 +173,54 @@ func TestConcurrentSpansAreAllRecorded(t *testing.T) {
 	}
 }
 
+// TestDrainLosesNoSpans records from several goroutines into a small
+// ring while the test drains it repeatedly: every span recorded is
+// either in some drained snapshot or counted as dropped, exactly. A
+// copy followed by a separate Reset loses the spans recorded between
+// the two, which this count exposes.
+func TestDrainLosesNoSpans(t *testing.T) {
+	tr := New(Config{Capacity: 64})
+	const writers, perWriter = 8, 20000
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tr.Record(Event{Name: "work"})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	var drained, dropped uint64
+	drains := 0
+	for finished := false; !finished; drains++ {
+		select {
+		case <-done:
+			finished = true // one last drain after every writer returned
+		default:
+		}
+		s := tr.Drain()
+		drained += uint64(len(s.Events))
+		dropped += s.Dropped
+	}
+	if got, want := drained+dropped, uint64(writers*perWriter); got != want {
+		t.Fatalf("%d drained + %d dropped = %d over %d drains, want %d recorded",
+			drained, dropped, got, drains, want)
+	}
+	if tr.Len() != 0 || tr.Dropped() != 0 {
+		t.Errorf("ring not empty after the final drain: len %d, dropped %d", tr.Len(), tr.Dropped())
+	}
+	var nilTracer *Tracer
+	if s := nilTracer.Drain(); s.Events != nil || s.Dropped != 0 {
+		t.Errorf("disabled tracer drained %+v", s)
+	}
+}
+
 // TestRecordInjectsVirtualSpans pins the simulator injection path: a
 // pre-built event lands in the ring exactly as constructed (virtual
 // start/duration/track), feeds the Observer, respects the ring bound,
