@@ -34,6 +34,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -206,6 +208,26 @@ const (
 	warmEvalBatchBody = `{"machine":"gtx580","precision":"double","intensities":[0.25,0.5,1,2,4,8,16,32]}`
 )
 
+// batch32ColdBodies renders the 1024 distinct batch_cold-shaped bodies
+// BenchmarkServerEvalBatch32Cold cycles through — 32 points each, work
+// uniform in [0.5, 1.5] Gflop, intensity log-uniform in [0.5, 8] — the
+// same stream internal/server's bench_test draws. 1024 is four times
+// the default cache, so every request misses.
+func batch32ColdBodies() []string {
+	r := rand.New(rand.NewSource(2026))
+	bodies := make([]string, 1024)
+	for i := range bodies {
+		var work, intensity [32]string
+		for j := range work {
+			work[j] = strconv.FormatFloat(1e9*(0.5+r.Float64()), 'g', -1, 64)
+			intensity[j] = strconv.FormatFloat(math.Exp2(-1+4*r.Float64()), 'g', -1, 64)
+		}
+		bodies[i] = `{"machine":"gtx580","precision":"double","work":[` + strings.Join(work[:], ",") +
+			`],"intensities":[` + strings.Join(intensity[:], ",") + `]}`
+	}
+	return bodies
+}
+
 // benchScenarios returns the pinned direct-path benchmarks. Each one
 // builds a fresh server so cold scenarios stay cold.
 func benchScenarios() []benchScenario {
@@ -255,6 +277,17 @@ func benchScenarios() []benchScenario {
 				p.post(b, fmt.Sprintf(
 					`{"machine":"gtx580","precision":"double","intensities":[0.25,0.5,1,2,4,8,16,%g]}`,
 					32+float64(i)*1e-6))
+			}
+		}},
+		{name: "BenchmarkServerEvalBatch32Cold", maxAllocs: -1, fn: func(b *testing.B) {
+			s := server.New(server.Config{})
+			defer s.Close()
+			p := newDirectPoster(s.Handler(), "/v1/evalbatch")
+			bodies := batch32ColdBodies()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.post(b, bodies[i%len(bodies)])
 			}
 		}},
 		{name: "BenchmarkServerEvalBatchWarm", maxAllocs: -1, fn: func(b *testing.B) {

@@ -158,32 +158,37 @@ func runTask(ctx context.Context, i int, fn func(context.Context, int) error) (e
 // comment), a smaller grant changes latency, never bytes.
 type Budget struct {
 	capacity int
-	tokens   chan struct{}
+	mu       sync.Mutex
+	free     int
+	// freed is closed, and replaced, whenever a release returns tokens,
+	// waking every blocked Acquire to retry its claim.
+	freed chan struct{}
 }
 
 // NewBudget returns a budget of n worker tokens. n follows Workers
 // semantics: values below 1 mean one token per available CPU.
 func NewBudget(n int) *Budget {
 	n = Workers(n)
-	b := &Budget{capacity: n, tokens: make(chan struct{}, n)}
-	for i := 0; i < n; i++ {
-		b.tokens <- struct{}{}
-	}
-	return b
+	return &Budget{capacity: n, free: n, freed: make(chan struct{})}
 }
 
 // Cap returns the budget's total token count.
 func (b *Budget) Cap() int { return b.capacity }
 
 // InUse returns the number of tokens currently held by callers.
-func (b *Budget) InUse() int { return b.capacity - len(b.tokens) }
+func (b *Budget) InUse() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.capacity - b.free
+}
 
 // Acquire blocks until at least one worker token is free (or ctx is
 // done), then greedily claims up to want tokens without further
 // blocking. want < 1 or want > Cap() requests the full budget. It
 // returns the number of tokens granted (>= 1) and a release function
 // that must be called exactly once when the work is finished; calling
-// it more than once is a no-op.
+// it more than once is a no-op. A release returns all of its tokens at
+// once, so a waiter it wakes can claim every one of them.
 func (b *Budget) Acquire(ctx context.Context, want int) (int, func(), error) {
 	if want < 1 || want > b.capacity {
 		want = b.capacity
@@ -191,29 +196,32 @@ func (b *Budget) Acquire(ctx context.Context, want int) (int, func(), error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	select {
-	case <-ctx.Done():
-		return 0, nil, ctx.Err()
-	case <-b.tokens:
-	}
-	granted := 1
-	for granted < want {
+	for {
+		b.mu.Lock()
+		if b.free > 0 {
+			granted := min(want, b.free)
+			b.free -= granted
+			b.mu.Unlock()
+			var once sync.Once
+			return granted, func() { once.Do(func() { b.release(granted) }) }, nil
+		}
+		freed := b.freed
+		b.mu.Unlock()
 		select {
-		case <-b.tokens:
-			granted++
-		default:
-			want = granted // budget exhausted; take what we have
+		case <-ctx.Done():
+			return 0, nil, ctx.Err()
+		case <-freed:
 		}
 	}
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			for i := 0; i < granted; i++ {
-				b.tokens <- struct{}{}
-			}
-		})
-	}
-	return granted, release, nil
+}
+
+// release returns n tokens and wakes every waiter.
+func (b *Budget) release(n int) {
+	b.mu.Lock()
+	b.free += n
+	close(b.freed)
+	b.freed = make(chan struct{})
+	b.mu.Unlock()
 }
 
 // Map runs fn for every index in [0, n) under ForEach's scheduling

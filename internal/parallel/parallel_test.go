@@ -349,3 +349,48 @@ func TestBudgetConcurrentHolders(t *testing.T) {
 		t.Errorf("budget oversubscribed: peak %d > 6", peak.Load())
 	}
 }
+
+// TestBudgetWaiterGetsWholeRelease: a caller blocked on an exhausted
+// budget wakes to the whole of the release that freed it. Release once
+// returned tokens one channel send at a time, and each waiter woken by
+// a send greedily claimed only the tokens that had arrived — the cause
+// of a flaky partial grant in the server's shared-budget test. With two
+// waiters blocked when the budget comes back, the first sends went one
+// to each of them, so neither could ever hold the full budget; now the
+// first to claim takes it all and the other waits for its release.
+func TestBudgetWaiterGetsWholeRelease(t *testing.T) {
+	const capacity, waiters, rounds = 64, 2, 50
+	b := NewBudget(capacity)
+	for r := 0; r < rounds; r++ {
+		got, release, err := b.Acquire(context.Background(), 0)
+		if err != nil || got != capacity {
+			t.Fatalf("round %d: Acquire(0) = %d, %v, want the full budget", r, got, err)
+		}
+		granted := make(chan int, waiters)
+		for w := 0; w < waiters; w++ {
+			go func() {
+				g, rel, err := b.Acquire(context.Background(), 0)
+				if err != nil {
+					t.Errorf("waiter Acquire: %v", err)
+					granted <- 0
+					return
+				}
+				granted <- g
+				rel()
+			}()
+		}
+		// Let both waiters block first: the old interleaving needs
+		// them queued on the release, while the current budget grants
+		// in full however late they arrive.
+		time.Sleep(time.Millisecond)
+		release()
+		for w := 0; w < waiters; w++ {
+			if g := <-granted; g != capacity {
+				t.Fatalf("round %d: waiter granted %d workers after a full release, want %d", r, g, capacity)
+			}
+		}
+	}
+	if b.InUse() != 0 {
+		t.Errorf("tokens leaked: %d still in use", b.InUse())
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -179,6 +180,72 @@ func BenchmarkServerEvalBatchCold(b *testing.B) {
 		p.setBody(fmt.Sprintf(`{"machine":"gtx580","precision":"double","intensities":[0.25,0.5,1,2,4,8,16,%g]}`,
 			32+float64(i)*1e-6))
 		p.post(b)
+	}
+}
+
+// batch32ColdPoster pre-renders the bodies BenchmarkServerEvalBatch32Cold
+// cycles through: 1024 distinct batch_cold-shaped batches, four times
+// the default cache's 256 entries, so every request misses.
+func batch32ColdPoster(h http.Handler) (*directPoster, [][]byte) {
+	qs := batchColdRequests(1024)
+	bodies := make([][]byte, len(qs))
+	for i, q := range qs {
+		bodies[i] = []byte(batchRequestBody(q))
+	}
+	return newDirectPoster(h, "/v1/evalbatch", ""), bodies
+}
+
+// BenchmarkServerEvalBatch32Cold measures the direct batch path on the
+// benchmark's batch_cold shape: 32 distinct points per request, work in
+// [0.5, 1.5] Gflop, every request a miss. Bodies are pre-rendered, so
+// allocs/op counts the server alone.
+func BenchmarkServerEvalBatch32Cold(b *testing.B) {
+	s := New(Config{})
+	b.Cleanup(s.Close)
+	p, bodies := batch32ColdPoster(s.Handler())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.body = bodies[i%len(bodies)]
+		p.post(b)
+	}
+	b.StopTimer()
+	if hits := s.reg.Counter("cache_hits_total").Value(); hits != 0 {
+		b.Fatalf("%d cache hits, want every request to miss", hits)
+	}
+}
+
+// BenchmarkEvaluateBatch32 measures the evaluate-and-render stage alone
+// on batch_cold-shaped batches: columnar model evaluation plus the
+// response body, no HTTP, decode, hash or cache.
+func BenchmarkEvaluateBatch32(b *testing.B) {
+	s := New(Config{})
+	b.Cleanup(s.Close)
+	qs := batchColdRequests(256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.evaluateBatch(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvaluateBatch32MarshalIndent prices the stdlib alternative
+// on the same batches: the scalar oracle fills evalResponse structs and
+// json.MarshalIndent encodes them.
+func BenchmarkEvaluateBatch32MarshalIndent(b *testing.B) {
+	qs := batchColdRequests(256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := oracleEvalBatch(qs[i%len(qs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := json.MarshalIndent(&r, "", "  "); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -510,17 +510,6 @@ func decodeEvalRequest(data []byte, q *evalRequest) error {
 	return p.trailing()
 }
 
-// batchScratch is the pooled column storage one /v1/evalbatch decode
-// borrows; the request's Work/Intensities slices alias it, so the
-// handler returns it to the pool only after the request completes.
-type batchScratch struct {
-	work        []float64
-	intensities []float64
-}
-
-// batchScratchPool recycles batch decode columns.
-var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
-
 // decodeEvalBatchRequest parses one /v1/evalbatch body into q, with
 // its float columns borrowed from sc.
 func decodeEvalBatchRequest(data []byte, q *evalBatchRequest, sc *batchScratch) error {

@@ -205,9 +205,6 @@ func (e *jsonEnc) num(f float64) {
 	}
 }
 
-// integer appends an int value.
-func (e *jsonEnc) integer(n int) { e.buf = strconv.AppendInt(e.buf, int64(n), 10) }
-
 // boolean appends a bool value.
 func (e *jsonEnc) boolean(v bool) {
 	if v {
@@ -215,89 +212,6 @@ func (e *jsonEnc) boolean(v bool) {
 	} else {
 		e.buf = append(e.buf, "false"...)
 	}
-}
-
-// evalResponse appends one /v1/eval result object, fields in the
-// evalResponse struct order (model omitted when empty, matching its
-// omitempty tag).
-func (e *jsonEnc) evalResponse(r *evalResponse) {
-	e.open('{')
-	e.field("machine")
-	e.str(r.Machine)
-	e.field("precision")
-	e.str(r.Precision)
-	if r.Model != "" {
-		e.field("model")
-		e.str(r.Model)
-	}
-	e.field("work")
-	e.num(r.Work)
-	e.field("intensity")
-	e.num(r.Intensity)
-	e.field("time_seconds")
-	e.num(r.Time)
-	e.field("energy_joules")
-	e.num(r.Energy)
-	e.field("avg_power_watts")
-	e.num(r.AvgPower)
-	e.field("capped_time_seconds")
-	e.num(r.CappedTime)
-	e.field("capped_energy_joules")
-	e.num(r.CappedEnergy)
-	e.field("capped_power_watts")
-	e.num(r.CappedPower)
-	e.field("time_bound")
-	e.str(r.TimeBound)
-	e.field("energy_bound")
-	e.str(r.EnergyBound)
-	e.field("balance_time")
-	e.num(r.BalanceTime)
-	e.field("balance_energy")
-	e.num(r.BalanceEnergy)
-	e.field("half_efficiency_intensity")
-	e.num(r.HalfEfficiency)
-	e.field("roofline_time")
-	e.num(r.RooflineTime)
-	e.field("archline_energy")
-	e.num(r.ArchlineEnergy)
-	e.field("power_line_watts")
-	e.num(r.PowerLine)
-	e.field("race_to_halt_effective")
-	e.boolean(r.RaceToHalt)
-	e.field("edp_joule_seconds")
-	e.num(r.EDP)
-	e.field("flops_per_joule")
-	e.num(r.FlopsPerJoule)
-	e.field("flops_per_second")
-	e.num(r.FlopsPerSecond)
-	e.field("green_index")
-	e.num(r.GreenIndex)
-	e.field("speed_index")
-	e.num(r.SpeedIndex)
-	e.close('}')
-}
-
-// evalBatchResponse appends one /v1/evalbatch reply object.
-func (e *jsonEnc) evalBatchResponse(r *evalBatchResponse) {
-	e.open('{')
-	e.field("machine")
-	e.str(r.Machine)
-	e.field("precision")
-	e.str(r.Precision)
-	e.field("count")
-	e.integer(r.Count)
-	e.field("results")
-	if r.Results == nil {
-		e.buf = append(e.buf, "null"...)
-	} else {
-		e.open('[')
-		for i := range r.Results {
-			e.elem()
-			e.evalResponse(&r.Results[i])
-		}
-		e.close(']')
-	}
-	e.close('}')
 }
 
 // machineSummary appends one GET /v1/machines catalog row.
@@ -359,16 +273,6 @@ func encodeWith(build func(e *jsonEnc)) ([]byte, error) {
 	*bp = e.buf[:0]
 	encBufPool.Put(bp)
 	return out, err
-}
-
-// encodeEvalResponse renders the /v1/eval body for r.
-func encodeEvalResponse(r *evalResponse) ([]byte, error) {
-	return encodeWith(func(e *jsonEnc) { e.evalResponse(r) })
-}
-
-// encodeEvalBatchResponse renders the /v1/evalbatch body for r.
-func encodeEvalBatchResponse(r *evalBatchResponse) ([]byte, error) {
-	return encodeWith(func(e *jsonEnc) { e.evalBatchResponse(r) })
 }
 
 // encodeMachines renders the GET /v1/machines body: {"machines": [...]}.

@@ -4,17 +4,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
-// The hand-rolled encoders exist on one condition: their output is
-// byte-identical to json.MarshalIndent(v, "", "  ") plus a trailing
-// newline, including every stdlib formatting quirk (float shortest
-// form, exponent cleanup, HTML escaping, omitempty, indentation of
-// empty and nested containers). These tests — and FuzzResponseEncoding
-// in fuzz_encode_test.go — enforce that condition differentially, so
-// the stdlib encoder remains the executable specification.
+// The hand-rolled encoders and the column renderer (render.go) exist on
+// one condition: their output is byte-identical to
+// json.MarshalIndent(v, "", "  ") plus a trailing newline, including
+// every stdlib formatting quirk (float shortest form, exponent cleanup,
+// HTML escaping, omitempty, indentation of empty and nested
+// containers) and the error for the first non-finite float. These
+// tests — and FuzzResponseEncoding in fuzz_encode_test.go — enforce
+// that condition differentially against the evalResponse oracle
+// (oracle_test.go), so the stdlib encoder remains the executable
+// specification.
 
 // stdlibBody is the reference rendering: MarshalIndent + newline,
 // exactly what writeJSON and the pre-PR-10 handlers produced.
@@ -85,40 +89,113 @@ func sampleEvalResponse() evalResponse {
 	}
 }
 
+// boundOf maps an oracle bound string to the state the renderer's
+// bound columns carry; anything but "compute-bound" is memory-bound,
+// as core.BoundState.String reads.
+func boundOf(s string) core.BoundState {
+	if s == core.ComputeBound.String() {
+		return core.ComputeBound
+	}
+	return core.MemoryBound
+}
+
+// renderRows renders rows through the column renderer on scratch sc,
+// as the handlers do. The per-response constants (machine, precision,
+// model, balance points, race-to-halt) come from head; every per-point
+// field comes from its row. batch selects the /v1/evalbatch envelope,
+// else rows must hold exactly one point.
+func renderRows(sc *batchScratch, head evalResponse, rows []evalResponse, batch bool) ([]byte, error) {
+	t := newRenderTemplate(head.Machine, head.Precision, head.Model,
+		head.BalanceTime, head.BalanceEnergy, head.HalfEfficiency, head.RaceToHalt)
+	n := len(rows)
+	var c evalColumns
+	for k := range c.f {
+		c.f[k] = make([]float64, n)
+	}
+	c.timeBound = make([]core.BoundState, n)
+	c.energyBound = make([]core.BoundState, n)
+	for i, r := range rows {
+		for k, v := range [numFloatCols]float64{
+			colWork: r.Work, colIntensity: r.Intensity, colTime: r.Time, colEnergy: r.Energy,
+			colPower: r.AvgPower, colCappedTime: r.CappedTime, colCappedEnergy: r.CappedEnergy,
+			colCappedPower: r.CappedPower, colRoofline: r.RooflineTime, colArchline: r.ArchlineEnergy,
+			colPowerLine: r.PowerLine, colEDP: r.EDP, colFlopsPerJoule: r.FlopsPerJoule,
+			colFlopsPerSecond: r.FlopsPerSecond, colGreenIndex: r.GreenIndex, colSpeedIndex: r.SpeedIndex,
+		} {
+			c.f[k][i] = v
+		}
+		c.timeBound[i] = boundOf(r.TimeBound)
+		c.energyBound[i] = boundOf(r.EnergyBound)
+	}
+	sc.cols = c
+	return sc.finish(&t, n, batch)
+}
+
+// checkRendered renders rows (a lone /v1/eval object unless batch) on
+// sc and asserts the bytes, or the error text, equal json.MarshalIndent
+// of the oracle. Rows take head's per-response constants and canonical
+// bound strings first, since a response cannot vary them per point.
+func checkRendered(t testing.TB, sc *batchScratch, head evalResponse, rows []evalResponse, batch bool) {
+	t.Helper()
+	for i := range rows {
+		r := &rows[i]
+		r.Machine, r.Precision, r.Model = head.Machine, head.Precision, head.Model
+		r.BalanceTime, r.BalanceEnergy, r.HalfEfficiency = head.BalanceTime, head.BalanceEnergy, head.HalfEfficiency
+		r.RaceToHalt = head.RaceToHalt
+		r.TimeBound, r.EnergyBound = boundOf(r.TimeBound).String(), boundOf(r.EnergyBound).String()
+	}
+	var oracle any = evalBatchResponse{Machine: head.Machine, Precision: head.Precision, Count: len(rows), Results: rows}
+	if !batch {
+		oracle = rows[0]
+	}
+	want, wantErr := stdlibBody(t, oracle)
+	got, gotErr := renderRows(sc, head, rows, batch)
+	if (wantErr != nil) != (gotErr != nil) {
+		t.Fatalf("error mismatch: stdlib=%v renderer=%v", wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("renderer error %q, stdlib %q", gotErr, wantErr)
+		}
+		if got != nil {
+			t.Fatalf("renderer returned a partial body alongside its error: %q", got)
+		}
+		return
+	}
+	diffBytes(t, got, want)
+}
+
+// withScratch runs fn with a pooled batchScratch, as the handlers do.
+func withScratch(fn func(sc *batchScratch)) {
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	fn(sc)
+}
+
 func TestEncodersMatchStdlib(t *testing.T) {
 	t.Run("evalResponse", func(t *testing.T) {
 		for _, r := range []evalResponse{
 			sampleEvalResponse(),
-			{}, // all zero values, Model omitted
+			{TimeBound: "memory-bound", EnergyBound: "memory-bound"}, // all zero values, Model omitted
 			{Machine: "m<&>\"\\\n\t\u2028\u2029\x01", Model: "blackbox", Precision: "\xff\xfe"},
 		} {
-			want, err := stdlibBody(t, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := encodeEvalResponse(&r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffBytes(t, got, want)
+			withScratch(func(sc *batchScratch) { checkRendered(t, sc, r, []evalResponse{r}, false) })
 		}
 	})
 	t.Run("evalBatchResponse", func(t *testing.T) {
-		for _, r := range []evalBatchResponse{
-			{Machine: "fermi", Precision: "single", Count: 2,
-				Results: []evalResponse{sampleEvalResponse(), {}}},
-			{Machine: "x", Count: 0, Results: []evalResponse{}}, // empty array
-			{Machine: "x", Count: 0, Results: nil},              // null array
+		sample := sampleEvalResponse()
+		zero := evalResponse{TimeBound: "compute-bound"}
+		repeats := sample
+		repeats.Time, repeats.CappedTime, repeats.EDP = sample.Work, sample.Work, sample.Work
+		for _, c := range []struct {
+			head evalResponse
+			rows []evalResponse
+		}{
+			{sample, []evalResponse{sample, zero, repeats, sample}},
+			{evalResponse{Machine: "fermi", Precision: "single"}, []evalResponse{zero}},
+			{evalResponse{Machine: "x"}, []evalResponse{}}, // empty array
 		} {
-			want, err := stdlibBody(t, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := encodeEvalBatchResponse(&r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffBytes(t, got, want)
+			withScratch(func(sc *batchScratch) { checkRendered(t, sc, c.head, c.rows, true) })
 		}
 	})
 	t.Run("machines", func(t *testing.T) {
@@ -159,25 +236,105 @@ func TestEncodersMatchStdlib(t *testing.T) {
 	})
 }
 
-// TestEncodeRejectsNonFinite pins the error contract: NaN/±Inf anywhere
-// in a response is an encode error exactly where the stdlib errors, and
-// nothing half-encoded escapes.
+// TestEncodeRejectsNonFinite pins the error contract: NaN/±Inf in any
+// float field of a response — per-point column or per-response
+// constant — fails rendering with the stdlib's error for the first
+// non-finite field in wire order, and nothing half-encoded escapes.
 func TestEncodeRejectsNonFinite(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		r := sampleEvalResponse()
-		r.EDP = bad
-		if _, err := stdlibBody(t, r); err == nil {
-			t.Fatalf("stdlib accepted %v", bad)
+	fields := []func(r *evalResponse) *float64{
+		func(r *evalResponse) *float64 { return &r.Work },
+		func(r *evalResponse) *float64 { return &r.CappedPower },
+		func(r *evalResponse) *float64 { return &r.BalanceTime },
+		func(r *evalResponse) *float64 { return &r.HalfEfficiency },
+		func(r *evalResponse) *float64 { return &r.RooflineTime },
+		func(r *evalResponse) *float64 { return &r.EDP },
+		func(r *evalResponse) *float64 { return &r.SpeedIndex },
+	}
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for i, field := range fields {
+		for j, v := range bad {
+			r := sampleEvalResponse()
+			*field(&r) = v
+			// A second, different non-finite value later in wire order
+			// must not be the one reported.
+			if i+1 < len(fields) {
+				*fields[i+1](&r) = bad[(j+1)%len(bad)]
+			}
+			if _, err := stdlibBody(t, r); err == nil {
+				t.Fatalf("stdlib accepted %v", v)
+			}
+			withScratch(func(sc *batchScratch) {
+				checkRendered(t, sc, r, []evalResponse{r}, false)
+				ok := sampleEvalResponse()
+				checkRendered(t, sc, r, []evalResponse{ok, r, ok}, true)
+			})
 		}
-		body, err := encodeEvalResponse(&r)
+	}
+}
+
+// TestRenderScratchReuse renders two different responses back to back
+// through one scratch, the second repeating the first's values at other
+// offsets: a memo entry surviving from the first response would copy
+// whatever bytes the second wrote there instead.
+func TestRenderScratchReuse(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	first := batchColdRequests(1)[0]
+	firstRows, err := oracleEvalBatch(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := evalBatchRequest{Machine: "i7-950", Precision: "single"}
+	for i := len(first.Work) - 1; i >= 0; i-- {
+		second.Work = append(second.Work, first.Work[i])
+		second.Intensities = append(second.Intensities, first.Intensities[i])
+	}
+	secondRows, err := oracleEvalBatch(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withScratch(func(sc *batchScratch) {
+		for round := 0; round < 2; round++ {
+			for _, c := range []struct {
+				q    evalBatchRequest
+				want evalBatchResponse
+			}{{first, firstRows}, {second, secondRows}} {
+				got, err := s.render(sc, "evalbatch", c.q.Machine, c.q.Precision, c.q.Model, c.q.Work, c.q.Intensities, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := stdlibBody(t, c.want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffBytes(t, got, want)
+				got, err = s.render(sc, "eval", c.q.Machine, c.q.Precision, c.q.Model, c.q.Work[:1], c.q.Intensities[:1], false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, err = stdlibBody(t, c.want.Results[0]); err != nil {
+					t.Fatal(err)
+				}
+				diffBytes(t, got, want)
+			}
+		}
+	})
+}
+
+// TestFloatMemoGenerationWrap: when the memo's generation stamp wraps,
+// a never-written slot (stamp 0, bits 0) must not read as a remembered
+// +0.0, whose bits are 0 too.
+func TestFloatMemoGenerationWrap(t *testing.T) {
+	var m floatMemo
+	m.gen = math.MaxUint16 - 1
+	for round := 0; round < 4; round++ {
+		m.reset()
+		b, err := m.appendFloat(nil, 0)
 		if err == nil {
-			t.Fatalf("encoder accepted %v", bad)
+			b, err = m.appendFloat(b, 0)
 		}
-		if body != nil {
-			t.Fatalf("encoder returned partial body alongside error: %q", body)
-		}
-		if !strings.Contains(err.Error(), "json: unsupported value") {
-			t.Fatalf("error %q does not match the stdlib wording", err)
+		if err != nil || string(b) != "00" {
+			t.Fatalf("round %d (generation %d): rendered %q, %v; want \"00\"", round, m.gen, b, err)
 		}
 	}
 }

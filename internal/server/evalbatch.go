@@ -5,19 +5,18 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/model"
 )
 
 // POST /v1/evalbatch: the columnar counterpart of /v1/eval. One request
 // carries whole (work, intensity) columns for a single (machine,
-// precision); the response carries one evalResponse per point, computed
-// through the internal/core batch path (bit-identical to the scalar
-// path /v1/eval uses — a batch of one returns exactly the /v1/eval
-// result object). The whole batch is content-addressed by one canonical
-// hash, so identical batches cache as one entry and concurrent
-// identical batches coalesce into one evaluation like /v1/campaign.
+// precision); the response carries one /v1/eval result object per
+// point, in request order, computed and rendered by the same column
+// renderer as /v1/eval (render.go), so a batch of one returns exactly
+// the /v1/eval result object. The whole batch is content-addressed by
+// one canonical hash, so identical batches cache as one entry and
+// concurrent identical batches coalesce into one evaluation like
+// /v1/campaign.
 
 // evalBatchRequest is the POST /v1/evalbatch body. Work is optional:
 // omit it for the /v1/eval default of 1e9 flops per point, or provide
@@ -30,15 +29,6 @@ type evalBatchRequest struct {
 	// Model selects the EnergyModel for the whole batch (see GET
 	// /v1/models); empty means the default analytic model.
 	Model string `json:"model,omitempty"`
-}
-
-// evalBatchResponse is the POST /v1/evalbatch reply: one /v1/eval
-// result object per requested point, in request order.
-type evalBatchResponse struct {
-	Machine   string         `json:"machine"`
-	Precision string         `json:"precision"`
-	Count     int            `json:"count"`
-	Results   []evalResponse `json:"results"`
 }
 
 // checkEvalBatch validates a batch request, filling defaults in place —
@@ -86,81 +76,6 @@ func (s *Server) checkEvalBatch(q *evalBatchRequest) error {
 		}
 	}
 	return nil
-}
-
-// evaluateBatch computes the batch response body on the columnar model
-// path. Every per-point number matches what evaluate() returns for the
-// same (machine, precision, model, work, intensity) — the requested
-// EnergyModel's batch kernels are bit-identical to its scalar methods,
-// and the curve columns are taken over the raw request intensities
-// exactly as /v1/eval does (they are machine geometry, always
-// analytic).
-func evaluateBatch(q evalBatchRequest) ([]byte, error) {
-	prec, err := parsePrecision(q.Precision)
-	if err != nil {
-		return nil, err
-	}
-	m := catalog()[q.Machine]
-	p := core.FromMachine(m, prec)
-	em, err := model.For(q.Model, q.Machine, prec)
-	if err != nil {
-		return nil, badRequest("evalbatch: %v", err)
-	}
-	n := len(q.Intensities)
-
-	qcol := make([]float64, n)
-	core.QAtInto(qcol, q.Work, q.Intensities)
-	var sc metrics.ScoreColumns
-	var b core.Batch
-	if err := metrics.EvaluateBatchModel(em, p, &sc, &b, q.Work, qcol); err != nil {
-		return nil, badRequest("evalbatch: %v", err)
-	}
-	tb := make([]core.BoundState, n)
-	eb := make([]core.BoundState, n)
-	p.TimeBoundInto(tb, q.Work, qcol)
-	p.EnergyBoundInto(eb, q.Work, qcol)
-	roof := make([]float64, n)
-	arch := make([]float64, n)
-	pl := make([]float64, n)
-	p.RooflineTimeInto(roof, q.Intensities)
-	p.ArchlineEnergyInto(arch, q.Intensities)
-	p.PowerLineInto(pl, q.Intensities)
-
-	precName := prec.String()
-	bt, be, he := p.BalanceTime(), p.BalanceEnergy(), p.HalfEfficiencyIntensity()
-	rth := p.RaceToHaltEffective()
-	results := make([]evalResponse, n)
-	for i := range results {
-		results[i] = evalResponse{
-			Machine:        q.Machine,
-			Precision:      precName,
-			Model:          q.Model,
-			Work:           q.Work[i],
-			Intensity:      q.Intensities[i],
-			Time:           sc.Time[i],
-			Energy:         sc.Energy[i],
-			AvgPower:       b.Power[i],
-			CappedTime:     b.CappedTime[i],
-			CappedEnergy:   b.CappedEnergy[i],
-			CappedPower:    b.CappedPower[i],
-			TimeBound:      tb[i].String(),
-			EnergyBound:    eb[i].String(),
-			BalanceTime:    bt,
-			BalanceEnergy:  be,
-			HalfEfficiency: he,
-			RooflineTime:   roof[i],
-			ArchlineEnergy: arch[i],
-			PowerLine:      pl[i],
-			RaceToHalt:     rth,
-			EDP:            sc.EDP[i],
-			FlopsPerJoule:  sc.FlopsPerJoule[i],
-			FlopsPerSecond: sc.FlopsPerSecond[i],
-			GreenIndex:     sc.GreenIndex[i],
-			SpeedIndex:     sc.SpeedIndex[i],
-		}
-	}
-	resp := evalBatchResponse{Machine: q.Machine, Precision: precName, Count: n, Results: results}
-	return encodeEvalBatchResponse(&resp)
 }
 
 // handleEvalBatch implements POST /v1/evalbatch: cache lookup by one

@@ -269,3 +269,29 @@ func TestEvalBatchRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedBodiesCarryContentLength: a batch_cold-shaped 32-point
+// batch (~32 KB, far past net/http's pre-chunking buffer) arrives framed
+// by Content-Length, not chunked, on the miss and on the hit.
+func TestCachedBodiesCarryContentLength(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := batchRequestBody(batchColdRequests(1)[0])
+	for _, want := range []string{"miss", "hit"} {
+		resp, body := post(t, ts.URL+"/v1/evalbatch", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d: %s", resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Cache"); got != want {
+			t.Fatalf("X-Cache = %q, want %q", got, want)
+		}
+		if len(body) < 16<<10 {
+			t.Fatalf("body is %d bytes; the test needs one larger than net/http's buffers", len(body))
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s: ContentLength = %d, body is %d bytes", want, resp.ContentLength, len(body))
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: TransferEncoding = %v, want none", want, resp.TransferEncoding)
+		}
+	}
+}

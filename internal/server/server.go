@@ -55,6 +55,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -148,6 +149,9 @@ type Server struct {
 	mux       *http.ServeMux
 	tracer    *trace.Tracer // nil unless cfg.Debug
 
+	// entries holds the /v1/eval and /v1/evalbatch render templates.
+	entries renderEntries
+
 	// Hot-path metric handles, hoisted out of the registry once at
 	// construction so per-request bookkeeping is a direct atomic
 	// increment — no name lookup of any kind on the request path.
@@ -209,7 +213,7 @@ func New(cfg Config) *Server {
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
-	s.batchEval = evaluateBatch
+	s.batchEval = s.evaluateBatch
 	s.mRequestsEval = s.reg.Counter("requests_eval_total")
 	s.mRequestsEvalbatch = s.reg.Counter("requests_evalbatch_total")
 	s.mRequestsCampaign = s.reg.Counter("requests_campaign_total")
@@ -306,13 +310,21 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 }
 
 // writeCached serves a response body produced by the cache/coalescing
-// layer, labelling its provenance in X-Cache (hit, miss, or coalesced).
+// layer, labelling its provenance in X-Cache (hit, miss, or coalesced)
+// and framing it with Content-Length, so bodies larger than net/http's
+// pre-chunking buffer are not sent chunked. The four header values
+// share one slice and the two computed ones one string: two
+// allocations in all, the header map's keys being canonical already.
 func writeCached(w http.ResponseWriter, key uint64, source string, body []byte) {
+	var buf [16 + 20]byte
+	hashLen := len(appendHash(buf[:0], key))
+	computed := string(strconv.AppendInt(buf[:hashLen], int64(len(body)), 10))
+	vals := []string{"application/json", source, computed[:hashLen], computed[hashLen:]}
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("X-Cache", source)
-	var hexBuf [16]byte
-	h.Set("X-Request-Hash", string(appendHash(hexBuf[:0], key)))
+	h["Content-Type"] = vals[0:1:1]
+	h["X-Cache"] = vals[1:2:2]
+	h["X-Request-Hash"] = vals[2:3:3]
+	h["Content-Length"] = vals[3:4:4]
 	w.Write(body)
 }
 
@@ -383,36 +395,6 @@ type evalRequest struct {
 	Model string `json:"model,omitempty"`
 }
 
-// evalResponse is the POST /v1/eval reply: the model's time, energy,
-// and power answers plus the §VI composite metrics.
-type evalResponse struct {
-	Machine        string  `json:"machine"`
-	Precision      string  `json:"precision"`
-	Model          string  `json:"model,omitempty"`
-	Work           float64 `json:"work"`
-	Intensity      float64 `json:"intensity"`
-	Time           float64 `json:"time_seconds"`
-	Energy         float64 `json:"energy_joules"`
-	AvgPower       float64 `json:"avg_power_watts"`
-	CappedTime     float64 `json:"capped_time_seconds"`
-	CappedEnergy   float64 `json:"capped_energy_joules"`
-	CappedPower    float64 `json:"capped_power_watts"`
-	TimeBound      string  `json:"time_bound"`
-	EnergyBound    string  `json:"energy_bound"`
-	BalanceTime    float64 `json:"balance_time"`
-	BalanceEnergy  float64 `json:"balance_energy"`
-	HalfEfficiency float64 `json:"half_efficiency_intensity"`
-	RooflineTime   float64 `json:"roofline_time"`
-	ArchlineEnergy float64 `json:"archline_energy"`
-	PowerLine      float64 `json:"power_line_watts"`
-	RaceToHalt     bool    `json:"race_to_halt_effective"`
-	EDP            float64 `json:"edp_joule_seconds"`
-	FlopsPerJoule  float64 `json:"flops_per_joule"`
-	FlopsPerSecond float64 `json:"flops_per_second"`
-	GreenIndex     float64 `json:"green_index"`
-	SpeedIndex     float64 `json:"speed_index"`
-}
-
 // parsePrecision maps the wire precision names.
 func parsePrecision(s string) (machine.Precision, error) {
 	switch s {
@@ -447,60 +429,6 @@ func checkEval(q *evalRequest) error {
 		}
 	}
 	return nil
-}
-
-// evaluate computes the eval response body. The cost fields (time,
-// energy, power, capped variants, composite metrics) come from the
-// requested EnergyModel; the machine-geometry fields (bounds, balance
-// points, curves) are always the analytic closed forms — they describe
-// the machine, not a prediction. The default analytic model goes
-// through the same interface and delegates to the identical core
-// methods, so default responses are byte-identical to the pre-model
-// surface.
-func evaluate(q evalRequest) ([]byte, error) {
-	prec, err := parsePrecision(q.Precision)
-	if err != nil {
-		return nil, err
-	}
-	m := catalog()[q.Machine]
-	p := core.FromMachine(m, prec)
-	em, err := model.For(q.Model, q.Machine, prec)
-	if err != nil {
-		return nil, badRequest("eval: %v", err)
-	}
-	k := core.KernelAt(q.Work, q.Intensity)
-	score, err := metrics.EvaluateModel(em, p, k)
-	if err != nil {
-		return nil, badRequest("eval: %v", err)
-	}
-	resp := evalResponse{
-		Machine:        q.Machine,
-		Precision:      prec.String(),
-		Model:          q.Model,
-		Work:           q.Work,
-		Intensity:      q.Intensity,
-		Time:           score.Time,
-		Energy:         score.Energy,
-		AvgPower:       em.Power(k),
-		CappedTime:     em.CappedTime(k),
-		CappedEnergy:   em.CappedEnergy(k),
-		CappedPower:    em.CappedPower(k),
-		TimeBound:      p.TimeBound(k).String(),
-		EnergyBound:    p.EnergyBound(k).String(),
-		BalanceTime:    p.BalanceTime(),
-		BalanceEnergy:  p.BalanceEnergy(),
-		HalfEfficiency: p.HalfEfficiencyIntensity(),
-		RooflineTime:   p.RooflineTime(q.Intensity),
-		ArchlineEnergy: p.ArchlineEnergy(q.Intensity),
-		PowerLine:      p.PowerLine(q.Intensity),
-		RaceToHalt:     p.RaceToHaltEffective(),
-		EDP:            score.EDP,
-		FlopsPerJoule:  score.FlopsPerJoule,
-		FlopsPerSecond: score.FlopsPerSecond,
-		GreenIndex:     score.GreenIndex,
-		SpeedIndex:     score.SpeedIndex,
-	}
-	return encodeEvalResponse(&resp)
 }
 
 // handleEval implements POST /v1/eval. Eval queries are cheap (pure
@@ -539,7 +467,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mCacheMisses.Inc()
-	body, err := evaluate(q)
+	body, err := s.evaluatePoint(q)
 	if err != nil {
 		sp.Tag("error", "eval")
 		s.writeError(w, err)

@@ -313,3 +313,26 @@ func TestWarmEvalAllocations(t *testing.T) {
 		t.Fatalf("warm /v1/eval allocates %.1f per request, want ≤ 8", allocs)
 	}
 }
+
+// TestBatch32ColdAllocations pins the allocation ceiling of a cold
+// batch_cold-shaped /v1/evalbatch request (BenchmarkServerEvalBatch32Cold):
+// evaluation columns, the float memo and the body scratch come from the
+// pooled batchScratch, so a miss allocates little beyond the cached body
+// and the cache and flight bookkeeping.
+func TestBatch32ColdAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool intentionally drops entries under the race detector")
+	}
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	p, bodies := batch32ColdPoster(s.Handler())
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		p.body = bodies[i%len(bodies)]
+		i++
+		p.post(t)
+	})
+	if allocs > 10 {
+		t.Fatalf("cold 32-point /v1/evalbatch allocates %.1f per request, want ≤ 10", allocs)
+	}
+}
