@@ -5,13 +5,13 @@
 // campaign, server request, and study bottoms out in, and reports
 // ns/op, bytes/op, and allocs/op per scenario.
 //
-// Results are tracked in BENCH_core.json at the repository root: a
-// fixed pre-optimization baseline plus one appended entry per PR that
-// touches the core path. Each run prints the speedup and allocation
-// reduction against the recorded baseline; with -check the harness
-// exits nonzero when a scenario regresses beyond the thresholds against
-// the latest recorded entry, which is how CI keeps the optimizations
-// permanent.
+// Results are tracked in BENCH_core.json at the repository root
+// (internal/benchfile): a fixed pre-optimization baseline plus one
+// appended entry per PR that touches the core path. Each run prints the
+// speedup and allocation reduction against the recorded baseline; with
+// -check the harness exits nonzero when a scenario regresses beyond the
+// thresholds against the newest entry that records it, which is how CI
+// keeps the optimizations permanent.
 //
 // Usage:
 //
@@ -19,7 +19,6 @@
 //	go run ./cmd/corebench -scenario single_run # one scenario
 //	go run ./cmd/corebench -check               # enforce regression thresholds (CI)
 //	go run ./cmd/corebench -update -note "..."  # append this run to BENCH_core.json
-//	go run ./cmd/corebench -record-baseline     # (once per epoch) pin the baseline block
 //
 // Time comparisons are hardware-dependent; allocation counts are not.
 // CI therefore runs -check with a generous -max-slowdown and a tight
@@ -28,16 +27,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/benchfile"
 	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -47,48 +45,6 @@ import (
 	"repro/internal/powermon"
 	"repro/internal/sim"
 )
-
-// Metrics are one scenario's measured per-operation costs, plus the
-// derived comparisons against the recorded baseline (filled in when a
-// baseline exists).
-type Metrics struct {
-	// NsPerOp is wall time per scenario iteration in nanoseconds.
-	NsPerOp int64 `json:"ns_per_op"`
-	// BytesPerOp is heap bytes allocated per iteration.
-	BytesPerOp int64 `json:"bytes_per_op"`
-	// AllocsPerOp is heap allocations per iteration.
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	// SpeedupVsBaseline is baseline ns/op divided by this run's ns/op.
-	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
-	// AllocReductionVsBaseline is the fraction of baseline allocs/op
-	// eliminated (0.9 = 90% fewer allocations).
-	AllocReductionVsBaseline float64 `json:"alloc_reduction_vs_baseline,omitempty"`
-}
-
-// Entry is one recorded harness run.
-type Entry struct {
-	// Date is the run date (YYYY-MM-DD).
-	Date string `json:"date"`
-	// PR is the pull request the entry belongs to.
-	PR int `json:"pr,omitempty"`
-	// Note describes what changed.
-	Note string `json:"note,omitempty"`
-	// Scenarios maps scenario name to its measured metrics.
-	Scenarios map[string]Metrics `json:"scenarios"`
-}
-
-// File is the BENCH_core.json schema.
-type File struct {
-	// Description explains the file's purpose and append-only policy.
-	Description string `json:"description"`
-	// CPU records the machine the entries were measured on.
-	CPU string `json:"cpu,omitempty"`
-	// Baseline is the fixed pre-optimization reference all speedups are
-	// computed against. It is written once and never rewritten.
-	Baseline *Entry `json:"baseline,omitempty"`
-	// Entries is the append-only trajectory, oldest first.
-	Entries []Entry `json:"entries"`
-}
 
 // scenario is one pinned benchmark target. Every scenario is fully
 // deterministic (fixed seeds), so allocs/op is reproducible anywhere.
@@ -104,16 +60,13 @@ type scenario struct {
 	refFn func(b *testing.B)
 	// minSpeedup is the refFn-vs-fn speedup -check requires (0 = none).
 	minSpeedup float64
-	// maxAllocs, when non-nil, is a hard allocs/op ceiling -check
-	// enforces on fn regardless of recorded history.
-	maxAllocs *int64
 }
 
-// allocCap builds a scenario allocs/op ceiling.
-func allocCap(n int64) *int64 { return &n }
+// allocCeilings are hard allocs/op limits -check enforces regardless of
+// recorded history.
+var allocCeilings = map[string]int64{"batch_eval": 0}
 
-// scenarios returns the pinned targets, smallest first. Order is part
-// of the contract: CI's smoke step runs the first scenario only.
+// scenarios returns the pinned targets, smallest first.
 func scenarios() []scenario {
 	return []scenario{
 		{
@@ -127,7 +80,6 @@ func scenarios() []scenario {
 			fn:         benchBatchEval,
 			refFn:      benchBatchEvalScalar,
 			minSpeedup: 5,
-			maxAllocs:  allocCap(0),
 		},
 		{
 			name: "segment_replay",
@@ -313,67 +265,13 @@ func benchFMMReplay(b *testing.B) {
 }
 
 // run measures one scenario with the testing harness.
-func run(s scenario) Metrics {
-	r := testing.Benchmark(s.fn)
-	return Metrics{
+func run(fn func(b *testing.B)) benchfile.Metrics {
+	r := testing.Benchmark(fn)
+	return benchfile.Metrics{
 		NsPerOp:     r.NsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 	}
-}
-
-// cpuModel best-efforts a human-readable CPU label.
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if strings.HasPrefix(line, "model name") {
-				if i := strings.IndexByte(line, ':'); i >= 0 {
-					return strings.TrimSpace(line[i+1:])
-				}
-			}
-		}
-	}
-	return runtime.GOOS + "/" + runtime.GOARCH
-}
-
-func loadFile(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &File{
-			Description: "Trajectory of core hot-path benchmarks (go run ./cmd/corebench). " +
-				"The baseline block is the fixed pre-optimization reference; entries are append-only, one per PR touching the core path. " +
-				"See docs/PERFORMANCE.md for methodology.",
-		}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("corebench: %s: %v", path, err)
-	}
-	return &f, nil
-}
-
-func saveFile(path string, f *File) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// latestReference returns the metrics -check compares against: the most
-// recent recorded entry, falling back to the baseline.
-func latestReference(f *File) map[string]Metrics {
-	if n := len(f.Entries); n > 0 {
-		return f.Entries[n-1].Scenarios
-	}
-	if f.Baseline != nil {
-		return f.Baseline.Scenarios
-	}
-	return nil
 }
 
 func main() {
@@ -381,14 +279,12 @@ func main() {
 	benchFile := flag.String("bench-file", "BENCH_core.json", "trajectory file to read baselines from and record entries into")
 	scenarioFilter := flag.String("scenario", "all", "comma-separated scenario names to run, or 'all' (or 'list' to print them)")
 	benchtime := flag.Duration("benchtime", time.Second, "minimum measurement time per scenario")
-	check := flag.Bool("check", false, "exit nonzero when a scenario regresses beyond the thresholds against the latest recorded entry")
+	check := flag.Bool("check", false, "exit nonzero when a scenario regresses beyond the thresholds against the newest entry that records it")
 	maxSlowdown := flag.Float64("max-slowdown", 1.5, "-check fails when ns/op exceeds recorded*this (<= 0 disables the time check)")
 	maxAllocGrowth := flag.Float64("max-alloc-growth", 1.10, "-check fails when allocs/op exceeds recorded*this (<= 0 disables the alloc check)")
-	refSlack := flag.Float64("ref-speedup-slack", 1.0, "scales a scenario's required speedup over its scalar reference (e.g. 0.5 halves the bar for noisy runners)")
 	update := flag.Bool("update", false, "append this run as a new entry in -bench-file")
-	recordBaseline := flag.Bool("record-baseline", false, "record this run as the fixed baseline block (refuses to overwrite an existing baseline)")
-	pr := flag.Int("pr", 0, "PR number to record with -update/-record-baseline")
-	note := flag.String("note", "", "note to record with -update/-record-baseline")
+	pr := flag.Int("pr", 0, "PR number to record with -update")
+	note := flag.String("note", "", "note to record with -update")
 	flag.Parse()
 
 	if err := flag.Set("test.benchtime", benchtime.String()); err != nil {
@@ -428,30 +324,22 @@ func main() {
 		}
 	}
 
-	f, err := loadFile(*benchFile)
+	f, err := benchfile.Load(*benchFile, "Trajectory of core hot-path benchmarks (go run ./cmd/corebench). "+
+		"The baseline block is the fixed pre-optimization reference; entries are append-only, one per PR touching the core path. "+
+		"See docs/PERFORMANCE.md for methodology.")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "corebench:", err)
 		os.Exit(2)
 	}
-	if *recordBaseline && f.Baseline != nil {
-		fmt.Fprintf(os.Stderr, "corebench: %s already has a baseline; the baseline is fixed by policy\n", *benchFile)
-		os.Exit(2)
-	}
 
-	results := map[string]Metrics{}
+	results := map[string]benchfile.Metrics{}
+	names := make([]string, 0, len(selected))
 	refSpeedups := map[string]float64{}
 	fmt.Printf("%-12s %14s %14s %12s %10s %10s\n", "scenario", "ns/op", "B/op", "allocs/op", "speedup", "-allocs")
 	for _, s := range selected {
-		m := run(s)
-		if f.Baseline != nil {
-			if base, ok := f.Baseline.Scenarios[s.name]; ok && base.NsPerOp > 0 && m.NsPerOp > 0 {
-				m.SpeedupVsBaseline = float64(base.NsPerOp) / float64(m.NsPerOp)
-				if base.AllocsPerOp > 0 {
-					m.AllocReductionVsBaseline = 1 - float64(m.AllocsPerOp)/float64(base.AllocsPerOp)
-				}
-			}
-		}
+		m := f.VsBaseline(s.name, run(s.fn))
 		results[s.name] = m
+		names = append(names, s.name)
 		speedup, dealloc := "-", "-"
 		if m.SpeedupVsBaseline > 0 {
 			speedup = fmt.Sprintf("%.2fx", m.SpeedupVsBaseline)
@@ -460,7 +348,7 @@ func main() {
 		fmt.Printf("%-12s %14d %14d %12d %10s %10s\n",
 			s.name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, speedup, dealloc)
 		if s.refFn != nil {
-			rm := run(scenario{fn: s.refFn})
+			rm := run(s.refFn)
 			results[s.name+"_scalar_ref"] = rm
 			if m.NsPerOp > 0 {
 				refSpeedups[s.name] = float64(rm.NsPerOp) / float64(m.NsPerOp)
@@ -470,77 +358,32 @@ func main() {
 		}
 	}
 
-	failed := false
+	var fails []string
 	if *check {
-		ref := latestReference(f)
-		if ref == nil {
-			fmt.Fprintf(os.Stderr, "corebench: -check needs a recorded entry or baseline in %s\n", *benchFile)
-			os.Exit(2)
-		}
+		fails = f.Check(names, results, benchfile.Gate{
+			MaxSlowdown: *maxSlowdown, MaxAllocGrowth: *maxAllocGrowth, Ceilings: allocCeilings})
 		for _, s := range selected {
-			m := results[s.name]
-			r, ok := ref[s.name]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "corebench: scenario %s has no recorded reference\n", s.name)
-				failed = true
-				continue
-			}
-			if *maxSlowdown > 0 && r.NsPerOp > 0 && float64(m.NsPerOp) > float64(r.NsPerOp)**maxSlowdown {
-				fmt.Fprintf(os.Stderr, "corebench: REGRESSION %s: %d ns/op exceeds recorded %d ns/op x %.2f\n",
-					s.name, m.NsPerOp, r.NsPerOp, *maxSlowdown)
-				failed = true
-			}
-			if *maxAllocGrowth > 0 && float64(m.AllocsPerOp) > float64(r.AllocsPerOp)**maxAllocGrowth {
-				fmt.Fprintf(os.Stderr, "corebench: REGRESSION %s: %d allocs/op exceeds recorded %d allocs/op x %.2f\n",
-					s.name, m.AllocsPerOp, r.AllocsPerOp, *maxAllocGrowth)
-				failed = true
-			}
-			if s.minSpeedup > 0 {
-				if got := refSpeedups[s.name]; got < s.minSpeedup**refSlack {
-					fmt.Fprintf(os.Stderr, "corebench: REGRESSION %s: %.2fx over the scalar reference, want >= %.2fx\n",
-						s.name, got, s.minSpeedup**refSlack)
-					failed = true
-				}
-			}
-			if s.maxAllocs != nil && *maxAllocGrowth > 0 && m.AllocsPerOp > *s.maxAllocs {
-				fmt.Fprintf(os.Stderr, "corebench: REGRESSION %s: %d allocs/op, scenario ceiling is %d\n",
-					s.name, m.AllocsPerOp, *s.maxAllocs)
-				failed = true
+			if got := refSpeedups[s.name]; s.minSpeedup > 0 && got < s.minSpeedup {
+				fails = append(fails, fmt.Sprintf("REGRESSION %s: %.2fx over the scalar reference, want >= %.2fx",
+					s.name, got, s.minSpeedup))
 			}
 		}
-		if !failed {
+		for _, line := range fails {
+			fmt.Fprintln(os.Stderr, "corebench:", line)
+		}
+		if len(fails) == 0 {
 			fmt.Println("corebench: all scenarios within thresholds")
 		}
 	}
 
-	if *recordBaseline || *update {
-		e := Entry{
-			Date:      time.Now().Format("2006-01-02"),
-			PR:        *pr,
-			Note:      *note,
-			Scenarios: results,
-		}
-		if f.CPU == "" {
-			f.CPU = cpuModel()
-		}
-		if *recordBaseline {
-			// The baseline predates any speedup comparison by definition.
-			for name, m := range e.Scenarios {
-				m.SpeedupVsBaseline = 0
-				m.AllocReductionVsBaseline = 0
-				e.Scenarios[name] = m
-			}
-			f.Baseline = &e
-		} else {
-			f.Entries = append(f.Entries, e)
-		}
-		if err := saveFile(*benchFile, f); err != nil {
+	if *update {
+		if err := f.Append(*benchFile, benchfile.Entry{PR: *pr, Note: *note, Scenarios: results}); err != nil {
 			fmt.Fprintln(os.Stderr, "corebench:", err)
 			os.Exit(2)
 		}
 		fmt.Printf("corebench: wrote %s\n", *benchFile)
 	}
-	if failed {
+	if len(fails) > 0 {
 		os.Exit(1)
 	}
 }

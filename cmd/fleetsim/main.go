@@ -19,10 +19,13 @@
 //	go run ./cmd/fleetsim -replay trace.json       # replay a recorded workload trace
 //	go run ./cmd/fleetsim -bench -check            # regression gate against BENCH_cluster.json
 //
-// Bench mode reuses the corebench trajectory format: BENCH_cluster.json
-// holds a fixed baseline plus one appended entry per PR that touches
-// the fleet path (-update appends, -record-baseline pins, -check
-// enforces -max-slowdown in CI).
+// Bench mode times one full run per scenario and records it in
+// BENCH_cluster.json, the schema every BENCH file shares
+// (internal/benchfile): a fixed baseline plus one appended entry per PR
+// that touches the fleet path. -update appends; -check enforces
+// -max-slowdown in CI against the newest entry that records each
+// scenario. -update refuses -requests, -replicas and -pin-max-freq,
+// which would record a different run under the catalog name.
 package main
 
 import (
@@ -35,50 +38,11 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/benchfile"
 	"repro/internal/cluster"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// benchMetrics is one bench scenario's measurement, schema-compatible
-// with corebench's Metrics so both BENCH_*.json files read the same.
-type benchMetrics struct {
-	// NsPerOp is wall nanoseconds for one full scenario run.
-	NsPerOp int64 `json:"ns_per_op"`
-	// BytesPerOp is heap bytes allocated across the run.
-	BytesPerOp int64 `json:"bytes_per_op"`
-	// AllocsPerOp is heap allocations across the run.
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	// SpeedupVsBaseline is baseline ns/op over this run's ns/op.
-	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
-	// SimulatedRPS is simulated requests per wall second — the
-	// simulator's own throughput, the number bench mode exists to track.
-	SimulatedRPS float64 `json:"simulated_rps,omitempty"`
-}
-
-// benchEntry is one recorded bench run.
-type benchEntry struct {
-	// Date is the run date (YYYY-MM-DD).
-	Date string `json:"date"`
-	// PR is the pull request the entry belongs to.
-	PR int `json:"pr,omitempty"`
-	// Note describes what changed.
-	Note string `json:"note,omitempty"`
-	// Scenarios maps scenario name to measured metrics.
-	Scenarios map[string]benchMetrics `json:"scenarios"`
-}
-
-// benchFile is the BENCH_cluster.json schema.
-type benchFile struct {
-	// Description explains the file's purpose and append-only policy.
-	Description string `json:"description"`
-	// CPU records the measuring machine.
-	CPU string `json:"cpu,omitempty"`
-	// Baseline is the fixed reference all speedups compare against.
-	Baseline *benchEntry `json:"baseline,omitempty"`
-	// Entries is the append-only trajectory, oldest first.
-	Entries []benchEntry `json:"entries"`
-}
 
 func main() {
 	scenarioFlag := flag.String("scenario", "smoke", "comma-separated scenario names, 'all', or 'list'")
@@ -95,9 +59,8 @@ func main() {
 	check := flag.Bool("check", false, "with -bench: exit nonzero on regression beyond -max-slowdown")
 	maxSlowdown := flag.Float64("max-slowdown", 2.0, "with -check: fail when ns/op exceeds recorded*this")
 	update := flag.Bool("update", false, "with -bench: append this run to -bench-file")
-	recordBaseline := flag.Bool("record-baseline", false, "with -bench: pin this run as the fixed baseline (refuses to overwrite)")
-	pr := flag.Int("pr", 0, "PR number recorded with -update/-record-baseline")
-	note := flag.String("note", "", "note recorded with -update/-record-baseline")
+	pr := flag.Int("pr", 0, "PR number recorded with -update")
+	note := flag.String("note", "", "note recorded with -update")
 	flag.Parse()
 
 	catalog := cluster.Scenarios()
@@ -138,9 +101,19 @@ func main() {
 	}
 
 	if *bench {
+		if *update {
+			for _, o := range []struct {
+				flag string
+				set  bool
+			}{{"requests", *requests > 0}, {"replicas", *replicas > 0}, {"pin-max-freq", *pinMaxFreq}} {
+				if o.set {
+					fatalf("-update records under the catalog scenario name; drop -%s, which changes the scenario", o.flag)
+				}
+			}
+		}
 		runBench(names, catalog, benchOpts{
 			path: *benchPath, check: *check, maxSlowdown: *maxSlowdown,
-			update: *update, recordBaseline: *recordBaseline, pr: *pr, note: *note,
+			update: *update, pr: *pr, note: *note,
 			workers: *workers, requests: *requests, replicas: *replicas,
 			pinMaxFreq: *pinMaxFreq,
 		})
@@ -245,40 +218,34 @@ func printReport(r *cluster.Report) {
 
 // benchOpts carries bench mode's flag values.
 type benchOpts struct {
-	path           string
-	check          bool
-	maxSlowdown    float64
-	update         bool
-	recordBaseline bool
-	pr             int
-	note           string
-	workers        int
-	requests       int
-	replicas       int
-	pinMaxFreq     bool
+	path        string
+	check       bool
+	maxSlowdown float64
+	update      bool
+	pr          int
+	note        string
+	workers     int
+	requests    int
+	replicas    int
+	pinMaxFreq  bool
 }
 
-// runBench times one full run of each named scenario and applies the
-// corebench-style trajectory workflow to BENCH_cluster.json.
+// runBench times one full run of each named scenario and checks or
+// records the results in the trajectory file.
 func runBench(names []string, catalog map[string]cluster.Scenario, opts benchOpts) {
-	f, err := loadBenchFile(opts.path)
+	f, err := benchfile.Load(opts.path, "Trajectory of fleet-simulator benchmarks (go run ./cmd/fleetsim -bench). "+
+		"Each scenario is one full deterministic fleet simulation; ns/op is wall time for the whole run. "+
+		"The baseline block is fixed; entries are append-only, one per PR touching the fleet path. "+
+		"See docs/CLUSTER.md for the scenario catalog.")
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if opts.recordBaseline && f.Baseline != nil {
-		fatalf("%s already has a baseline; the baseline is fixed by policy", opts.path)
-	}
 
-	results := map[string]benchMetrics{}
+	results := map[string]benchfile.Metrics{}
 	fmt.Printf("%-12s %14s %14s %12s %12s %10s\n", "scenario", "ns/op", "B/op", "allocs/op", "sim rps", "speedup")
 	for _, name := range names {
 		sc := applyOverrides(catalog[name], opts.requests, opts.replicas, opts.pinMaxFreq)
-		m := measure(sc, opts.workers)
-		if f.Baseline != nil {
-			if base, ok := f.Baseline.Scenarios[name]; ok && base.NsPerOp > 0 && m.NsPerOp > 0 {
-				m.SpeedupVsBaseline = float64(base.NsPerOp) / float64(m.NsPerOp)
-			}
-		}
+		m := f.VsBaseline(name, measure(sc, opts.workers))
 		results[name] = m
 		speedup := "-"
 		if m.SpeedupVsBaseline > 0 {
@@ -288,63 +255,31 @@ func runBench(names []string, catalog map[string]cluster.Scenario, opts benchOpt
 			name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, m.SimulatedRPS, speedup)
 	}
 
-	failed := false
+	var fails []string
 	if opts.check {
-		ref := latestReference(f)
-		if ref == nil {
-			fatalf("-check needs a recorded entry or baseline in %s", opts.path)
+		fails = f.Check(names, results, benchfile.Gate{MaxSlowdown: opts.maxSlowdown})
+		for _, line := range fails {
+			fmt.Fprintln(os.Stderr, "fleetsim:", line)
 		}
-		for _, name := range names {
-			r, ok := ref[name]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "fleetsim: scenario %s has no recorded reference\n", name)
-				failed = true
-				continue
-			}
-			m := results[name]
-			if opts.maxSlowdown > 0 && r.NsPerOp > 0 && float64(m.NsPerOp) > float64(r.NsPerOp)*opts.maxSlowdown {
-				fmt.Fprintf(os.Stderr, "fleetsim: REGRESSION %s: %d ns/op exceeds recorded %d ns/op x %.2f\n",
-					name, m.NsPerOp, r.NsPerOp, opts.maxSlowdown)
-				failed = true
-			}
-		}
-		if !failed {
+		if len(fails) == 0 {
 			fmt.Println("fleetsim: all scenarios within thresholds")
 		}
 	}
 
-	if opts.recordBaseline || opts.update {
-		e := benchEntry{
-			Date:      time.Now().Format("2006-01-02"),
-			PR:        opts.pr,
-			Note:      opts.note,
-			Scenarios: results,
-		}
-		if f.CPU == "" {
-			f.CPU = cpuModel()
-		}
-		if opts.recordBaseline {
-			for name, m := range e.Scenarios {
-				m.SpeedupVsBaseline = 0
-				e.Scenarios[name] = m
-			}
-			f.Baseline = &e
-		} else {
-			f.Entries = append(f.Entries, e)
-		}
-		if err := saveBenchFile(opts.path, f); err != nil {
+	if opts.update {
+		if err := f.Append(opts.path, benchfile.Entry{PR: opts.pr, Note: opts.note, Scenarios: results}); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("fleetsim: wrote %s\n", opts.path)
 	}
-	if failed {
+	if len(fails) > 0 {
 		os.Exit(1)
 	}
 }
 
 // measure runs one scenario once and reports wall time, allocation
 // totals, and simulated throughput.
-func measure(sc cluster.Scenario, workers int) benchMetrics {
+func measure(sc cluster.Scenario, workers int) benchfile.Metrics {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -360,7 +295,7 @@ func measure(sc cluster.Scenario, workers int) benchMetrics {
 	for _, p := range rep.Policies {
 		simulated += p.Requests
 	}
-	m := benchMetrics{
+	m := benchfile.Metrics{
 		NsPerOp:     elapsed.Nanoseconds(),
 		BytesPerOp:  int64(after.TotalAlloc - before.TotalAlloc),
 		AllocsPerOp: int64(after.Mallocs - before.Mallocs),
@@ -369,61 +304,4 @@ func measure(sc cluster.Scenario, workers int) benchMetrics {
 		m.SimulatedRPS = float64(simulated) / secs
 	}
 	return m
-}
-
-// cpuModel best-efforts a human-readable CPU label.
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if strings.HasPrefix(line, "model name") {
-				if i := strings.IndexByte(line, ':'); i >= 0 {
-					return strings.TrimSpace(line[i+1:])
-				}
-			}
-		}
-	}
-	return runtime.GOOS + "/" + runtime.GOARCH
-}
-
-// loadBenchFile reads the trajectory file, or starts a fresh one.
-func loadBenchFile(path string) (*benchFile, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &benchFile{
-			Description: "Trajectory of fleet-simulator benchmarks (go run ./cmd/fleetsim -bench). " +
-				"Each scenario is one full deterministic fleet simulation; ns/op is wall time for the whole run. " +
-				"The baseline block is fixed; entries are append-only, one per PR touching the fleet path. " +
-				"See docs/CLUSTER.md for the scenario catalog.",
-		}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &f, nil
-}
-
-// saveBenchFile writes the trajectory file.
-func saveBenchFile(path string, f *benchFile) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// latestReference returns what -check compares against: the newest
-// entry, else the baseline.
-func latestReference(f *benchFile) map[string]benchMetrics {
-	if n := len(f.Entries); n > 0 {
-		return f.Entries[n-1].Scenarios
-	}
-	if f.Baseline != nil {
-		return f.Baseline.Scenarios
-	}
-	return nil
 }

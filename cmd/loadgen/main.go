@@ -10,8 +10,11 @@
 // It is also the BENCH_server.json regression gate: -bench measures the
 // pinned direct-path server benchmarks (the same scenarios as go test
 // ./internal/server/ -bench) with the testing harness and applies the
-// corebench-style trajectory workflow — -check fails CI on regressions
-// against the latest recorded entry, -update appends a new entry.
+// shared trajectory workflow of internal/benchfile — -check fails CI on
+// regressions against the newest entry that records each scenario,
+// -update appends a new entry. -load -check compares against the newest
+// recorded load report and refuses one measured at different -clients,
+// -requests or -keys.
 //
 // Usage:
 //
@@ -30,7 +33,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,7 +42,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,76 +49,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchfile"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
-
-// Metrics is one benchmark scenario's measured per-operation costs,
-// schema-compatible with the existing BENCH_server.json entries.
-type Metrics struct {
-	// NsPerOp is wall time per operation in nanoseconds.
-	NsPerOp int64 `json:"ns_per_op"`
-	// BytesPerOp is heap bytes allocated per operation.
-	BytesPerOp int64 `json:"bytes_per_op"`
-	// AllocsPerOp is heap allocations per operation.
-	AllocsPerOp int64 `json:"allocs_per_op"`
-}
-
-// LoadReport is one closed-loop load run's results, recorded under the
-// "loadgen" key of a BENCH_server.json entry.
-type LoadReport struct {
-	// Clients is the closed-loop client population.
-	Clients int `json:"clients"`
-	// Requests is the number of requests completed.
-	Requests int `json:"requests"`
-	// Keys is the content-key universe size.
-	Keys int `json:"keys"`
-	// AchievedRPS is completed requests divided by wall time.
-	AchievedRPS float64 `json:"achieved_rps"`
-	// P50Micros, P99Micros, and P999Micros are client-observed latency
-	// percentiles in microseconds.
-	P50Micros float64 `json:"p50_us"`
-	// P99Micros is the 99th-percentile latency in microseconds.
-	P99Micros float64 `json:"p99_us"`
-	// P999Micros is the 99.9th-percentile latency in microseconds.
-	P999Micros float64 `json:"p999_us"`
-	// HitRate is the fraction of requests served from the cache.
-	HitRate float64 `json:"hit_rate"`
-	// CoalesceRate is the fraction of requests that joined another
-	// request's in-flight computation.
-	CoalesceRate float64 `json:"coalesce_rate"`
-	// JoulesPerRequest is the roofline-priced energy bill per request:
-	// capped kernel energy for every miss plus π0 × wall time, divided
-	// by the request count.
-	JoulesPerRequest float64 `json:"joules_per_request"`
-}
-
-// Entry is one recorded run: direct-path benchmarks, a load report, or
-// both.
-type Entry struct {
-	// Date is the run date (YYYY-MM-DD).
-	Date string `json:"date"`
-	// PR is the pull request the entry belongs to.
-	PR int `json:"pr,omitempty"`
-	// Note describes what changed.
-	Note string `json:"note,omitempty"`
-	// Benchmarks maps benchmark name to its measured metrics.
-	Benchmarks map[string]Metrics `json:"benchmarks,omitempty"`
-	// Loadgen is the closed-loop load report, when a load phase ran.
-	Loadgen *LoadReport `json:"loadgen,omitempty"`
-}
-
-// File is the BENCH_server.json schema.
-type File struct {
-	// Description explains the file's purpose and append-only policy.
-	Description string `json:"description"`
-	// CPU records the machine the entries were measured on.
-	CPU string `json:"cpu,omitempty"`
-	// Entries is the append-only trajectory, oldest first.
-	Entries []Entry `json:"entries"`
-}
 
 // benchScenario is one pinned direct-path benchmark, named identically
 // to its go-test twin in internal/server so the trajectory file reads
@@ -125,11 +62,12 @@ type File struct {
 type benchScenario struct {
 	name string
 	fn   func(b *testing.B)
-	// maxAllocs, when >= 0, is a hard allocs/op ceiling -check enforces
-	// regardless of recorded history (allocation counts are
-	// deterministic, so the ceiling holds on any hardware).
-	maxAllocs int64
 }
+
+// allocCeilings are hard allocs/op limits -check enforces regardless of
+// recorded history (allocation counts are deterministic, so a ceiling
+// holds on any hardware).
+var allocCeilings = map[string]int64{"BenchmarkServerEvalWarm": 10}
 
 // evalBody renders the canonical /v1/eval request body for a kernel.
 // Equal (work, intensity) always render equal bytes, so duplicate
@@ -232,7 +170,7 @@ func batch32ColdBodies() []string {
 // builds a fresh server so cold scenarios stay cold.
 func benchScenarios() []benchScenario {
 	return []benchScenario{
-		{name: "BenchmarkServerEvalCold", maxAllocs: -1, fn: func(b *testing.B) {
+		{name: "BenchmarkServerEvalCold", fn: func(b *testing.B) {
 			s := server.New(server.Config{})
 			defer s.Close()
 			p := newDirectPoster(s.Handler(), "/v1/eval")
@@ -242,7 +180,7 @@ func benchScenarios() []benchScenario {
 				p.post(b, evalBody("gtx580", "double", 1e9, 1+float64(i)*1e-6))
 			}
 		}},
-		{name: "BenchmarkServerEvalWarm", maxAllocs: 10, fn: func(b *testing.B) {
+		{name: "BenchmarkServerEvalWarm", fn: func(b *testing.B) {
 			s := server.New(server.Config{})
 			defer s.Close()
 			p := newDirectPoster(s.Handler(), "/v1/eval")
@@ -253,7 +191,7 @@ func benchScenarios() []benchScenario {
 				p.post(b, warmEvalBody)
 			}
 		}},
-		{name: "BenchmarkServerEvalWarmParallel", maxAllocs: -1, fn: func(b *testing.B) {
+		{name: "BenchmarkServerEvalWarmParallel", fn: func(b *testing.B) {
 			s := server.New(server.Config{})
 			defer s.Close()
 			warm := newDirectPoster(s.Handler(), "/v1/eval")
@@ -267,7 +205,7 @@ func benchScenarios() []benchScenario {
 				}
 			})
 		}},
-		{name: "BenchmarkServerEvalBatchCold", maxAllocs: -1, fn: func(b *testing.B) {
+		{name: "BenchmarkServerEvalBatchCold", fn: func(b *testing.B) {
 			s := server.New(server.Config{})
 			defer s.Close()
 			p := newDirectPoster(s.Handler(), "/v1/evalbatch")
@@ -279,7 +217,7 @@ func benchScenarios() []benchScenario {
 					32+float64(i)*1e-6))
 			}
 		}},
-		{name: "BenchmarkServerEvalBatch32Cold", maxAllocs: -1, fn: func(b *testing.B) {
+		{name: "BenchmarkServerEvalBatch32Cold", fn: func(b *testing.B) {
 			s := server.New(server.Config{})
 			defer s.Close()
 			p := newDirectPoster(s.Handler(), "/v1/evalbatch")
@@ -290,7 +228,7 @@ func benchScenarios() []benchScenario {
 				p.post(b, bodies[i%len(bodies)])
 			}
 		}},
-		{name: "BenchmarkServerEvalBatchWarm", maxAllocs: -1, fn: func(b *testing.B) {
+		{name: "BenchmarkServerEvalBatchWarm", fn: func(b *testing.B) {
 			s := server.New(server.Config{})
 			defer s.Close()
 			p := newDirectPoster(s.Handler(), "/v1/evalbatch")
@@ -449,11 +387,11 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// report condenses a load run into the recorded LoadReport, pricing
+// report condenses a load run into the recorded load report, pricing
 // energy on the roofline: misses pay their kernel's capped energy, the
 // machine's constant power π0 pays for the wall-clock residency not
 // already billed inside a miss's capped time.
-func report(opts loadOpts, res *loadResult, params core.Params) LoadReport {
+func report(opts loadOpts, res *loadResult, params core.Params) benchfile.LoadReport {
 	sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
 	n := len(res.latencies)
 	wallSec := res.wall.Seconds()
@@ -462,7 +400,7 @@ func report(opts loadOpts, res *loadResult, params core.Params) LoadReport {
 		idleSec = 0
 	}
 	totalJ := res.missEnergy + params.Pi0*idleSec
-	return LoadReport{
+	return benchfile.LoadReport{
 		Clients:          opts.spec.Clients,
 		Requests:         n,
 		Keys:             opts.spec.Keys,
@@ -476,78 +414,12 @@ func report(opts loadOpts, res *loadResult, params core.Params) LoadReport {
 	}
 }
 
-// loadBenchFile reads the trajectory file, returning a fresh skeleton
-// when it does not exist yet.
-func loadBenchFile(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &File{
-			Description: "Trajectory of rooflined server benchmarks (go run ./cmd/loadgen -bench). " +
-				"One entry per PR that touches the server path; append, never rewrite history.",
-		}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &f, nil
-}
-
-// saveBenchFile writes the trajectory file back.
-func saveBenchFile(path string, f *File) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// cpuModel best-efforts a human-readable CPU label.
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if strings.HasPrefix(line, "model name") {
-				if i := strings.IndexByte(line, ':'); i >= 0 {
-					return strings.TrimSpace(line[i+1:])
-				}
-			}
-		}
-	}
-	return runtime.GOOS + "/" + runtime.GOARCH
-}
-
-// latestBenchmarks returns the newest recorded benchmark map, and
-// latestLoad the newest recorded load report (they may live in
-// different entries).
-func latestBenchmarks(f *File) map[string]Metrics {
-	for i := len(f.Entries) - 1; i >= 0; i-- {
-		if len(f.Entries[i].Benchmarks) > 0 {
-			return f.Entries[i].Benchmarks
-		}
-	}
-	return nil
-}
-
-// latestLoad returns the newest recorded load report.
-func latestLoad(f *File) *LoadReport {
-	for i := len(f.Entries) - 1; i >= 0; i-- {
-		if f.Entries[i].Loadgen != nil {
-			return f.Entries[i].Loadgen
-		}
-	}
-	return nil
-}
-
 // firstWarmNs returns the oldest recorded BenchmarkServerEvalWarm
 // ns/op — the PR 2 single-lock baseline the warm-path speedup gate
 // compares against.
-func firstWarmNs(f *File) int64 {
+func firstWarmNs(f *benchfile.File) int64 {
 	for _, e := range f.Entries {
-		if m, ok := e.Benchmarks["BenchmarkServerEvalWarm"]; ok && m.NsPerOp > 0 {
+		if m, ok := e.Scenarios["BenchmarkServerEvalWarm"]; ok && m.NsPerOp > 0 {
 			return m.NsPerOp
 		}
 	}
@@ -576,7 +448,7 @@ func main() {
 		cacheEntries = flag.Int("cache-entries", 0, "in-process server cache entry bound (0 = default)")
 		benchFile    = flag.String("bench-file", "BENCH_server.json", "trajectory file to compare against and record entries into")
 		benchtime    = flag.Duration("benchtime", time.Second, "minimum measurement time per benchmark scenario")
-		check        = flag.Bool("check", false, "exit nonzero when measurements regress beyond the thresholds against the latest recorded entry")
+		check        = flag.Bool("check", false, "exit nonzero when measurements regress beyond the thresholds against the newest recorded entry")
 		maxSlowdown  = flag.Float64("max-slowdown", 1.5, "-check fails when ns/op (or rps/p99 for -load) regresses beyond this factor (<= 0 disables)")
 		maxAllocG    = flag.Float64("max-alloc-growth", 1.10, "-check fails when allocs/op exceeds recorded*this (<= 0 disables)")
 		minWarmSpeed = flag.Float64("min-warm-speedup", 5, "-check fails when warm /v1/eval is not at least this many times faster than the oldest recorded entry (<= 0 disables)")
@@ -592,9 +464,26 @@ func main() {
 		fatal(err)
 	}
 
-	f, err := loadBenchFile(*benchFile)
+	f, err := benchfile.Load(*benchFile, "Trajectory of rooflined server benchmarks (go run ./cmd/loadgen -bench). "+
+		"One entry per PR that touches the server path; append, never rewrite history.")
 	if err != nil {
 		fatal(err)
+	}
+	// A load report measures one (clients, requests, keys) shape; -check
+	// compares only against a recording of the same shape.
+	var loadRef *benchfile.LoadReport
+	if *load && *check && *maxSlowdown > 0 {
+		if loadRef = f.LatestLoad(); loadRef != nil {
+			for _, d := range []struct {
+				flag      string
+				rec, this int
+			}{{"clients", loadRef.Clients, *clients}, {"requests", loadRef.Requests, *requests}, {"keys", loadRef.Keys, *keys}} {
+				if d.rec != d.this {
+					fatal(fmt.Errorf("-check: the newest recorded load report ran -%s %d, this run -%s %d; rerun with -clients %d -requests %d -keys %d",
+						d.flag, d.rec, d.flag, d.this, loadRef.Clients, loadRef.Requests, loadRef.Keys))
+				}
+			}
+		}
 	}
 
 	// An in-process target serves over a real loopback listener, so the
@@ -615,46 +504,27 @@ func main() {
 		fmt.Printf("loadgen: in-process server on %s\n", target)
 	}
 
-	failed := false
-	entry := Entry{Date: time.Now().Format("2006-01-02"), PR: *pr, Note: *note}
+	var fails []string
+	entry := benchfile.Entry{PR: *pr, Note: *note}
 
 	if *bench {
-		entry.Benchmarks = map[string]Metrics{}
-		ref := latestBenchmarks(f)
+		entry.Scenarios = map[string]benchfile.Metrics{}
+		var names []string
 		fmt.Printf("%-34s %14s %14s %12s\n", "benchmark", "ns/op", "B/op", "allocs/op")
 		for _, s := range benchScenarios() {
 			r := testing.Benchmark(s.fn)
-			m := Metrics{NsPerOp: r.NsPerOp(), BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp()}
-			entry.Benchmarks[s.name] = m
+			m := benchfile.Metrics{NsPerOp: r.NsPerOp(), BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp()}
+			entry.Scenarios[s.name] = m
+			names = append(names, s.name)
 			fmt.Printf("%-34s %14d %14d %12d\n", s.name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-			if !*check {
-				continue
-			}
-			if s.maxAllocs >= 0 && *maxAllocG > 0 && m.AllocsPerOp > s.maxAllocs {
-				fmt.Fprintf(os.Stderr, "loadgen: REGRESSION %s: %d allocs/op, ceiling is %d\n", s.name, m.AllocsPerOp, s.maxAllocs)
-				failed = true
-			}
-			rm, ok := ref[s.name]
-			if !ok {
-				continue // new scenario: nothing recorded yet
-			}
-			if *maxSlowdown > 0 && rm.NsPerOp > 0 && float64(m.NsPerOp) > float64(rm.NsPerOp)**maxSlowdown {
-				fmt.Fprintf(os.Stderr, "loadgen: REGRESSION %s: %d ns/op exceeds recorded %d x %.2f\n", s.name, m.NsPerOp, rm.NsPerOp, *maxSlowdown)
-				failed = true
-			}
-			if *maxAllocG > 0 && float64(m.AllocsPerOp) > float64(rm.AllocsPerOp)**maxAllocG {
-				fmt.Fprintf(os.Stderr, "loadgen: REGRESSION %s: %d allocs/op exceeds recorded %d x %.2f\n", s.name, m.AllocsPerOp, rm.AllocsPerOp, *maxAllocG)
-				failed = true
-			}
 		}
-		if *check && *minWarmSpeed > 0 {
-			if base := firstWarmNs(f); base > 0 {
-				warm := entry.Benchmarks["BenchmarkServerEvalWarm"].NsPerOp
-				if warm > 0 && float64(base)/float64(warm) < *minWarmSpeed {
-					fmt.Fprintf(os.Stderr, "loadgen: REGRESSION warm /v1/eval: %.1fx over the oldest entry (%d ns/op), want >= %.1fx\n",
-						float64(base)/float64(warm), base, *minWarmSpeed)
-					failed = true
-				}
+		if *check {
+			fails = f.Check(names, entry.Scenarios, benchfile.Gate{
+				MaxSlowdown: *maxSlowdown, MaxAllocGrowth: *maxAllocG, Ceilings: allocCeilings})
+			warm := entry.Scenarios["BenchmarkServerEvalWarm"].NsPerOp
+			if base := firstWarmNs(f); *minWarmSpeed > 0 && base > 0 && warm > 0 && float64(base)/float64(warm) < *minWarmSpeed {
+				fails = append(fails, fmt.Sprintf("REGRESSION warm /v1/eval: %.1fx over the oldest entry (%d ns/op), want >= %.1fx",
+					float64(base)/float64(warm), base, *minWarmSpeed))
 			}
 		}
 	}
@@ -701,7 +571,7 @@ func main() {
 		}
 		params := core.FromMachine(machine.Catalog()[*machineKey], prec)
 		rep := report(opts, res, params)
-		entry.Loadgen = &rep
+		entry.Load = &rep
 		fmt.Printf("loadgen: %d requests, %d clients, %d keys (zipf %.2f) against %s\n",
 			rep.Requests, rep.Clients, rep.Keys, *zipfS, *machineKey)
 		fmt.Printf("  achieved    %12.0f req/s  (wall %.2fs)\n", rep.AchievedRPS, res.wall.Seconds())
@@ -710,33 +580,28 @@ func main() {
 			rep.HitRate*100, rep.CoalesceRate*100, res.misses)
 		fmt.Printf("  energy      %.3g J/request  (%.3g J compute + %.4g W idle x %.2fs)\n",
 			rep.JoulesPerRequest, res.missEnergy, params.Pi0, res.wall.Seconds())
-		if *check {
-			if ref := latestLoad(f); ref != nil && *maxSlowdown > 0 {
-				if rep.AchievedRPS*(*maxSlowdown) < ref.AchievedRPS {
-					fmt.Fprintf(os.Stderr, "loadgen: REGRESSION throughput: %.0f rps vs recorded %.0f rps (allowed factor %.2f)\n",
-						rep.AchievedRPS, ref.AchievedRPS, *maxSlowdown)
-					failed = true
-				}
-				if ref.P99Micros > 0 && rep.P99Micros > ref.P99Micros*(*maxSlowdown) {
-					fmt.Fprintf(os.Stderr, "loadgen: REGRESSION p99 latency: %.1fus vs recorded %.1fus (allowed factor %.2f)\n",
-						rep.P99Micros, ref.P99Micros, *maxSlowdown)
-					failed = true
-				}
+		if loadRef != nil {
+			if rep.AchievedRPS*(*maxSlowdown) < loadRef.AchievedRPS {
+				fails = append(fails, fmt.Sprintf("REGRESSION throughput: %.0f rps vs recorded %.0f rps (allowed factor %.2f)",
+					rep.AchievedRPS, loadRef.AchievedRPS, *maxSlowdown))
+			}
+			if loadRef.P99Micros > 0 && rep.P99Micros > loadRef.P99Micros*(*maxSlowdown) {
+				fails = append(fails, fmt.Sprintf("REGRESSION p99 latency: %.1fus vs recorded %.1fus (allowed factor %.2f)",
+					rep.P99Micros, loadRef.P99Micros, *maxSlowdown))
 			}
 		}
 	}
 
+	for _, line := range fails {
+		fmt.Fprintln(os.Stderr, "loadgen:", line)
+	}
 	if *update {
-		if f.CPU == "" {
-			f.CPU = cpuModel()
-		}
-		f.Entries = append(f.Entries, entry)
-		if err := saveBenchFile(*benchFile, f); err != nil {
+		if err := f.Append(*benchFile, entry); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("loadgen: wrote %s\n", *benchFile)
 	}
-	if failed {
+	if len(fails) > 0 {
 		os.Exit(1)
 	}
 	if *check {

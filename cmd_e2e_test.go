@@ -3,6 +3,7 @@ package energyroofline
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"repro/internal/benchfile"
 )
 
 // buildCmd compiles one command into dir and returns the binary path.
@@ -41,6 +44,21 @@ func runBin(t *testing.T, bin string, args ...string) string {
 		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
 	}
 	return string(out)
+}
+
+// runBinExit runs bin and returns its combined output and exit code,
+// failing t only when the binary cannot run at all.
+func runBinExit(t *testing.T, bin string, args ...string) (string, int) {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	if err == nil {
+		return string(out), 0
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
+	}
+	return string(out), exit.ExitCode()
 }
 
 func TestExperimentsBinary(t *testing.T) {
@@ -592,6 +610,39 @@ func TestFleetsimBinary(t *testing.T) {
 		t.Errorf("bench -check did not pass:\n%s", out)
 	}
 
+	// The failing side of the gate: against a copy of the file whose
+	// newest cluster_1m recording is 1 ns/op, the same run regresses.
+	f, err := benchfile.Load("BENCH_cluster.json", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := f.Entries[len(f.Entries)-1].Scenarios
+	m := ref["cluster_1m"]
+	m.NsPerOp = 1
+	ref["cluster_1m"] = m
+	fastPath := filepath.Join(dir, "BENCH_fast.json")
+	if err := f.Save(fastPath); err != nil {
+		t.Fatal(err)
+	}
+	out, code := runBinExit(t, bin, "-bench", "-scenario", "cluster_1m", "-requests", "20000", "-check", "-bench-file", fastPath)
+	if code != 1 || !strings.Contains(out, "REGRESSION cluster_1m") {
+		t.Errorf("bench -check against a 1 ns/op reference: exit %d, want 1 with a REGRESSION line:\n%s", code, out)
+	}
+
+	// -update refuses a resized run, which it would record under the
+	// catalog name, and leaves the file untouched.
+	before, err := os.ReadFile(fastPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, code = runBinExit(t, bin, "-bench", "-scenario", "cluster_1m", "-requests", "20000", "-update", "-bench-file", fastPath)
+	if code != 2 || !strings.Contains(out, "-requests") {
+		t.Errorf("bench -update with -requests: exit %d, want 2 naming the override:\n%s", code, out)
+	}
+	if after, _ := os.ReadFile(fastPath); string(after) != string(before) {
+		t.Error("refused -update still wrote the bench file")
+	}
+
 	// Error exits: unknown scenario, unreadable replay file.
 	if out, err := exec.Command(bin, "-scenario", "warp9").CombinedOutput(); err == nil {
 		t.Errorf("unknown scenario accepted:\n%s", out)
@@ -600,6 +651,35 @@ func TestFleetsimBinary(t *testing.T) {
 	}
 	if out, err := exec.Command(bin, "-replay", "/dev/null").CombinedOutput(); err == nil {
 		t.Errorf("empty replay file accepted:\n%s", out)
+	}
+}
+
+// TestLoadgenLoadCheckNeedsSameShape: -load -check compares rps and p99
+// only against a load report recorded at the same -clients, -requests
+// and -keys; any other shape is a usage error naming the field.
+func TestLoadgenLoadCheckNeedsSameShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e builds binaries")
+	}
+	dir := t.TempDir()
+	bin := buildCmd(t, dir, "loadgen")
+	path := filepath.Join(dir, "BENCH_load.json")
+	f := &benchfile.File{Entries: []benchfile.Entry{{Date: "2026-01-01", Host: benchfile.Host{CPU: "x"},
+		Load: &benchfile.LoadReport{Clients: 16, Requests: 30000, Keys: 500, AchievedRPS: 1, P99Micros: 1}}}}
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-clients", "8", "-requests", "5000", "-keys", "200"}, "ran -clients 16, this run -clients 8"},
+		{[]string{"-clients", "16", "-requests", "30000", "-keys", "200"}, "ran -keys 500, this run -keys 200"},
+	} {
+		out, code := runBinExit(t, bin, append([]string{"-load", "-check", "-bench-file", path}, c.args...)...)
+		if code != 2 || !strings.Contains(out, c.want) {
+			t.Errorf("-load -check %v against a 16/30000/500 report: exit %d, want 2 with %q:\n%s", c.args, code, c.want, out)
+		}
 	}
 }
 
