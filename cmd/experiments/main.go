@@ -35,7 +35,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "experiments run concurrently (0 = one per CPU; experiments are independent; output order is preserved)")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON span timeline to this file")
 	)
-	flag.IntVar(workers, "parallel", 0, "deprecated alias for -workers")
 	flag.Parse()
 
 	if *list {

@@ -100,9 +100,9 @@ func TestExperimentsBinary(t *testing.T) {
 		t.Errorf("fig2a.svg not written: %v", err)
 	}
 
-	// JSON artifact + parallel mode together.
+	// JSON artifact + concurrent workers together.
 	jsonPath := filepath.Join(dir, "cmp.json")
-	runBin(t, bin, "-run", "tableII,fig2b,racetohalt", "-fast", "-parallel", "3", "-json", jsonPath)
+	runBin(t, bin, "-run", "tableII,fig2b,racetohalt", "-fast", "-workers", "3", "-json", jsonPath)
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
@@ -654,32 +654,59 @@ func TestFleetsimBinary(t *testing.T) {
 	}
 }
 
-// TestLoadgenLoadCheckNeedsSameShape: -load -check compares rps and p99
-// only against a load report recorded at the same -clients, -requests
-// and -keys; any other shape is a usage error naming the field.
-func TestLoadgenLoadCheckNeedsSameShape(t *testing.T) {
+// TestLoadgenBinary covers the BENCH_server.json gate end to end: -bench
+// is required, the retired -load mode is gone, the gate passes against
+// the committed entries when only the host-independent checks are on,
+// and it fails against a reference the run cannot meet.
+func TestLoadgenBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e builds binaries")
 	}
 	dir := t.TempDir()
 	bin := buildCmd(t, dir, "loadgen")
-	path := filepath.Join(dir, "BENCH_load.json")
-	f := &benchfile.File{Entries: []benchfile.Entry{{Date: "2026-01-01", Host: benchfile.Host{CPU: "x"},
-		Load: &benchfile.LoadReport{Clients: 16, Requests: 30000, Keys: 500, AchievedRPS: 1, P99Micros: 1}}}}
+
+	// Without -bench there is nothing to run: the usage error points
+	// HTTP load at the benchmark module.
+	out, code := runBinExit(t, bin)
+	if code != 2 || !strings.Contains(out, "bash bench/run.sh") {
+		t.Errorf("bare loadgen: exit %d, want 2 naming bench/run.sh:\n%s", code, out)
+	}
+	out, code = runBinExit(t, bin, "-load")
+	if code != 2 || !strings.Contains(out, "flag provided but not defined: -load") {
+		t.Errorf("loadgen -load: exit %d, want 2 for an undefined flag:\n%s", code, out)
+	}
+
+	// Against a copy of the committed file, with the time checks off,
+	// what is left (allocation growth, the warm ceiling) holds on any
+	// host. At much under 300ms the cold batch scenario runs too few
+	// iterations to amortise each fresh server's warm-up, and its
+	// allocs/op exceed the recorded count.
+	f, err := benchfile.Load("BENCH_server.json", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "BENCH_server.json")
 	if err := f.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-clients", "8", "-requests", "5000", "-keys", "200"}, "ran -clients 16, this run -clients 8"},
-		{[]string{"-clients", "16", "-requests", "30000", "-keys", "200"}, "ran -keys 500, this run -keys 200"},
-	} {
-		out, code := runBinExit(t, bin, append([]string{"-load", "-check", "-bench-file", path}, c.args...)...)
-		if code != 2 || !strings.Contains(out, c.want) {
-			t.Errorf("-load -check %v against a 16/30000/500 report: exit %d, want 2 with %q:\n%s", c.args, code, c.want, out)
-		}
+	out = runBin(t, bin, "-bench", "-check", "-benchtime", "300ms", "-max-slowdown", "0", "-min-warm-speedup", "0", "-bench-file", path)
+	if !strings.Contains(out, "within thresholds") {
+		t.Errorf("bench -check did not pass:\n%s", out)
+	}
+
+	// The failing side: the newest entry records warm /v1/eval at 1 ns/op.
+	// Only the time check is on, so it alone decides the exit code.
+	ref := f.Entries[len(f.Entries)-1].Scenarios
+	m := ref["BenchmarkServerEvalWarm"]
+	m.NsPerOp = 1
+	ref["BenchmarkServerEvalWarm"] = m
+	fastPath := filepath.Join(dir, "BENCH_fast.json")
+	if err := f.Save(fastPath); err != nil {
+		t.Fatal(err)
+	}
+	out, code = runBinExit(t, bin, "-bench", "-check", "-benchtime", "10ms", "-max-alloc-growth", "0", "-min-warm-speedup", "0", "-bench-file", fastPath)
+	if code != 1 || !strings.Contains(out, "REGRESSION BenchmarkServerEvalWarm") {
+		t.Errorf("bench -check against a 1 ns/op reference: exit %d, want 1 with a REGRESSION line:\n%s", code, out)
 	}
 }
 

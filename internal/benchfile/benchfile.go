@@ -32,8 +32,8 @@ type File struct {
 	Entries []Entry `json:"entries"`
 }
 
-// Entry is one recorded run: scenario measurements, a load report, or
-// both.
+// Entry is one recorded run: scenario measurements and, in entries
+// recorded before the HTTP load mode was retired, a load report.
 type Entry struct {
 	// Date is the run date (YYYY-MM-DD).
 	Date string `json:"date"`
@@ -45,7 +45,9 @@ type Entry struct {
 	Host Host `json:"host"`
 	// Scenarios maps scenario name to its measured metrics.
 	Scenarios map[string]Metrics `json:"scenarios,omitempty"`
-	// Load is the closed-loop HTTP load report, when a load phase ran.
+	// Load is the closed-loop HTTP load report of a past loadgen -load
+	// run. Nothing writes it any more; it is kept so the recorded
+	// history still decodes strictly.
 	Load *LoadReport `json:"load,omitempty"`
 }
 
@@ -82,7 +84,8 @@ type Metrics struct {
 	SimulatedRPS float64 `json:"simulated_rps,omitempty"`
 }
 
-// LoadReport is one closed-loop HTTP load run's results.
+// LoadReport is one closed-loop HTTP load run's results, as the retired
+// loadgen -load mode recorded them in BENCH_server.json.
 type LoadReport struct {
 	// Clients is the closed-loop client population.
 	Clients int `json:"clients"`
@@ -193,16 +196,6 @@ func (f *File) Reference(name string) (Metrics, bool) {
 	}
 	m, ok := f.Baseline.Scenarios[name]
 	return m, ok
-}
-
-// LatestLoad returns the newest recorded load report, or nil.
-func (f *File) LatestLoad() *LoadReport {
-	for i := len(f.Entries) - 1; i >= 0; i-- {
-		if f.Entries[i].Load != nil {
-			return f.Entries[i].Load
-		}
-	}
-	return nil
 }
 
 // Gate holds -check's thresholds. Each is disabled at ≤ 0.

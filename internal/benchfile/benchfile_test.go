@@ -125,20 +125,6 @@ func TestVsBaseline(t *testing.T) {
 	}
 }
 
-func TestLatestLoad(t *testing.T) {
-	f := &File{Entries: []Entry{
-		{Load: &LoadReport{Clients: 1}},
-		{Load: &LoadReport{Clients: 2}},
-		{Scenarios: map[string]Metrics{"x": {}}},
-	}}
-	if got := f.LatestLoad(); got == nil || got.Clients != 2 {
-		t.Errorf("LatestLoad = %+v, want the second entry's report", got)
-	}
-	if got := (&File{}).LatestLoad(); got != nil {
-		t.Errorf("LatestLoad of an empty file = %+v, want nil", got)
-	}
-}
-
 // TestCommittedFilesRoundTrip: every committed BENCH file decodes under
 // the strict schema, re-encodes byte-identically, and names a host CPU
 // on the baseline and on every entry.

@@ -26,8 +26,11 @@ import (
 //     error (the contract the bad-request tests pin);
 //   - field names match exactly first, then case-insensitively with
 //     the stdlib's fold (bytes.EqualFold semantics);
-//   - a duplicated field keeps the last value; a null value leaves the
-//     field untouched; a top-level null leaves the whole struct zero;
+//   - a duplicated field keeps the last value; a null value leaves a
+//     string or number field untouched and resets a column to nil; a
+//     top-level null leaves the whole struct zero;
+//   - invalid UTF-8 in a string value or an unknown field's name
+//     becomes U+FFFD, one per bad byte;
 //   - numbers are validated against the JSON grammar before
 //     strconv.ParseFloat sees them;
 //   - anything after the top-level value is "trailing data after JSON
@@ -86,7 +89,8 @@ func releaseBody(bp *[]byte) {
 // internTable maps every string a valid request can carry — machine
 // keys, precision names, model names — to a canonical copy, so the
 // decoder resolves []byte field values to strings without allocating.
-// Unknown strings (doomed to fail validation) fall back to a copy.
+// Unknown strings (doomed to fail validation) fall back to a copy with
+// invalid UTF-8 replaced, as encoding/json would decode them.
 var (
 	internOnce  sync.Once
 	internTable map[string]string
@@ -106,8 +110,14 @@ func intern(b []byte) string {
 	if s, ok := internTable[string(b)]; ok {
 		return s
 	}
-	return string(b)
+	return toValidUTF8(b)
 }
+
+// toValidUTF8 returns b with each byte that is not part of a valid
+// UTF-8 sequence replaced by U+FFFD, as encoding/json does when it
+// unquotes a string; strings.ToValidUTF8 folds a run of such bytes into
+// one replacement instead. Converting to []rune decodes exactly so.
+func toValidUTF8(b []byte) string { return string([]rune(string(b))) }
 
 // serverCatalog is the server's one shared machine catalog.
 // machine.Catalog() deep-copies every machine per call so callers can
@@ -373,19 +383,19 @@ func (p *jsonReader) floatValue(dst *float64, field string) error {
 
 // floatsValue parses an array of numbers (or null) appending into
 // dst[:0], so pooled column capacity is reused across requests. It
-// returns the parsed slice — empty non-nil for "[]" — and isNull true
-// (dst untouched) for a null value, which the caller must treat as
-// "leave the field as it was", never assigning the stale scratch.
-func (p *jsonReader) floatsValue(dst []float64, field string) (out []float64, isNull bool, err error) {
+// returns the parsed slice — empty non-nil for "[]" — or nil for a
+// null value, which resets the field as encoding/json does; the caller
+// must then keep its scratch rather than assign the nil to it.
+func (p *jsonReader) floatsValue(dst []float64, field string) ([]float64, error) {
 	p.skipWS()
 	if p.consumeNull() {
-		return dst, true, nil
+		return nil, nil
 	}
 	if p.pos >= len(p.data) || p.data[p.pos] != '[' {
-		return dst, false, fmt.Errorf("json: cannot unmarshal value into Go struct field %s of type []float64", field)
+		return nil, fmt.Errorf("json: cannot unmarshal value into Go struct field %s of type []float64", field)
 	}
 	p.pos++
-	out = dst[:0]
+	out := dst[:0]
 	p.skipWS()
 	if p.pos < len(p.data) && p.data[p.pos] == ']' {
 		p.pos++
@@ -395,26 +405,26 @@ func (p *jsonReader) floatsValue(dst []float64, field string) (out []float64, is
 			// zero-capacity slice reallocate, so sharing is safe.
 			out = emptyFloatColumn
 		}
-		return out, false, nil
+		return out, nil
 	}
 	for {
 		var v float64
 		if err := p.floatValue(&v, field); err != nil {
-			return dst, false, err
+			return nil, err
 		}
 		out = append(out, v)
 		p.skipWS()
 		if p.pos >= len(p.data) {
-			return dst, false, errUnexpectedEnd
+			return nil, errUnexpectedEnd
 		}
 		switch p.data[p.pos] {
 		case ',':
 			p.pos++
 		case ']':
 			p.pos++
-			return out, false, nil
+			return out, nil
 		default:
-			return dst, false, p.syntaxError("after array element")
+			return nil, p.syntaxError("after array element")
 		}
 	}
 }
@@ -501,7 +511,7 @@ func decodeEvalRequest(data []byte, q *evalRequest) error {
 		case string(key) == "model" || fieldEq(key, "model"):
 			return p.stringValue(&q.Model, "model")
 		default:
-			return fmt.Errorf("json: unknown field %q", key)
+			return fmt.Errorf("json: unknown field %q", toValidUTF8(key))
 		}
 	})
 	if err != nil {
@@ -521,25 +531,23 @@ func decodeEvalBatchRequest(data []byte, q *evalBatchRequest, sc *batchScratch) 
 		case string(key) == "precision" || fieldEq(key, "precision"):
 			return p.stringValue(&q.Precision, "precision")
 		case string(key) == "work" || fieldEq(key, "work"):
-			cols, isNull, err := p.floatsValue(sc.work, "work")
-			if err != nil || isNull {
-				return err
+			cols, err := p.floatsValue(sc.work, "work")
+			if cols != nil {
+				sc.work = cols
 			}
-			sc.work = cols
 			q.Work = cols
-			return nil
+			return err
 		case string(key) == "intensities" || fieldEq(key, "intensities"):
-			cols, isNull, err := p.floatsValue(sc.intensities, "intensities")
-			if err != nil || isNull {
-				return err
+			cols, err := p.floatsValue(sc.intensities, "intensities")
+			if cols != nil {
+				sc.intensities = cols
 			}
-			sc.intensities = cols
 			q.Intensities = cols
-			return nil
+			return err
 		case string(key) == "model" || fieldEq(key, "model"):
 			return p.stringValue(&q.Model, "model")
 		default:
-			return fmt.Errorf("json: unknown field %q", key)
+			return fmt.Errorf("json: unknown field %q", toValidUTF8(key))
 		}
 	})
 	if err != nil {

@@ -12,22 +12,25 @@ import (
 )
 
 // The hand-rolled request decoders replace json.Decoder with
-// DisallowUnknownFields on the hot POST endpoints. These tests enforce
-// the replacement differentially: for every body — valid, hostile, or
-// truncated — the custom decoder must agree with the stdlib pipeline it
-// replaced on (a) whether the body is accepted and (b) the exact
-// decoded struct when it is. The stdlib stays the executable
-// specification, exactly like the encoder tests in encode_test.go.
+// DisallowUnknownFields on the hot POST endpoints. These tests, and
+// FuzzRequestDecoding in fuzz_decode_test.go, enforce the replacement
+// differentially: for every body — valid, hostile, or truncated — the
+// custom decoder must agree with the stdlib pipeline it replaced on
+// (a) whether the body is accepted and (b) the exact decoded struct
+// when it is. The stdlib stays the executable specification, exactly
+// like the encoder tests in encode_test.go.
 
-// stdlibDecode is the reference pipeline the handlers used before
-// PR 10: json.Decoder + DisallowUnknownFields + a trailing-data check.
+// stdlibDecode is the reference pipeline: json.Decoder with
+// DisallowUnknownFields, then a check that only whitespace follows the
+// value. Decoder.More would not do for that check: it reports false in
+// front of a stray '}' or ']', so `{}}` would pass.
 func stdlibDecode(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
 		return errors.New("trailing data after JSON value")
 	}
 	return nil
@@ -83,6 +86,8 @@ var decodeCases = []struct {
 	{"bad unicode escape", `{"machine":"\u00zz"}`},
 	{"short unicode escape", `{"machine":"\u00`},
 	{"control char in string", "{\"machine\":\"a\x01b\"}"},
+	{"invalid UTF-8 in a string", "{\"machine\":\"gtx\xe2\x82\",\"precision\":\"\x9e\xff\"}"},
+	{"invalid UTF-8 after an escape", "{\"machine\":\"\\u0067\xff\xfe\"}"},
 	{"empty body", ``},
 	{"whitespace body", `   `},
 	{"truncated null", `nul`},
@@ -115,6 +120,7 @@ func TestDecodeEvalBatchMatchesStdlib(t *testing.T) {
 		{"valid columns", `{"machine":"gtx580","precision":"double","work":[1e9,2e9],"intensities":[0.25,4]}`},
 		{"empty arrays", `{"work":[],"intensities":[]}`},
 		{"null columns", `{"work":null,"intensities":null}`},
+		{"null resets a column", `{"work":[1e9],"work":null,"intensities":[2],"intensities":null}`},
 		{"array whitespace", `{"intensities":[ 1 , 2.5 ,3e0 ]}`},
 		{"nested array", `{"intensities":[[1]]}`},
 		{"string in array", `{"intensities":[1,"2"]}`},
@@ -176,6 +182,13 @@ func TestDecodeUnknownFieldWording(t *testing.T) {
 	err = decodeEvalBatchRequest([]byte(`{"intensity":[1]}`), &bq, &batchScratch{})
 	if err == nil || !strings.Contains(err.Error(), `json: unknown field "intensity"`) {
 		t.Fatalf("batch unknown-field error = %v, want the stdlib wording", err)
+	}
+	// Each invalid UTF-8 byte of the name becomes one U+FFFD, as in the
+	// stdlib's text; a truncated sequence is two bytes, so two of them.
+	body := []byte("{\"\x9e\xe2\x82achine\":1}")
+	want := stdlibDecode(body, &evalRequest{})
+	if err := decodeEvalRequest(body, &q); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("unknown-field error for an invalid UTF-8 name = %v, stdlib says %v", err, want)
 	}
 }
 

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 )
 
-// Hand-rolled response encoders for the hot GET/POST surfaces. The
-// response shapes are fixed structs, so reflection buys nothing but
-// allocations; these append-based encoders write into pooled scratch
-// and are pinned byte-identical to json.MarshalIndent(v, "", "  ") by
+// JSON primitives for the POST /v1/eval and /v1/evalbatch response
+// renderer (render.go). The response shapes are fixed, so reflection
+// buys nothing but allocations; these append-based primitives are
+// pinned byte-identical to json.MarshalIndent(v, "", "  ") by
 // differential tests (TestEncodersMatchStdlib) and a differential fuzz
 // target (FuzzResponseEncoding). Every formatting quirk of
 // encoding/json is reproduced deliberately:
@@ -27,15 +26,6 @@ import (
 //     text;
 //   - indentation is two spaces per level with MarshalIndent's
 //     newline placement (empty arrays stay "[]" on one line).
-
-// encBufPool recycles encoder scratch buffers across requests. Encoded
-// bodies that outlive the request (they enter the result cache) are
-// copied out to exact-size slices; the scratch always returns to the
-// pool.
-var encBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 8<<10)
-	return &b
-}}
 
 // hexDigits is the nibble alphabet shared by the string escaper and
 // the request-hash header formatter.
@@ -137,13 +127,13 @@ func appendJSONString(b []byte, s string) []byte {
 }
 
 // jsonEnc builds MarshalIndent(…, "", "  ")-shaped JSON into buf.
-// Containers nest via open/close; elem/field place commas, newlines,
-// and indentation exactly where the stdlib indenter does. The first
+// Containers nest via open/close; field places commas, newlines and
+// indentation exactly where the stdlib indenter does. The first
 // float error sticks and the finished buffer is discarded.
 type jsonEnc struct {
 	buf   []byte
 	depth int
-	first bool // next elem is its container's first (no comma)
+	first bool // next member is its container's first (no comma)
 	err   error
 }
 
@@ -173,21 +163,16 @@ func (e *jsonEnc) close(c byte) {
 	e.first = false
 }
 
-// elem starts the next array element or object member: comma unless
-// first, then newline plus indent.
-func (e *jsonEnc) elem() {
+// field starts the named object member: a comma unless it is the
+// first, then newline plus indent. Field names are trusted ASCII
+// literals, so they skip the escaper.
+func (e *jsonEnc) field(name string) {
 	if e.first {
 		e.first = false
 	} else {
 		e.buf = append(e.buf, ',')
 	}
 	e.nl()
-}
-
-// field starts the named object member. Field names are trusted ASCII
-// literals, so they skip the escaper.
-func (e *jsonEnc) field(name string) {
-	e.elem()
 	e.buf = append(e.buf, '"')
 	e.buf = append(e.buf, name...)
 	e.buf = append(e.buf, '"', ':', ' ')
@@ -212,95 +197,4 @@ func (e *jsonEnc) boolean(v bool) {
 	} else {
 		e.buf = append(e.buf, "false"...)
 	}
-}
-
-// machineSummary appends one GET /v1/machines catalog row.
-func (e *jsonEnc) machineSummary(m *machineSummary) {
-	e.open('{')
-	e.field("key")
-	e.str(m.Key)
-	e.field("name")
-	e.str(m.Name)
-	e.field("bandwidth_bytes_per_s")
-	e.num(m.Bandwidth)
-	e.field("peak_flops_single")
-	e.num(m.PeakFlopsSingle)
-	e.field("peak_flops_double")
-	e.num(m.PeakFlopsDouble)
-	e.field("balance_time_double")
-	e.num(m.BalanceTime)
-	e.field("balance_energy_double")
-	e.num(m.BalanceEnergy)
-	e.field("half_efficiency_intensity_double")
-	e.num(m.HalfEfficiency)
-	e.field("race_to_halt_effective_double")
-	e.boolean(m.RaceToHalt)
-	e.close('}')
-}
-
-// modelSummary appends one GET /v1/models registry row.
-func (e *jsonEnc) modelSummary(m *modelSummary) {
-	e.open('{')
-	e.field("name")
-	e.str(m.Name)
-	e.field("default")
-	e.boolean(m.Default)
-	e.field("description")
-	e.str(m.Description)
-	e.close('}')
-}
-
-// finish seals the encoded body (trailing newline, like every response
-// writer here appends after MarshalIndent) and copies it out of the
-// pooled scratch into an exact-size slice safe to cache indefinitely.
-func (e *jsonEnc) finish() ([]byte, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.buf = append(e.buf, '\n')
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
-	return out, nil
-}
-
-// encodeWith runs build inside a pooled encoder and returns the sealed
-// body.
-func encodeWith(build func(e *jsonEnc)) ([]byte, error) {
-	bp := encBufPool.Get().(*[]byte)
-	e := jsonEnc{buf: (*bp)[:0]}
-	build(&e)
-	out, err := e.finish()
-	*bp = e.buf[:0]
-	encBufPool.Put(bp)
-	return out, err
-}
-
-// encodeMachines renders the GET /v1/machines body: {"machines": [...]}.
-func encodeMachines(rows []machineSummary) ([]byte, error) {
-	return encodeWith(func(e *jsonEnc) {
-		e.open('{')
-		e.field("machines")
-		e.open('[')
-		for i := range rows {
-			e.elem()
-			e.machineSummary(&rows[i])
-		}
-		e.close(']')
-		e.close('}')
-	})
-}
-
-// encodeModels renders the GET /v1/models body: {"models": [...]}.
-func encodeModels(rows []modelSummary) ([]byte, error) {
-	return encodeWith(func(e *jsonEnc) {
-		e.open('{')
-		e.field("models")
-		e.open('[')
-		for i := range rows {
-			e.elem()
-			e.modelSummary(&rows[i])
-		}
-		e.close(']')
-		e.close('}')
-	})
 }

@@ -9,8 +9,8 @@ import (
 	"repro/internal/core"
 )
 
-// The hand-rolled encoders and the column renderer (render.go) exist on
-// one condition: their output is byte-identical to
+// The JSON primitives (encode.go) and the column renderer (render.go)
+// exist on one condition: their output is byte-identical to
 // json.MarshalIndent(v, "", "  ") plus a trailing newline, including
 // every stdlib formatting quirk (float shortest form, exponent cleanup,
 // HTML escaping, omitempty, indentation of empty and nested
@@ -196,42 +196,6 @@ func TestEncodersMatchStdlib(t *testing.T) {
 			{evalResponse{Machine: "x"}, []evalResponse{}}, // empty array
 		} {
 			withScratch(func(sc *batchScratch) { checkRendered(t, sc, c.head, c.rows, true) })
-		}
-	})
-	t.Run("machines", func(t *testing.T) {
-		rows := []machineSummary{
-			{Key: "gtx580", Name: "NVIDIA GTX 580", Bandwidth: 192.4e9,
-				PeakFlopsSingle: 1581.06e9, PeakFlopsDouble: 197.63e9,
-				BalanceTime: 1.027, BalanceEnergy: 0.4, HalfEfficiency: 5.1, RaceToHalt: true},
-			{},
-		}
-		for _, rs := range [][]machineSummary{rows, {}} {
-			want, err := stdlibBody(t, map[string]any{"machines": rs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := encodeMachines(rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffBytes(t, got, want)
-		}
-	})
-	t.Run("models", func(t *testing.T) {
-		rows := []modelSummary{
-			{Name: "analytic", Default: true, Description: "closed-form <paper> eqs & more"},
-			{Name: "blackbox", Default: false, Description: ""},
-		}
-		for _, rs := range [][]modelSummary{rows, {}} {
-			want, err := stdlibBody(t, map[string]any{"models": rs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := encodeModels(rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffBytes(t, got, want)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -174,6 +175,53 @@ func TestEvalBodiesGolden(t *testing.T) {
 	for _, name := range names {
 		if got[name] != want[name] {
 			t.Errorf("%s: body sha256 %s, golden %s", name, got[name], want[name])
+		}
+	}
+}
+
+// TestListingBodiesPinned pins the GET /v1/machines and GET /v1/models
+// replies as served over a real connection: status, header set, length
+// and SHA-256 of the body. The digests were recorded while hand-rolled
+// encoders still rendered both listings; json.MarshalIndent must
+// reproduce them.
+func TestListingBodiesPinned(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, c := range []struct {
+		path   string
+		length int
+		sha256 string
+	}{
+		{"/v1/machines", 1636, "dbd3b15016d592ab26d1bb7f3b0111560ccea2b95e37caec7a9e5f73dcabcee9"},
+		{"/v1/models", 359, "2b83b7adf7638b2eec0acbdefd492a83f2dfb4757e903f93766067c69f5eb41f"},
+	} {
+		resp, err := http.Get(ts.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", c.path, resp.StatusCode)
+		}
+		var keys []string
+		for k := range resp.Header {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := strings.Join(keys, ","); got != "Content-Length,Content-Type,Date" {
+			t.Errorf("%s: headers %s, want Content-Length,Content-Type,Date", c.path, got)
+		}
+		if got := resp.Header.Get("Content-Type"); got != "application/json" {
+			t.Errorf("%s: Content-Type %q", c.path, got)
+		}
+		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(c.length) {
+			t.Errorf("%s: Content-Length %s, want %d", c.path, got, c.length)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(body)); len(body) != c.length || got != c.sha256 {
+			t.Errorf("%s: %d-byte body with sha256 %s, want %d bytes with %s", c.path, len(body), got, c.length, c.sha256)
 		}
 	}
 }

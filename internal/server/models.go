@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 
 	"repro/internal/model"
@@ -35,11 +36,11 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Description: model.Describe(name),
 		})
 	}
-	body, err := encodeModels(out)
+	body, err := json.MarshalIndent(map[string]any{"models": out}, "", "  ")
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	w.Write(append(body, '\n'))
 }

@@ -373,13 +373,13 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 			RaceToHalt:      p.RaceToHaltEffective(),
 		})
 	}
-	body, err := encodeMachines(out)
+	body, err := json.MarshalIndent(map[string]any{"machines": out}, "", "  ")
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	w.Write(append(body, '\n'))
 }
 
 // evalRequest is the POST /v1/eval body: one (machine, precision,
