@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -112,6 +113,80 @@ func TestExperimentsBinary(t *testing.T) {
 			t.Errorf("JSON artifact missing %q", want)
 		}
 	}
+
+	// The studies write one figure per DVFS curve and per scorecard
+	// pair, plus the race-idle and dispatch figures — and nothing else.
+	studyDir := filepath.Join(dir, "study")
+	runBin(t, bin, "-fast", "-run", "scorecard,dvfs-optfreq,dvfs-raceidle,dvfs-dispatch", "-svg", studyDir)
+	want := []string{"dvfs_dispatch.svg", "dvfs_raceidle.svg"}
+	for _, prec := range []string{"double", "single"} {
+		for _, m := range []string{"gtx580", "gtx580-4sm", "gtx580-8sm", "i7-950"} {
+			want = append(want, "dvfs_optfreq_"+m+"_"+prec+".svg")
+		}
+		for _, m := range []string{"fermi", "future", "gtx580", "i7-950"} {
+			want = append(want, "scorecard_"+m+"_"+prec+"_energy.svg")
+		}
+	}
+	sort.Strings(want)
+	entries, err := os.ReadDir(studyDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("study figures:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+
+	// Table IV's eq. (9) fit for both measured machines.
+	t.Run("tableIV", func(t *testing.T) {
+		out := runBin(t, bin, "-fast", "-run", "tableIV")
+		for _, m := range []string{"NVIDIA GTX 580", "Intel Core i7-950"} {
+			for _, coef := range []string{"εs (pJ/flop)", "εd (pJ/flop)", "εmem (pJ/byte)", "π0 (W)"} {
+				if !strings.Contains(out, "\n"+m+" "+coef) {
+					t.Errorf("tableIV missing the %s %s row", m, coef)
+				}
+			}
+		}
+	})
+
+	// The §V-C FMM study's report, with -trace reaching inside the study.
+	t.Run("fmmu", func(t *testing.T) {
+		tracePath := filepath.Join(dir, "fmmu-trace.json")
+		out := runBin(t, bin, "-fast", "-run", "fmmu", "-trace", tracePath)
+		for _, want := range []string{
+			"fitted cache energy (pJ/B)                              187",
+			"refined median relative error",
+			"variant                         eq2 err  refined err     I (fl/B)",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("output missing %q:\n%s", want, out)
+			}
+		}
+		data, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(data, &tr); err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]bool{}
+		for _, ev := range tr.TraceEvents {
+			spans[ev.Name] = true
+		}
+		for _, name := range []string{"exp.fmmu", "fmm.study", "fmm.tree", "fmm.cache_replay", "fmm.fit"} {
+			if !spans[name] {
+				t.Errorf("trace has no %s span (spans: %v)", name, spans)
+			}
+		}
+	})
 }
 
 func TestRooflineBinary(t *testing.T) {
@@ -182,54 +257,6 @@ func TestRooflineBinary(t *testing.T) {
 	}
 	if out, err := exec.Command(bin, "-prec", "half").CombinedOutput(); err == nil {
 		t.Errorf("unknown precision accepted:\n%s", out)
-	}
-}
-
-func TestFitenergyBinary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e builds binaries")
-	}
-	dir := t.TempDir()
-	bin := buildCmd(t, dir, "fitenergy")
-	out := runBin(t, bin, "-machine", "i7-950", "-reps", "10", "-points", "9")
-	for _, want := range []string{"Table IV reproduction", "εs (pJ/flop)", "ground truth", "R²"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	// The fitted εmem should print near 795 — check the ground-truth
-	// column rendered the right value.
-	if !strings.Contains(out, "795.0") {
-		t.Errorf("ground truth column wrong:\n%s", out)
-	}
-	if out, err := exec.Command(bin, "-machine", "fermi").CombinedOutput(); err == nil {
-		t.Errorf("fermi (unmeasured) accepted:\n%s", out)
-	}
-
-	// Session recording: traces land on disk with a manifest.
-	sessDir := filepath.Join(dir, "session")
-	out = runBin(t, bin, "-machine", "gtx580", "-reps", "5", "-points", "7", "-session", sessDir)
-	if !strings.Contains(out, "recorded power-trace session") {
-		t.Errorf("session line missing:\n%s", out)
-	}
-	if _, err := os.Stat(filepath.Join(sessDir, "manifest.json")); err != nil {
-		t.Errorf("manifest missing: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(sessDir, "run-000.csv")); err != nil {
-		t.Errorf("trace CSV missing: %v", err)
-	}
-}
-
-func TestFmmuBinary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e builds binaries")
-	}
-	bin := buildCmd(t, t.TempDir(), "fmmu")
-	out := runBin(t, bin, "-n", "1024", "-leaf", "128", "-cacheonly", "-top", "3")
-	for _, want := range []string{"FMM U-list study", "187", "median relative error", "variant"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -83,5 +83,5 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Println("\nboth predictors generalise: fit once, predict forever — and the")
-	fmt.Println("scorecard (go run ./cmd/scorecard) says which to trust where.")
+	fmt.Println("scorecard (go run ./cmd/experiments -run scorecard) says which to trust where.")
 }

@@ -81,5 +81,6 @@ func main() {
 			full, eq2, (1-eq2/full)*100)
 	}
 	fmt.Println("the gap between the two estimates is what the paper closes by fitting")
-	fmt.Println("a 187 pJ/B cache-access energy (§V-C); run cmd/fmmu for the full study.")
+	fmt.Println("a 187 pJ/B cache-access energy (§V-C); for the full study run")
+	fmt.Println("go run ./cmd/experiments -run fmmu.")
 }

@@ -10,7 +10,6 @@
 package benchfile
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +18,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"repro/internal/strictjson"
 )
 
 // File is the BENCH_*.json schema.
@@ -112,9 +113,9 @@ type LoadReport struct {
 	JoulesPerRequest float64 `json:"joules_per_request"`
 }
 
-// Load reads the file at path, rejecting unknown fields. A missing file
-// yields an empty one with the given description, so the first append
-// creates it.
+// Load reads the file at path, rejecting unknown fields and trailing
+// data. A missing file yields an empty one with the given description,
+// so the first append creates it.
 func Load(path, description string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -123,10 +124,8 @@ func Load(path, description string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var f File
-	if err := dec.Decode(&f); err != nil {
+	if err := strictjson.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return &f, nil

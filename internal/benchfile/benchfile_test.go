@@ -177,6 +177,19 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+func TestLoadRejectsTrailingData(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_x.json")
+	valid := `{"description": "d", "entries": []}`
+	for _, tail := range []string{"}", "]", " {}"} {
+		if err := os.WriteFile(path, []byte(valid+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path, ""); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("tail %q: err = %v, want trailing data", tail, err)
+		}
+	}
+}
+
 func TestAppendCreatesFileAndStampsHost(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_new.json")
 	f, err := Load(path, "fresh")

@@ -23,6 +23,7 @@ import (
 	"repro/internal/powermon"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/strictjson"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -114,10 +115,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ParseConfig reads a JSON campaign configuration.
+// ParseConfig reads a JSON campaign configuration strictly: unknown
+// fields and trailing data are rejected, as POST /v1/campaign does.
 func ParseConfig(data []byte) (Config, error) {
 	var c Config
-	if err := json.Unmarshal(data, &c); err != nil {
+	if err := strictjson.Unmarshal(data, &c); err != nil {
 		return Config{}, fmt.Errorf("campaign: %v", err)
 	}
 	if err := c.Validate(); err != nil {

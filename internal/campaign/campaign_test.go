@@ -60,6 +60,17 @@ func TestParseConfig(t *testing.T) {
 	if _, err := ParseConfig([]byte(`{"machines":["nope"]}`)); err == nil {
 		t.Error("invalid config accepted")
 	}
+	// Strict like POST /v1/campaign: a misspelt field or anything after
+	// the value is an error, not silently dropped.
+	misspelt := `{"machines":["gtx580"],"lo_intensity":0.5,"hi_intensity":8,"points":5,"reps":2,"volume_bytes":1048576,"sed":1}`
+	if _, err := ParseConfig([]byte(misspelt)); err == nil || !strings.Contains(err.Error(), `unknown field "sed"`) {
+		t.Errorf("misspelt field: err = %v, want unknown field", err)
+	}
+	for _, tail := range []string{"}", "]", " {}"} {
+		if _, err := ParseConfig([]byte(good + tail)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("tail %q: err = %v, want trailing data", tail, err)
+		}
+	}
 }
 
 func TestRunRecoversGroundTruth(t *testing.T) {

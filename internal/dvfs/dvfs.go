@@ -187,7 +187,8 @@ func Run(ctx context.Context, cfg Config) (*Study, error) {
 }
 
 // ToJSON renders the study as deterministic, indented JSON — the
-// artifact the golden test pins and cmd/dvfs -json writes.
+// artifact the golden test pins and the dvfs-optfreq experiment
+// compares across worker counts.
 func (s *Study) ToJSON() ([]byte, error) {
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {

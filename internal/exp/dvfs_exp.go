@@ -78,8 +78,11 @@ func runDVFSOptFreq(cfg Config) (*Report, error) {
 
 	var sb strings.Builder
 	sb.WriteString(st.Render())
-	if err := writeSVG(cfg, "dvfs_optfreq", dvfs.OptFreqChart(gdp)); err != nil {
-		return nil, err
+	for i := range st.OptFreq {
+		c := &st.OptFreq[i]
+		if err := writeSVG(cfg, fmt.Sprintf("dvfs_optfreq_%s_%s", c.Machine, c.Precision), dvfs.OptFreqChart(c)); err != nil {
+			return nil, err
+		}
 	}
 
 	return &Report{
@@ -219,4 +222,3 @@ func runDVFSDispatch(cfg Config) (*Report, error) {
 		Text: sb.String(),
 	}, nil
 }
-

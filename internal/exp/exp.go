@@ -1,24 +1,45 @@
 // Package exp is the experiment harness: one registered experiment per
-// table and figure of the paper's evaluation, each returning a report
-// with paper-reported versus reproduced values and a rendered text
-// (and optional SVG) artifact.
+// table and figure of the paper's evaluation, and per ablation,
+// extension and study built on it, each returning a report with
+// paper-reported versus reproduced values and a rendered text (and
+// optional SVG/PNG) artifact. cmd/experiments is its only front end.
 //
-// The registry:
+// The registry, in paper order:
 //
 //	tableI     — model parameter glossary (Table I)
 //	tableII    — Fermi sample parameters and balances (Table II)
 //	fig2a      — roofline vs arch line (Fig. 2a)
 //	fig2b      — power-line chart (Fig. 2b)
 //	tableIII   — platform peaks (Table III)
-//	tableIV    — fitted energy coefficients via eq. 9 (Table IV)
 //	fig4a      — measured vs model, double precision (Fig. 4a)
 //	fig4b      — measured vs model, single precision (Fig. 4b)
+//	tableIV    — fitted energy coefficients via eq. 9 (Table IV)
+//	peaks      — §IV-B achieved fractions of peak
 //	fig5a      — power lines, double precision (Fig. 5a)
 //	fig5b      — power lines, single precision + cap (Fig. 5b)
-//	peaks      — §IV-B achieved fractions of peak
 //	fmmu       — §V-C FMM U-list energy estimation study
 //	greenup    — §VII work–communication trade-off analysis (eq. 10)
 //	racetohalt — §II-D/§V-B race-to-halt balance-gap analysis
+//
+// then the ablations, extensions and studies, by ID:
+//
+//	ablation-cap      — power cap on/off near the balance point
+//	ablation-overlap  — overlap vs no-overlap time model
+//	ablation-pi0      — constant-power sweep and the race-to-halt flip
+//	ablation-prefetch — next-line prefetcher on streaming vs reuse traffic
+//	ablation-sampling — power-monitor sampling rate vs integration error
+//	algs              — §II-A algorithmic intensity laws
+//	concurrency       — §VII latency/concurrency refinement
+//	dvfs              — analytic DVFS race-to-halt threshold
+//	dvfs-dispatch     — heterogeneous CPU/GPU dispatch (eq. 10 ratios)
+//	dvfs-optfreq      — energy-optimal frequency per operating-point curve
+//	dvfs-raceidle     — race-to-idle vs pace-to-fill crossover
+//	future            — §VII future regime with a real balance gap
+//	metrics           — §VI composite time–energy metrics
+//	modelfit          — model-vs-measurement bound validation (§VII)
+//	pipeline          — cycle-level grounding of achieved fractions
+//	scorecard         — analytic vs blackbox model accuracy per pair
+//	tradeoffs         — cataloged work–communication trade-offs (§VII)
 package exp
 
 import (
@@ -34,6 +55,10 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/trace"
 )
+
+// DefaultSeed is the experiments command's default -seed: the seed
+// the committed EXPERIMENTS.md and figures/ are generated at.
+const DefaultSeed = 42
 
 // Config controls experiment execution.
 type Config struct {

@@ -77,15 +77,10 @@ func runScorecard(cfg Config) (*Report, error) {
 	fmt.Fprintf(&sb, "\nauto-selection: %s\n", strings.Join(selected, ", "))
 	fmt.Fprintf(&sb, "artifact: %d bytes of JSON, byte-identical at any -workers: %v\n", len(j0), workerInvariant)
 
-	// The figure: the energy error CDF for the pair where the blackbox
-	// margin is the question — gtx580 single precision, the measured
-	// platform whose closed forms drift most at narrow width.
 	for i := range sc.Cards {
 		c := &sc.Cards[i]
-		if c.Machine == "gtx580" && c.Precision == "single" {
-			if err := writeSVG(cfg, "scorecard_energy_cdf", scorecard.CDFChart(c, "energy")); err != nil {
-				return nil, err
-			}
+		if err := writeSVG(cfg, fmt.Sprintf("scorecard_%s_%s_energy", c.Machine, c.Precision), scorecard.CDFChart(c, "energy")); err != nil {
+			return nil, err
 		}
 	}
 

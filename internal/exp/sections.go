@@ -72,7 +72,7 @@ func runFMMU(cfg Config) (*Report, error) {
 		}
 		sc.Variants = subset
 	}
-	res, err := fmm.RunStudy(sc)
+	res, err := fmm.RunStudyCtx(cfg.ctx(), sc)
 	if err != nil {
 		return nil, err
 	}

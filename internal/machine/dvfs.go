@@ -1,12 +1,11 @@
 package machine
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/strictjson"
 	"repro/internal/units"
 )
 
@@ -429,14 +428,9 @@ func (c OperatingPointConfig) Curve() ([]OperatingPoint, error) {
 // entry point (FuzzOperatingPointConfig): any byte slice either yields
 // a config whose Curve passes ValidateCurve, or errors.
 func ParseOperatingPointConfig(data []byte) (OperatingPointConfig, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var c OperatingPointConfig
-	if err := dec.Decode(&c); err != nil {
+	if err := strictjson.Unmarshal(data, &c); err != nil {
 		return OperatingPointConfig{}, fmt.Errorf("machine: parse operating-point config: %w", err)
-	}
-	if dec.More() {
-		return OperatingPointConfig{}, fmt.Errorf("machine: parse operating-point config: trailing data after JSON object")
 	}
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {

@@ -256,6 +256,9 @@ func TestParseOperatingPointConfig(t *testing.T) {
 		`{}`,                            // no machine
 		`{"machine":"gtx580","nope":1}`, // unknown field
 		`{"machine":"gtx580"} trailing`, // trailing data
+		`{"machine":"gtx580"}}`,         // stray closing brace
+		`{"machine":"gtx580"}]`,         // stray closing bracket
+		`{"machine":"gtx580"} {}`,       // second value
 		`{"machine":"gtx580","freq_scales":[1,0.5]}`,       // not increasing
 		`{"machine":"gtx580","freq_scales":[0.5]}`,         // does not end at 1
 		`{"machine":"gtx580","v_min":0.5,"pi0_floor":0.3}`, // law violates the convexity bound

@@ -1,12 +1,11 @@
 package model
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"repro/internal/machine"
+	"repro/internal/strictjson"
 )
 
 // FitConfig describes one blackbox fit: which (machine, precision)
@@ -144,14 +143,9 @@ func (c FitConfig) Validate() error {
 // point (FuzzModelConfig): any byte slice either round-trips to a
 // config that Validate accepts, or errors.
 func ParseFitConfig(data []byte) (FitConfig, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var c FitConfig
-	if err := dec.Decode(&c); err != nil {
+	if err := strictjson.Unmarshal(data, &c); err != nil {
 		return FitConfig{}, fmt.Errorf("model: parse fit config: %w", err)
-	}
-	if dec.More() {
-		return FitConfig{}, fmt.Errorf("model: parse fit config: trailing data after JSON object")
 	}
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {

@@ -232,6 +232,8 @@ func TestParseFitConfig(t *testing.T) {
 		{"not json", `nope`, "parse"},
 		{"unknown field", `{"machine": "gtx580", "turbo": true}`, "unknown field"},
 		{"trailing data", `{"machine": "gtx580"} {}`, "trailing data"},
+		{"stray brace", `{"machine": "gtx580"}}`, "trailing data"},
+		{"stray bracket", `{"machine": "gtx580"}]`, "trailing data"},
 		{"no machine", `{}`, "needs a machine"},
 		{"bad precision", `{"machine": "gtx580", "precision": "half"}`, "unknown precision"},
 		{"negative lo", `{"machine": "gtx580", "lo_intensity": -1}`, "lo_intensity"},

@@ -431,25 +431,6 @@ func (s *Scorecard) Render() string {
 	return sb.String()
 }
 
-// MarkdownTable renders the summary as a GitHub-flavoured markdown
-// table (the per-machine table EXPERIMENTS.md embeds).
-func (s *Scorecard) MarkdownTable() string {
-	var sb strings.Builder
-	sb.WriteString("| machine | precision | quantity | analytic med | analytic max | blackbox med | blackbox max | winner |\n")
-	sb.WriteString("|---|---|---|---|---|---|---|---|\n")
-	for i := range s.Cards {
-		c := &s.Cards[i]
-		for _, q := range c.Quantities {
-			fmt.Fprintf(&sb, "| %s | %s | %s | %.2f%% | %.2f%% | %.2f%% | %.2f%% | %s |\n",
-				c.Machine, c.Precision, q.Name,
-				100*q.Analytic.Median, 100*q.Analytic.Max,
-				100*q.Blackbox.Median, 100*q.Blackbox.Max,
-				q.Winner)
-		}
-	}
-	return sb.String()
-}
-
 // CDFChart builds the error-CDF figure for one card and quantity: the
 // sorted relative errors of both models against cumulative fraction.
 func CDFChart(c *Card, quantity string) *chart.Chart {

@@ -9,11 +9,8 @@
 package powermon
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
-	"io"
-	"strconv"
 
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -492,76 +489,4 @@ func (t *Trace) Stats() (TraceStats, error) {
 		s.ChannelShare[c] = float64(s.ChannelMeanPower[c]) / float64(s.MeanPower)
 	}
 	return s, nil
-}
-
-// WriteCSV emits the trace in the PowerMon-2-style formatted output:
-// a header row, then one row per sample with the timestamp and each
-// channel's voltage and current.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{"t_seconds"}
-	for _, c := range t.Channels {
-		header = append(header, c.Name+"_V", c.Name+"_A")
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, 0, len(header))
-	for i := range t.Samples {
-		s := &t.Samples[i]
-		row = row[:0]
-		row = append(row, strconv.FormatFloat(float64(s.T), 'g', 12, 64))
-		for c := range t.Channels {
-			row = append(row,
-				strconv.FormatFloat(s.Volts[c], 'g', 9, 64),
-				strconv.FormatFloat(s.Amps[c], 'g', 9, 64))
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a trace written by WriteCSV. The duration must be
-// supplied by the caller (the CSV carries only sample timestamps).
-func ReadCSV(r io.Reader, channels []Channel, duration units.Seconds) (*Trace, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("powermon: %v", err)
-	}
-	if len(rows) < 1 {
-		return nil, errors.New("powermon: empty CSV")
-	}
-	wantCols := 1 + 2*len(channels)
-	if len(rows[0]) != wantCols {
-		return nil, fmt.Errorf("powermon: header has %d columns, want %d", len(rows[0]), wantCols)
-	}
-	tr := &Trace{Channels: append([]Channel(nil), channels...), Duration: duration}
-	for ri, row := range rows[1:] {
-		if len(row) != wantCols {
-			return nil, fmt.Errorf("powermon: row %d has %d columns, want %d", ri+1, len(row), wantCols)
-		}
-		ts, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("powermon: row %d timestamp: %v", ri+1, err)
-		}
-		s := Sample{
-			T:     units.Seconds(ts),
-			Volts: make([]float64, len(channels)),
-			Amps:  make([]float64, len(channels)),
-		}
-		for c := range channels {
-			if s.Volts[c], err = strconv.ParseFloat(row[1+2*c], 64); err != nil {
-				return nil, fmt.Errorf("powermon: row %d volts: %v", ri+1, err)
-			}
-			if s.Amps[c], err = strconv.ParseFloat(row[2+2*c], 64); err != nil {
-				return nil, fmt.Errorf("powermon: row %d amps: %v", ri+1, err)
-			}
-		}
-		tr.Samples = append(tr.Samples, s)
-	}
-	return tr, nil
 }

@@ -1,9 +1,7 @@
 package powermon
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -229,52 +227,6 @@ func TestSamplingRateAblation(t *testing.T) {
 	}
 	if errAt[1] > 0.01 {
 		t.Errorf("1024 Hz error too large: %v", errAt[1])
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	m := noiseless(t, GPUChannels(), 128)
-	tr, err := m.Measure(constSource(120), 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "t_seconds,12V-8pin_V,12V-8pin_A") {
-		t.Errorf("unexpected header: %q", strings.SplitN(buf.String(), "\n", 2)[0])
-	}
-	got, err := ReadCSV(&buf, GPUChannels(), tr.Duration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Samples) != len(tr.Samples) {
-		t.Fatalf("round trip lost samples: %d vs %d", len(got.Samples), len(tr.Samples))
-	}
-	if stats.RelErr(float64(got.AveragePower()), float64(tr.AveragePower())) > 1e-6 {
-		t.Error("round trip changed average power")
-	}
-	if stats.RelErr(float64(got.Energy()), float64(tr.Energy())) > 1e-6 {
-		t.Error("round trip changed energy")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	chans := GPUChannels()
-	if _, err := ReadCSV(strings.NewReader(""), chans, 1); err == nil {
-		t.Error("empty CSV accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,b\n"), chans, 1); err == nil {
-		t.Error("wrong column count accepted")
-	}
-	bad := "t_seconds,a_V,a_A,b_V,b_A,c_V,c_A,d_V,d_A\nnotanumber,1,1,1,1,1,1,1,1\n"
-	if _, err := ReadCSV(strings.NewReader(bad), chans, 1); err == nil {
-		t.Error("bad timestamp accepted")
-	}
-	bad2 := "t_seconds,a_V,a_A,b_V,b_A,c_V,c_A,d_V,d_A\n0.5,x,1,1,1,1,1,1,1\n"
-	if _, err := ReadCSV(strings.NewReader(bad2), chans, 1); err == nil {
-		t.Error("bad volts accepted")
 	}
 }
 
@@ -534,7 +486,7 @@ func TestConcurrentForksAreRaceFree(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, err := mon.Fork(uint64(i % 4)).Measure(src, 0.05)
+			tr, err := mon.Fork(uint64(i%4)).Measure(src, 0.05)
 			if err != nil {
 				t.Error(err)
 				return

@@ -10,8 +10,8 @@ import (
 // GET /v1/models: the EnergyModel registry — which model names the
 // POST endpoints' "model" field accepts, which one is the default, and
 // what each is. The selection surface is documented in docs/MODELS.md;
-// per-machine accuracy comes from the scorecard (cmd/scorecard), not
-// from this listing.
+// per-machine accuracy comes from the scorecard (the scorecard
+// experiment, `experiments -run scorecard`), not from this listing.
 
 // modelSummary is one registered model in the GET /v1/models reply.
 type modelSummary struct {

@@ -65,6 +65,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/parallel"
+	"repro/internal/strictjson"
 	"repro/internal/trace"
 )
 
@@ -508,7 +509,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	defer sp.End()
 
 	var cfg campaign.Config
-	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &cfg); err != nil {
+	if err := decodeBody(r, s.cfg.MaxBodyBytes, &cfg); err != nil {
 		sp.Tag("error", "bad_body")
 		s.writeError(w, err)
 		return
@@ -610,14 +611,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // decodeBody strictly decodes one JSON value from the request body,
 // rejecting unknown fields, trailing garbage, and bodies over maxBytes.
-func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("bad request body: %v", err)
+func decodeBody(r *http.Request, maxBytes int64, v any) error {
+	bp, err := readBody(r, maxBytes)
+	if err == nil {
+		err = strictjson.Unmarshal(*bp, v)
+		releaseBody(bp)
 	}
-	if dec.More() {
-		return badRequest("bad request body: trailing data after JSON value")
+	if err != nil {
+		return badRequest("bad request body: %v", err)
 	}
 	return nil
 }

@@ -179,6 +179,7 @@ func TestEvalRejectsNonFinite(t *testing.T) {
 
 func TestCampaignRejectsBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
+	small := `{"machines":["gtx580"],"lo_intensity":0.25,"hi_intensity":16,"points":5,"reps":1,"volume_bytes":1048576}`
 	cases := []struct {
 		name, body, wantErr string
 	}{
@@ -189,6 +190,11 @@ func TestCampaignRejectsBadRequests(t *testing.T) {
 		{"oversized grid (engine cap)", `{"machines":["gtx580"],"lo_intensity":0.25,"hi_intensity":16,"points":100000,"reps":1,"volume_bytes":1048576}`, "exceed"},
 		{"oversized grid (server cap)", `{"machines":["gtx580"],"lo_intensity":0.25,"hi_intensity":16,"points":8192,"reps":1,"volume_bytes":1048576}`, "server's limit"},
 		{"oversized reps (server cap)", `{"machines":["gtx580"],"lo_intensity":0.25,"hi_intensity":16,"points":5,"reps":999999,"volume_bytes":1048576}`, "exceed"},
+		{"unknown field", `{"machines":["gtx580"],"sed":1}`, "unknown field"},
+		{"stray brace", small + `}`, "trailing data"},
+		{"stray bracket", small + `]`, "trailing data"},
+		{"second value", small + ` {}`, "trailing data"},
+		{"body over the limit", small + strings.Repeat(" ", 1<<20), "request body too large"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -17,13 +17,13 @@
 package workload
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/stats"
+	"repro/internal/strictjson"
 )
 
 // Arrival-process kinds accepted by Spec.Kind.
@@ -181,7 +181,7 @@ func (s Spec) Validate() error {
 // trailing garbage rejected) and validates it.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	if err := strictUnmarshal(data, &s); err != nil {
+	if err := strictjson.Unmarshal(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("workload: bad spec: %v", err)
 	}
 	if err := s.Validate(); err != nil {
@@ -336,7 +336,7 @@ func (t *Trace) Marshal() ([]byte, error) {
 // closed-loop clients in range, kernels positive and finite.
 func ParseTrace(data []byte) (*Trace, error) {
 	var t Trace
-	if err := strictUnmarshal(data, &t); err != nil {
+	if err := strictjson.Unmarshal(data, &t); err != nil {
 		return nil, fmt.Errorf("workload: bad trace: %v", err)
 	}
 	if len(t.Requests) == 0 {
@@ -373,18 +373,4 @@ func ParseTrace(data []byte) (*Trace, error) {
 		}
 	}
 	return &t, nil
-}
-
-// strictUnmarshal decodes one JSON value rejecting unknown fields and
-// trailing garbage.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON value")
-	}
-	return nil
 }

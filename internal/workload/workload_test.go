@@ -261,8 +261,33 @@ func TestParseSpecStrict(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"kind":"poisson","rate":1,"requests":1,"keys":1,"work_flops":1,"lo_intensity":1,"hi_intensity":1,"seed":0,"bogus":true}`)); err == nil {
 		t.Fatal("ParseSpec accepted an unknown field")
 	}
-	if _, err := ParseSpec(append(append([]byte{}, good...), []byte("garbage")...)); err == nil {
-		t.Fatal("ParseSpec accepted trailing garbage")
+	for _, tail := range []string{"garbage", "}", "]", " {}"} {
+		if _, err := ParseSpec(append(append([]byte{}, good...), tail...)); err == nil {
+			t.Errorf("ParseSpec accepted trailing %q", tail)
+		}
+	}
+}
+
+// TestParseTraceRejectsTrailingData checks a valid trace followed by
+// anything but whitespace is rejected.
+func TestParseTraceRejectsTrailingData(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Requests = 5
+	tr, err := Generate(spec)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	data, err := tr.Marshal()
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	if _, err := ParseTrace(append(append([]byte{}, data...), " \n"...)); err != nil {
+		t.Fatalf("ParseTrace rejected trailing whitespace: %v", err)
+	}
+	for _, tail := range []string{"}", "]", " {}"} {
+		if _, err := ParseTrace(append(append([]byte{}, data...), tail...)); err == nil {
+			t.Errorf("ParseTrace accepted trailing %q", tail)
+		}
 	}
 }
 
