@@ -1,11 +1,12 @@
 // Package cluster is a deterministic discrete-event simulator of a
 // fleet of rooflined replicas behind a routing tier. Each simulated
 // replica prices its requests with the paper's energy roofline
-// (internal/core) and serves them through the production server's
-// content-addressed result cache and request-coalescing bookkeeping
-// (internal/server), so fleet-level cache hit rates, coalesce ratios,
-// and energy totals come from the real serving code paths — only the
-// clock is virtual.
+// (internal/core) and serves them through the result cache and request
+// keys rooflined itself runs (internal/rescache), coalescing concurrent
+// misses the way rooflined does, so fleet-level cache hit rates,
+// coalesce ratios, and energy totals come from the production cache
+// and keying. What a replica does not share with rooflined is its
+// service cost: that is the roofline's closed form on a virtual clock.
 //
 // Determinism is the load-bearing property: a (Scenario, policy) cell
 // runs single-threaded with all randomness derived via
@@ -24,7 +25,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/parallel"
-	"repro/internal/server"
+	"repro/internal/rescache"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -42,9 +43,6 @@ type ReplicaSpec struct {
 	CacheEntries int `json:"cache_entries"`
 	// CacheBytes bounds the replica's result cache in body bytes.
 	CacheBytes int64 `json:"cache_bytes"`
-	// CacheTTLSeconds expires cached entries after this much simulated
-	// time (0 disables expiry).
-	CacheTTLSeconds float64 `json:"cache_ttl_seconds,omitempty"`
 	// Model names the EnergyModel the energy-aware router prices this
 	// replica's misses with ("analytic" or "blackbox"; empty means
 	// analytic, which routes byte-identically to the pre-interface
@@ -92,24 +90,17 @@ type Options struct {
 // length is what the cache's byte bound meters.
 var hitBody = make([]byte, 256)
 
-// simEpoch anchors the virtual clock: simulated second s maps to
-// simEpoch + s, giving the production cache's TTL arithmetic real
-// time.Time values to work on.
-var simEpoch = time.Unix(0, 0).UTC()
-
 // replica is one simulated server: roofline pricing, the production
-// result cache on a virtual clock, production coalescing bookkeeping,
-// and a FIFO service queue.
+// result cache (without a TTL, so it never reads a clock), coalescing
+// bookkeeping, and a FIFO service queue.
 type replica struct {
 	id      int
 	spec    ReplicaSpec
 	params  core.Params
 	model   model.EnergyModel // prices router estimates; analytic unless spec.Model overrides
 	prices  []kernelPrice     // the spec's price table, indexed by kernel id
-	cache   *server.ResultCache
-	flights *server.FlightTable[*simFlight]
-
-	clock float64 // current simulation time, read by the cache's now()
+	cache   *rescache.Cache
+	flights map[uint64]*simFlight // in-progress engine runs by key
 
 	queue     []pending // FIFO of engine runs; head is queue[qhead]
 	qhead     int
@@ -188,22 +179,21 @@ func newReplica(i int, spec ReplicaSpec) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &replica{id: i, spec: spec, params: params, model: em}
-	r.cache = server.NewResultCache(
-		spec.CacheEntries,
-		spec.CacheBytes,
-		time.Duration(spec.CacheTTLSeconds*float64(time.Second)),
-		func() time.Time { return simEpoch.Add(time.Duration(r.clock * float64(time.Second))) },
-	)
-	r.flights = server.NewFlightTable[*simFlight]()
-	return r, nil
+	return &replica{
+		id:      i,
+		spec:    spec,
+		params:  params,
+		model:   em,
+		cache:   rescache.New(spec.CacheEntries, spec.CacheBytes, 0, nil),
+		flights: map[uint64]*simFlight{},
+	}, nil
 }
 
 // key returns the production cache/coalescing key this replica computes
 // for req — the same hash the live server's POST /v1/eval handler uses.
 // The event loop reads the same key from the replica's price table.
 func (r *replica) key(req workload.Request) uint64 {
-	return server.EvalKey(r.spec.Machine, r.spec.precisionName(), req.Work, req.Intensity)
+	return rescache.EvalKey(r.spec.Machine, r.spec.precisionName(), req.Work, req.Intensity)
 }
 
 // queueLen counts requests in service or queued (coalesced waiters
@@ -248,16 +238,6 @@ func (f *Fleet) NumReplicas() int { return len(f.reps) }
 // QueueLen returns replica i's current queue occupancy (in service +
 // waiting, coalesced waiters excluded).
 func (f *Fleet) QueueLen(i int) int { return f.reps[i].queueLen() }
-
-// PendingWork returns the estimated seconds of service already
-// committed to replica i as of now.
-func (f *Fleet) PendingWork(now float64, i int) float64 { return f.reps[i].pendingWork(now) }
-
-// WouldHit reports whether replica i's cache currently holds req's
-// result (a recency-neutral probe; see server.ResultCache.Peek).
-func (f *Fleet) WouldHit(i int, req workload.Request) bool {
-	return f.reps[i].cache.Peek(f.reps[i].key(req))
-}
 
 // maxSpansPerPolicy bounds the virtual spans one policy cell records,
 // so tracing a million-request scenario cannot swamp the ring buffer.
@@ -371,20 +351,18 @@ func (s *sim) arrive(p pending) {
 		s.observer(s.now, s.trace[p.idx], idx, s.fleet)
 	}
 	rep := s.fleet.reps[idx]
-	rep.clock = s.now
 	rep.requests++
 	price := &rep.prices[p.kernel]
 	if _, ok := rep.cache.Get(price.key); ok {
 		s.finish(p, s.now+s.fleet.hitLatency)
 		return
 	}
-	// Offer a spare flight; it leaves the free list only if p leads.
-	if f, joined := rep.flights.Begin(price.key, s.spareFlight()); joined {
+	if f, joined := rep.flights[price.key]; joined {
 		rep.coalesced++
 		f.waiters = append(f.waiters, p)
 		return
 	}
-	s.free = s.free[:len(s.free)-1]
+	rep.flights[price.key] = s.takeFlight()
 	rep.queue = append(rep.queue, p)
 	if rep.busy {
 		rep.queuedSvc += price.svc
@@ -396,15 +374,15 @@ func (s *sim) arrive(p pending) {
 	}
 }
 
-// spareFlight returns the flight on top of the free list without taking
-// it, allocating one only when the list is empty.
-func (s *sim) spareFlight() *simFlight {
+// takeFlight pops a finished flight off the free list, allocating one
+// only when the list is empty.
+func (s *sim) takeFlight() *simFlight {
 	if n := len(s.free); n > 0 {
-		return s.free[n-1]
+		f := s.free[n-1]
+		s.free = s.free[:n-1]
+		return f
 	}
-	f := &simFlight{}
-	s.free = append(s.free, f)
-	return f
+	return &simFlight{}
 }
 
 // startService begins the head-of-queue job on an idle replica.
@@ -440,7 +418,6 @@ func (s *sim) record(rep *replica, start, dur float64) {
 // pull the next job.
 func (s *sim) complete(id int) {
 	rep := s.fleet.reps[id]
-	rep.clock = s.now
 	j := rep.queue[rep.qhead]
 	rep.qhead++
 	if rep.qhead == len(rep.queue) {
@@ -453,11 +430,11 @@ func (s *sim) complete(id int) {
 	rep.kernelJ += price.joules
 	rep.cache.Put(price.key, hitBody)
 	s.finish(j, s.now)
-	if f, ok := rep.flights.Lookup(price.key); ok {
+	if f, ok := rep.flights[price.key]; ok {
 		for _, w := range f.waiters {
 			s.finish(w, s.now)
 		}
-		rep.flights.Finish(price.key)
+		delete(rep.flights, price.key)
 		f.waiters = f.waiters[:0]
 		s.free = append(s.free, f)
 	}

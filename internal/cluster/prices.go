@@ -4,7 +4,7 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/server"
+	"repro/internal/rescache"
 	"repro/internal/workload"
 )
 
@@ -46,7 +46,7 @@ func indexKernels(reqs []workload.Request) kernelIndex {
 
 // kernelPrice is what one replica spec's pricing says about one kernel.
 type kernelPrice struct {
-	// key is the production cache and coalescing key (server.EvalKey).
+	// key is the production cache and coalescing key (rescache.EvalKey).
 	key uint64
 	// svc is the analytic CappedTime: the simulated service time.
 	svc float64
@@ -77,7 +77,7 @@ func priceReplicas(specs []ReplicaSpec, ix kernelIndex) ([][]kernelPrice, error)
 		for k, w := range ix.work {
 			kern := core.KernelAt(w, ix.intensity[k])
 			t[k] = kernelPrice{
-				key:    server.EvalKey(spec.Machine, prec, w, ix.intensity[k]),
+				key:    rescache.EvalKey(spec.Machine, prec, w, ix.intensity[k]),
 				svc:    params.CappedTime(kern),
 				joules: params.CappedEnergy(kern),
 				estT:   em.CappedTime(kern),

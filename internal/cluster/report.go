@@ -157,7 +157,7 @@ func (s *sim) report(policyName string) (PolicyReport, error) {
 	var coalesced int
 	var totalJ float64
 	for _, rep := range s.fleet.reps {
-		cs := rep.cache.Snapshot()
+		cs := rep.cache.Stats()
 		hits += cs.Hits
 		misses += cs.Misses
 		coalesced += rep.coalesced

@@ -1,0 +1,207 @@
+// Package rescache is the result-cache core that rooflined
+// (internal/server) and the fleet simulator (internal/cluster) share:
+// the canonical request key and the content-addressed LRU cache it
+// addresses.
+//
+// The paper's model answers every query in closed form, and the
+// campaign engine is deterministic (fixed config → byte-identical
+// output at any worker count), so a response is a pure function of its
+// request. A canonical 64-bit hash of the request therefore doubles as
+// the cache key and the coalescing key, and a cached body is bit for
+// bit the body a fresh computation would produce.
+//
+// The package is a leaf: it takes no lock and imports nothing of the
+// HTTP layer. The server stripes Caches behind one mutex per shard; a
+// simulated replica uses one bare. (internal/cache is a different
+// thing: the paper's set-associative cache simulator.)
+package rescache
+
+import (
+	"container/list"
+	"math"
+	"time"
+
+	"repro/internal/stats"
+)
+
+// Request keys. The hash folds every semantically significant field —
+// in a fixed order — through stats.SplitMix64, with strings condensed
+// by stats.HashLabel (FNV-1a), so two requests collide only if they
+// describe the same computation.
+
+// version is folded first; bump it whenever the request semantics or
+// the folding order changes, which invalidates every cached entry.
+const version = 1
+
+// Fold mixes one 64-bit label into the running hash h.
+func Fold(h, v uint64) uint64 { return stats.SplitMix64(h ^ v) }
+
+// FoldString mixes a string label into the running hash.
+func FoldString(h uint64, s string) uint64 { return Fold(h, stats.HashLabel(s)) }
+
+// FoldFloat mixes a float64 by bit pattern, so -0 vs 0 and every NaN
+// payload hash distinctly (such requests are rejected before hashing
+// anyway).
+func FoldFloat(h uint64, f float64) uint64 { return Fold(h, math.Float64bits(f)) }
+
+// FoldBool mixes a bool as 0/1.
+func FoldBool(h uint64, b bool) uint64 {
+	if b {
+		return Fold(h, 1)
+	}
+	return Fold(h, 0)
+}
+
+// Domain starts a key: the version, then the request kind's label
+// ("eval", "evalbatch", "campaign"), which keeps the kinds' keys from
+// ever colliding.
+func Domain(label string) uint64 { return FoldString(Fold(0, version), label) }
+
+// EvalKey returns the canonical key of one eval-shaped computation with
+// the default model — the key POST /v1/eval caches the request under,
+// and the key a simulated replica addresses its cache with, so fleet
+// hit rates come from the production keying scheme.
+func EvalKey(machineKey, precision string, work, intensity float64) uint64 {
+	h := Domain("eval")
+	h = FoldString(h, machineKey)
+	h = FoldString(h, precision)
+	h = FoldFloat(h, work)
+	return FoldFloat(h, intensity)
+}
+
+// Cache is the content-addressed LRU result cache: bodies keyed by
+// canonical request hash, bounded by entry count and total body bytes,
+// with an optional TTL. Determinism makes the TTL a residency bound,
+// never a staleness bound.
+//
+// A Cache is not safe for concurrent use; callers that share one hold
+// their own lock.
+type Cache struct {
+	maxEntries int
+	maxBytes   int64
+	ttl        time.Duration
+	now        func() time.Time
+	ll         *list.List // front = most recently used
+	index      map[uint64]*list.Element
+	bytes      int64
+	stats      Stats
+}
+
+// Stats are a cache's lifetime counters.
+type Stats struct {
+	// Hits counts Get calls that returned a live body.
+	Hits uint64
+	// Misses counts Get calls that found nothing (or an expired entry).
+	Misses uint64
+	// Evictions counts entries dropped to satisfy the size bounds.
+	Evictions uint64
+	// Expirations counts entries dropped because their TTL passed.
+	Expirations uint64
+}
+
+// entry is one cached response body.
+type entry struct {
+	key     uint64
+	body    []byte
+	expires time.Time // zero when the cache has no TTL
+}
+
+// New builds a cache holding at most maxEntries bodies and maxBytes
+// total body bytes; entries older than ttl are dropped on access
+// (ttl <= 0 disables expiry, and then now is never read). now is
+// injectable for tests; nil means time.Now.
+func New(maxEntries int, maxBytes int64, ttl time.Duration, now func() time.Time) *Cache {
+	if now == nil {
+		now = time.Now
+	}
+	return &Cache{
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
+		ttl:        ttl,
+		now:        now,
+		ll:         list.New(),
+		index:      map[uint64]*list.Element{},
+	}
+}
+
+// live reports whether e has not expired.
+func (c *Cache) live(e *entry) bool {
+	return e.expires.IsZero() || !c.now().After(e.expires)
+}
+
+// Get returns the cached body for key and marks it most recently used.
+// Expired entries are removed and reported as misses.
+func (c *Cache) Get(key uint64) ([]byte, bool) {
+	el, ok := c.index[key]
+	if !ok {
+		c.stats.Misses++
+		return nil, false
+	}
+	e := el.Value.(*entry)
+	if !c.live(e) {
+		c.remove(el)
+		c.stats.Expirations++
+		c.stats.Misses++
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.stats.Hits++
+	return e.body, true
+}
+
+// Peek reports whether key holds a live entry without touching recency
+// order or the counters — the read a router uses to ask "would this
+// replica hit?" before committing a request.
+func (c *Cache) Peek(key uint64) bool {
+	el, ok := c.index[key]
+	return ok && c.live(el.Value.(*entry))
+}
+
+// Put stores body under key, evicting least-recently-used entries until
+// both bounds hold. A body larger than the byte bound is not cached.
+func (c *Cache) Put(key uint64, body []byte) {
+	if c.maxEntries <= 0 || int64(len(body)) > c.maxBytes {
+		return
+	}
+	if el, ok := c.index[key]; ok {
+		// Same key means same body: refresh recency and expiry rather
+		// than storing a duplicate.
+		e := el.Value.(*entry)
+		c.bytes += int64(len(body)) - int64(len(e.body))
+		e.body, e.expires = body, c.expiry()
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.index[key] = c.ll.PushFront(&entry{key: key, body: body, expires: c.expiry()})
+	c.bytes += int64(len(body))
+	// The new entry fits both bounds alone, so eviction stops before it.
+	for c.ll.Len() > c.maxEntries || c.bytes > c.maxBytes {
+		c.remove(c.ll.Back())
+		c.stats.Evictions++
+	}
+}
+
+// expiry returns the deadline for an entry stored now.
+func (c *Cache) expiry() time.Time {
+	if c.ttl <= 0 {
+		return time.Time{}
+	}
+	return c.now().Add(c.ttl)
+}
+
+// remove unlinks one entry.
+func (c *Cache) remove(el *list.Element) {
+	e := el.Value.(*entry)
+	c.ll.Remove(el)
+	delete(c.index, e.key)
+	c.bytes -= int64(len(e.body))
+}
+
+// Len returns the number of entries.
+func (c *Cache) Len() int { return c.ll.Len() }
+
+// SizeBytes returns the total cached body bytes.
+func (c *Cache) SizeBytes() int64 { return c.bytes }
+
+// Stats returns the lifetime counters.
+func (c *Cache) Stats() Stats { return c.stats }

@@ -135,7 +135,7 @@ func BenchmarkServerEvalCold(b *testing.B) {
 // BenchmarkServerEvalWarm measures the direct cache-hit path: identical
 // request every iteration, so after the first the model is never
 // re-evaluated. This is the allocs/op-gated benchmark: the warm path
-// must stay lock-free and near-zero-allocation.
+// must stay near-zero-allocation.
 func BenchmarkServerEvalWarm(b *testing.B) {
 	s := New(Config{})
 	b.Cleanup(s.Close)
@@ -149,9 +149,9 @@ func BenchmarkServerEvalWarm(b *testing.B) {
 }
 
 // BenchmarkServerEvalWarmParallel hammers the warm path from all procs
-// at once: the contention benchmark for the sharded cache, atomic
-// metrics, and lock-free hit path (one hot key, the worst case for a
-// lock-guarded cache).
+// at once: the contention benchmark for the sharded cache and atomic
+// metrics (one hot key, so every hit takes the same shard lock: the
+// worst case for a lock-guarded cache).
 func BenchmarkServerEvalWarmParallel(b *testing.B) {
 	s := New(Config{})
 	b.Cleanup(s.Close)

@@ -10,52 +10,6 @@ import (
 // becomes the flight's leader and runs the work; later arrivals block
 // on the flight and share the leader's bytes. Determinism is what makes
 // sharing sound — every waiter would have produced exactly these bytes.
-//
-// The mechanism is split in two layers so it can be reused outside a
-// live process. FlightTable is the pure bookkeeping — at most one
-// in-progress execution per key, later arrivals join it — shared by the
-// HTTP server's flightGroup (which adds goroutine blocking on top) and
-// by the cluster simulator's replicas (which resolve flights with
-// virtual-time completion events instead of channels).
-
-// FlightTable tracks at most one in-progress execution per canonical
-// key. F is whatever per-flight state the embedding layer needs: the
-// live server stores a channel-bearing *flight, the simulator stores
-// its waiter list. A FlightTable is not synchronised; callers that
-// share one across goroutines hold their own lock (see flightGroup).
-type FlightTable[F any] struct {
-	m map[uint64]F
-}
-
-// NewFlightTable returns an empty table.
-func NewFlightTable[F any]() *FlightTable[F] {
-	return &FlightTable[F]{m: map[uint64]F{}}
-}
-
-// Begin either joins key's in-progress flight — returning the existing
-// state and joined = true — or registers fresh as the new flight for
-// key, returning fresh and joined = false (the caller is the leader).
-func (t *FlightTable[F]) Begin(key uint64, fresh F) (f F, joined bool) {
-	if existing, ok := t.m[key]; ok {
-		return existing, true
-	}
-	t.m[key] = fresh
-	return fresh, false
-}
-
-// Lookup returns key's in-flight state without registering anything.
-func (t *FlightTable[F]) Lookup(key uint64) (F, bool) {
-	f, ok := t.m[key]
-	return f, ok
-}
-
-// Finish removes key's flight; later arrivals for key lead a new one.
-func (t *FlightTable[F]) Finish(key uint64) {
-	delete(t.m, key)
-}
-
-// Len returns the number of distinct in-progress flights.
-func (t *FlightTable[F]) Len() int { return len(t.m) }
 
 // flight is one in-progress execution and its eventual outcome.
 type flight struct {
@@ -64,22 +18,23 @@ type flight struct {
 	err  error
 }
 
-// flightShards is the number of independently locked FlightTables a
+// flightShards is the number of independently locked flight maps a
 // flightGroup stripes keys over (power of two). Flights for distinct
 // hashes then register and finish without contending on one mutex; the
-// canonical hash's low bits pick the shard, mirroring ShardedCache.
+// canonical hash's low bits pick the shard, mirroring cacheShards.
 const flightShards = 16
 
-// flightShard is one lock-plus-table stripe of a flightGroup. The pad
-// keeps adjacent shards' mutexes on distinct cache lines.
+// flightShard is one lock-plus-map stripe of a flightGroup: at most one
+// in-progress flight per key. The pad keeps adjacent shards' mutexes on
+// distinct cache lines.
 type flightShard struct {
 	mu sync.Mutex
-	m  *FlightTable[*flight]
+	m  map[uint64]*flight
 	_  [40]byte // pad: no false sharing with the next shard's mutex
 }
 
 // flightGroup deduplicates concurrent executions by key: sharded
-// FlightTable bookkeeping plus goroutine blocking for the waiters.
+// flight bookkeeping plus goroutine blocking for the waiters.
 type flightGroup struct {
 	shards [flightShards]flightShard
 }
@@ -88,7 +43,7 @@ type flightGroup struct {
 func newFlightGroup() *flightGroup {
 	g := &flightGroup{}
 	for i := range g.shards {
-		g.shards[i].m = NewFlightTable[*flight]()
+		g.shards[i].m = map[uint64]*flight{}
 	}
 	return g
 }
@@ -102,7 +57,11 @@ func newFlightGroup() *flightGroup {
 func (g *flightGroup) do(ctx context.Context, key uint64, fn func() ([]byte, error)) (body []byte, leader bool, err error) {
 	sh := &g.shards[key&(flightShards-1)]
 	sh.mu.Lock()
-	f, joined := sh.m.Begin(key, &flight{done: make(chan struct{})})
+	f, joined := sh.m[key]
+	if !joined {
+		f = &flight{done: make(chan struct{})}
+		sh.m[key] = f
+	}
 	sh.mu.Unlock()
 	if joined {
 		select {
@@ -116,7 +75,7 @@ func (g *flightGroup) do(ctx context.Context, key uint64, fn func() ([]byte, err
 	f.body, f.err = fn()
 
 	sh.mu.Lock()
-	sh.m.Finish(key)
+	delete(sh.m, key)
 	sh.mu.Unlock()
 	close(f.done)
 	return f.body, true, f.err
@@ -129,7 +88,7 @@ func (g *flightGroup) inFlight() int {
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.Lock()
-		n += sh.m.Len()
+		n += len(sh.m)
 		sh.mu.Unlock()
 	}
 	return n

@@ -1,59 +1,34 @@
 package server
 
 import (
-	"math"
-
 	"repro/internal/campaign"
-	"repro/internal/stats"
+	"repro/internal/rescache"
 )
 
 // Request hashing. Because the engine is deterministic (fixed config →
 // byte-identical output at any worker count, see internal/campaign),
 // responses are content-addressable: a canonical 64-bit hash of the
-// request doubles as the cache key and the coalescing key. The hash
-// folds every semantically significant field — in a fixed order —
-// through stats.SplitMix64, with strings condensed by stats.HashLabel,
-// so two requests collide only if they describe the same computation.
-
-// hashVersion is folded first; bump it whenever the request semantics
-// or the folding order changes, which invalidates every cached entry.
-const hashVersion = 1
-
-// fold mixes one 64-bit label into the running hash.
-func fold(h, v uint64) uint64 { return stats.SplitMix64(h ^ v) }
-
-// foldString mixes a string label into the running hash.
-func foldString(h uint64, s string) uint64 { return fold(h, stats.HashLabel(s)) }
-
-// foldFloat mixes a float64 by bit pattern, so -0 vs 0 and every NaN
-// payload hash distinctly (such requests are rejected before hashing
-// anyway).
-func foldFloat(h uint64, f float64) uint64 { return fold(h, math.Float64bits(f)) }
-
-// foldBool mixes a bool as 0/1.
-func foldBool(h uint64, b bool) uint64 {
-	if b {
-		return fold(h, 1)
-	}
-	return fold(h, 0)
-}
+// request doubles as the cache key and the coalescing key. The folding
+// and the eval key live in internal/rescache, shared with the cluster
+// simulator; the request shapes the simulator never sees are keyed
+// here.
 
 // hashCampaign returns the canonical key of a campaign request.
 // Machine order matters: per-machine engines are seeded by index, so
 // ["a","b"] and ["b","a"] are different computations.
 func hashCampaign(c campaign.Config) uint64 {
-	h := foldString(fold(0, hashVersion), "campaign")
-	h = fold(h, uint64(len(c.Machines)))
+	h := rescache.Domain("campaign")
+	h = rescache.Fold(h, uint64(len(c.Machines)))
 	for _, m := range c.Machines {
-		h = foldString(h, m)
+		h = rescache.FoldString(h, m)
 	}
-	h = foldFloat(h, c.LoIntensity)
-	h = foldFloat(h, c.HiIntensity)
-	h = fold(h, uint64(c.Points))
-	h = fold(h, uint64(c.Reps))
-	h = foldFloat(h, c.VolumeBytes)
-	h = foldBool(h, c.UsePowerMon)
-	h = fold(h, uint64(c.Seed))
+	h = rescache.FoldFloat(h, c.LoIntensity)
+	h = rescache.FoldFloat(h, c.HiIntensity)
+	h = rescache.Fold(h, uint64(c.Points))
+	h = rescache.Fold(h, uint64(c.Reps))
+	h = rescache.FoldFloat(h, c.VolumeBytes)
+	h = rescache.FoldBool(h, c.UsePowerMon)
+	h = rescache.Fold(h, uint64(c.Seed))
 	h = foldModel(h, c.Model)
 	return h
 }
@@ -61,36 +36,20 @@ func hashCampaign(c campaign.Config) uint64 {
 // foldModel mixes a model selector into the running hash — only when
 // one is named. An empty selector folds nothing, so every default
 // request keys exactly as it did before the model field existed (no
-// invalidation of pre-model cache entries, no hashVersion bump), while
+// invalidation of pre-model cache entries, no version bump), while
 // an explicit selector — including an explicit "analytic", whose
 // response body differs by its echoed model field — keys distinctly.
 func foldModel(h uint64, name string) uint64 {
 	if name == "" {
 		return h
 	}
-	return foldString(h, name)
+	return rescache.FoldString(h, name)
 }
 
-// EvalKey returns the canonical content hash of one eval-shaped
-// computation — the exact key POST /v1/eval uses for caching. It is
-// exported for the cluster simulator: a simulated replica addresses its
-// result cache with the very hash the production server would compute
-// for the same (machine, precision, work, intensity) request, so
-// fleet-level hit rates come from the production keying scheme.
-func EvalKey(machineKey, precision string, work, intensity float64) uint64 {
-	return hashEval(evalRequest{Machine: machineKey, Precision: precision, Work: work, Intensity: intensity})
-}
-
-// hashEval returns the canonical key of an eval request. The "eval"
-// domain label keeps eval and campaign keys from ever colliding.
+// hashEval returns the canonical key of an eval request: the shared
+// rescache.EvalKey plus the model selector.
 func hashEval(q evalRequest) uint64 {
-	h := foldString(fold(0, hashVersion), "eval")
-	h = foldString(h, q.Machine)
-	h = foldString(h, q.Precision)
-	h = foldFloat(h, q.Work)
-	h = foldFloat(h, q.Intensity)
-	h = foldModel(h, q.Model)
-	return h
+	return foldModel(rescache.EvalKey(q.Machine, q.Precision, q.Work, q.Intensity), q.Model)
 }
 
 // hashEvalBatch returns the canonical key of a batch eval request:
@@ -98,13 +57,13 @@ func hashEval(q evalRequest) uint64 {
 // checkEvalBatch has filled the work defaults (so an omitted work
 // column keys identically to an explicit all-default one).
 func hashEvalBatch(q evalBatchRequest) uint64 {
-	h := foldString(fold(0, hashVersion), "evalbatch")
-	h = foldString(h, q.Machine)
-	h = foldString(h, q.Precision)
-	h = fold(h, uint64(len(q.Intensities)))
+	h := rescache.Domain("evalbatch")
+	h = rescache.FoldString(h, q.Machine)
+	h = rescache.FoldString(h, q.Precision)
+	h = rescache.Fold(h, uint64(len(q.Intensities)))
 	for i := range q.Intensities {
-		h = foldFloat(h, q.Work[i])
-		h = foldFloat(h, q.Intensities[i])
+		h = rescache.FoldFloat(h, q.Work[i])
+		h = rescache.FoldFloat(h, q.Intensities[i])
 	}
 	h = foldModel(h, q.Model)
 	return h

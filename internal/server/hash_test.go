@@ -3,6 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,6 +93,32 @@ func TestHashEvalBatchCanonical(t *testing.T) {
 		Work: []float64{1e9}, Intensities: []float64{4}}
 	if hashEvalBatch(one) == hashEval(evalRequest{Machine: "gtx580", Precision: "double", Work: 1e9, Intensity: 4}) {
 		t.Error("evalbatch/eval hash domains collide")
+	}
+}
+
+// TestRequestHashPinned pins each POST endpoint's canonical key to a
+// literal. No golden can catch a changed key — a flat LRU behaves the
+// same under any collision-free key — so a change to the folding, the
+// version or a domain label must fail here instead.
+func TestRequestHashPinned(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	s.engine = (&stubEngine{}).fn
+	for _, tc := range []struct{ path, body, hash string }{
+		{"/v1/eval", `{"machine":"gtx580","precision":"double","intensity":4}`, "fc555dea4fbc9888"},
+		{"/v1/eval", `{"machine":"gtx580","precision":"double","intensity":4,"model":"blackbox"}`, "4cbe7579f0f56fcd"},
+		{"/v1/evalbatch", `{"machine":"i7-950","precision":"single","intensities":[0.5,2]}`, "d147d5cc4f93ffd8"},
+		{"/v1/evalbatch", `{"machine":"i7-950","precision":"single","intensities":[0.5,2],"work":[1e9,2e9]}`, "5f73b7f6aa13b031"},
+		{"/v1/campaign", smallCampaign, "d9599612930003e1"},
+	} {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", tc.path, tc.body, w.Code, w.Body.String())
+		}
+		if got := w.Header().Get("X-Request-Hash"); got != tc.hash {
+			t.Errorf("%s %s: X-Request-Hash = %s, want %s", tc.path, tc.body, got, tc.hash)
+		}
 	}
 }
 

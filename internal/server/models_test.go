@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/rescache"
 )
 
 func TestModelsListing(t *testing.T) {
@@ -123,8 +124,8 @@ func TestModelHashDistinct(t *testing.T) {
 		seen[h] = name
 	}
 	// The default key is exactly the historical (pre-model-field) key,
-	// which EvalKey still exposes.
-	if got, want := hashEval(base), EvalKey("gtx580", "double", 1e9, 2); got != want {
+	// which rescache.EvalKey still exposes.
+	if got, want := hashEval(base), rescache.EvalKey("gtx580", "double", 1e9, 2); got != want {
 		t.Errorf("default eval hash %#x != EvalKey %#x", got, want)
 	}
 }

@@ -7,9 +7,10 @@
 // two ways:
 //
 //   - Responses are content-addressable. A canonical request hash
-//     (stats.SplitMix64 folding) keys an in-memory LRU cache with TTL
-//     and size bounds; a cache hit serves the exact bytes a fresh
-//     engine run would produce.
+//     keys an in-memory LRU cache with TTL and size bounds, striped
+//     over 16 locked shards; a cache hit serves the exact bytes a fresh
+//     engine run would produce. The key and the cache are
+//     internal/rescache, the core the fleet simulator shares.
 //   - Concurrent identical requests coalesce. A singleflight group
 //     runs one engine execution per distinct in-flight hash and shares
 //     the bytes with every waiter.
@@ -76,16 +77,11 @@ type Config struct {
 	// concurrent campaign requests (parallel.Workers semantics: < 1
 	// means one worker per CPU).
 	Workers int
-	// CacheEntries bounds the result cache by entry count.
+	// CacheEntries bounds the result cache by entry count. Both bounds
+	// split exactly over the cache's 16 shards.
 	CacheEntries int
 	// CacheBytes bounds the result cache by total body bytes.
 	CacheBytes int64
-	// CacheShards spreads the result cache over this many independently
-	// locked shards (rounded up to a power of two), selected by the low
-	// bits of the canonical request hash. More shards mean less lock
-	// contention on the hit path; the global entry/byte bounds divide
-	// across shards. <= 0 keeps the default.
-	CacheShards int
 	// CacheTTL bounds how long a cached body stays resident. The cache
 	// is never stale — the engine is deterministic — so the TTL only
 	// bounds memory residency. <= 0 keeps the default.
@@ -121,7 +117,6 @@ func DefaultConfig() Config {
 		Workers:        0, // one per CPU
 		CacheEntries:   256,
 		CacheBytes:     64 << 20,
-		CacheShards:    16,
 		CacheTTL:       15 * time.Minute,
 		RequestTimeout: 2 * time.Minute,
 		MaxPoints:      4096,
@@ -140,7 +135,7 @@ type engineFunc func(ctx context.Context, cfg campaign.Config, workers int) (*ca
 type Server struct {
 	cfg     Config
 	budget  *parallel.Budget
-	cache   *ShardedCache
+	cache   *shardedCache
 	flights *flightGroup
 	reg     *metrics.Registry
 	engine  engineFunc
@@ -185,9 +180,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheTTL == 0 {
 		cfg.CacheTTL = def.CacheTTL
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = def.CacheShards
-	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = def.RequestTimeout
 	}
@@ -207,7 +199,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		budget:  parallel.NewBudget(cfg.Workers),
-		cache:   NewShardedCache(cfg.CacheShards, cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL, nil),
+		cache:   newShardedCache(cacheShards, cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL, nil),
 		flights: newFlightGroup(),
 		reg:     metrics.NewRegistry(),
 		engine:  campaign.RunParallel,
@@ -435,8 +427,8 @@ func checkEval(q *evalRequest) error {
 // handleEval implements POST /v1/eval. Eval queries are cheap (pure
 // closed-form model evaluation), so they are cached by canonical hash
 // but not coalesced. The warm path — pooled body read, hand-rolled
-// decode, canonical hash, lock-free cache hit — runs without taking
-// any lock and with near-zero allocations.
+// decode, canonical hash, cache hit under one shard lock — runs with
+// near-zero allocations.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	s.mRequestsEval.Inc()
 	start := time.Now()
@@ -578,7 +570,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // was rendered.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("requests_metrics_total").Inc()
-	cs := s.cache.Snapshot()
+	cs := s.cache.Stats()
 	s.reg.Gauge("cache_entries").Set(int64(s.cache.Len()))
 	s.reg.Gauge("cache_bytes").Set(s.cache.SizeBytes())
 	s.reg.Gauge("cache_evictions").Set(int64(cs.Evictions))

@@ -1,108 +1,128 @@
 package server
 
-import "time"
+import (
+	"sync"
+	"time"
 
-// ShardedCache spreads a ResultCache over a power-of-two number of
-// independently locked shards, selected by the low bits of the
-// canonical request hash. SplitMix64 is a full-avalanche finalizer, so
-// the low bits are uniformly distributed and shard occupancy is
-// balanced without rehashing.
+	"repro/internal/rescache"
+)
+
+// cacheShards is the number of independently locked shards the result
+// cache stripes keys over (power of two). The canonical hash's low bits
+// pick the shard; SplitMix64 is a full-avalanche finalizer, so they are
+// uniform and occupancy balances without rehashing. Flights are striped
+// the same way (flightShards).
+const cacheShards = 16
+
+// cacheShard is one lock-plus-cache stripe of a shardedCache. The pad
+// keeps adjacent shards' mutexes on distinct cache lines.
+type cacheShard struct {
+	mu sync.Mutex
+	c  *rescache.Cache
+	_  [48]byte // pad: no false sharing with the next shard's mutex
+}
+
+// shardedCache is the server's result cache: a rescache.Cache per
+// shard, each behind its own mutex, so hits on distinct keys scale
+// across cores.
 //
-// Semantics relative to one big ResultCache:
+// Semantics relative to one big rescache.Cache:
 //
-//   - Lookup, storage, TTL, and stats are byte-exact per shard — each
-//     shard IS a ResultCache, so a single-shard ShardedCache behaves
-//     identically to the flat cache (the differential tests pin this).
-//   - The global bounds divide across shards (per-shard bound =
-//     global/shards, clamped to at least one entry), so the aggregate
-//     entry and byte accounting stays within the configured bounds.
-//     Eviction order is approximate-global-LRU: each shard evicts its
-//     own least-recently-used entry, which is the standard sharded-LRU
-//     trade — exactness of *which* cold entry dies is traded for
-//     lock-free scaling of the hit path across cores.
+//   - Lookup, storage, TTL, and stats are exact per shard, so a
+//     one-shard shardedCache behaves identically to the bare cache (the
+//     differential tests pin this).
+//   - The global bounds split exactly across shards: each shard gets
+//     bound/n and the first bound%n shards one more, so the shares sum
+//     to the configured bounds. A shard whose entry share is zero
+//     caches nothing. Eviction order is approximate-global-LRU: each
+//     shard evicts its own least-recently-used entry.
 //
-// Len, SizeBytes, and Snapshot sum across shards. All methods are safe
-// for concurrent use.
-type ShardedCache struct {
-	shards []*ResultCache
+// Len, SizeBytes, and Stats sum across shards. All methods are safe for
+// concurrent use.
+type shardedCache struct {
+	shards []cacheShard
 	mask   uint64
 }
 
-// NewShardedCache builds a cache of `shards` ResultCache shards
-// (rounded up to a power of two, minimum 1) that together hold at most
-// maxEntries bodies and maxBytes body bytes. ttl and now behave as in
-// NewResultCache. Global bounds are divided evenly across shards; each
-// shard keeps at least one entry of capacity, so tiny bounds with many
-// shards degrade to per-shard bounds of one rather than zero.
-func NewShardedCache(shards, maxEntries int, maxBytes int64, ttl time.Duration, now func() time.Time) *ShardedCache {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perEntries := maxEntries / n
-	if perEntries < 1 {
-		perEntries = 1
-	}
-	perBytes := maxBytes / int64(n)
-	if perBytes < 1 {
-		perBytes = 1
-	}
-	sc := &ShardedCache{shards: make([]*ResultCache, n), mask: uint64(n - 1)}
+// newShardedCache builds a cache of n shards (a power of two) that
+// together hold at most maxEntries bodies and maxBytes body bytes. ttl
+// and now behave as in rescache.New.
+func newShardedCache(n, maxEntries int, maxBytes int64, ttl time.Duration, now func() time.Time) *shardedCache {
+	sc := &shardedCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
 	for i := range sc.shards {
-		sc.shards[i] = NewResultCache(perEntries, perBytes, ttl, now)
+		entries := share(int64(maxEntries), n, i)
+		sc.shards[i].c = rescache.New(int(entries), share(maxBytes, n, i), ttl, now)
 	}
 	return sc
 }
 
-// shard returns the ResultCache responsible for key.
-func (sc *ShardedCache) shard(key uint64) *ResultCache {
-	return sc.shards[key&sc.mask]
+// share returns shard i's part of bound split over n shards: bound/n,
+// plus one for the first bound%n shards.
+func share(bound int64, n, i int) int64 {
+	s := bound / int64(n)
+	if int64(i) < bound%int64(n) {
+		s++
+	}
+	return s
+}
+
+// shard returns the stripe responsible for key.
+func (sc *shardedCache) shard(key uint64) *cacheShard {
+	return &sc.shards[key&sc.mask]
 }
 
 // Get returns the cached body for key and marks it most recently used
 // within its shard.
-func (sc *ShardedCache) Get(key uint64) ([]byte, bool) {
-	return sc.shard(key).Get(key)
-}
-
-// Peek reports whether key holds a live entry without touching recency
-// or the hit/miss counters.
-func (sc *ShardedCache) Peek(key uint64) bool {
-	return sc.shard(key).Peek(key)
+func (sc *shardedCache) Get(key uint64) ([]byte, bool) {
+	sh := sc.shard(key)
+	sh.mu.Lock()
+	body, ok := sh.c.Get(key)
+	sh.mu.Unlock()
+	return body, ok
 }
 
 // Put stores body under key in its shard, evicting that shard's
-// least-recently-used entries until the per-shard bounds hold.
-func (sc *ShardedCache) Put(key uint64, body []byte) {
-	sc.shard(key).Put(key, body)
+// least-recently-used entries until its bounds hold.
+func (sc *shardedCache) Put(key uint64, body []byte) {
+	sh := sc.shard(key)
+	sh.mu.Lock()
+	sh.c.Put(key, body)
+	sh.mu.Unlock()
 }
 
-// Shards returns the number of shards (always a power of two).
-func (sc *ShardedCache) Shards() int { return len(sc.shards) }
-
-// Len returns the number of live entries summed across shards.
-func (sc *ShardedCache) Len() int {
-	n := 0
-	for _, s := range sc.shards {
-		n += s.Len()
+// each calls fn on every shard's cache under that shard's lock.
+func (sc *shardedCache) each(fn func(c *rescache.Cache)) {
+	for i := range sc.shards {
+		sh := &sc.shards[i]
+		sh.mu.Lock()
+		fn(sh.c)
+		sh.mu.Unlock()
 	}
+}
+
+// Len returns the number of entries summed across shards.
+func (sc *shardedCache) Len() int {
+	n := 0
+	sc.each(func(c *rescache.Cache) { n += c.Len() })
 	return n
 }
 
 // SizeBytes returns the total cached body bytes summed across shards.
-func (sc *ShardedCache) SizeBytes() int64 {
+func (sc *shardedCache) SizeBytes() int64 {
 	var n int64
-	for _, s := range sc.shards {
-		n += s.SizeBytes()
-	}
+	sc.each(func(c *rescache.Cache) { n += c.SizeBytes() })
 	return n
 }
 
-// Snapshot returns the lifetime counters summed across shards.
-func (sc *ShardedCache) Snapshot() CacheStats {
-	var cs CacheStats
-	for _, s := range sc.shards {
-		cs.add(s.Snapshot())
-	}
-	return cs
+// Stats returns the lifetime counters summed across shards.
+func (sc *shardedCache) Stats() rescache.Stats {
+	var t rescache.Stats
+	sc.each(func(c *rescache.Cache) {
+		s := c.Stats()
+		t.Hits += s.Hits
+		t.Misses += s.Misses
+		t.Evictions += s.Evictions
+		t.Expirations += s.Expirations
+	})
+	return t
 }

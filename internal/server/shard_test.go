@@ -8,33 +8,24 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/rescache"
 )
 
-// The sharded cache has one correctness story: a single-shard
-// ShardedCache IS a ResultCache (byte-exact, counter-exact), and a
-// multi-shard one is the same cache partitioned by hash bits with the
-// global bounds divided per shard. These tests pin both halves
-// differentially, then hammer a real Server under -race with exact
-// counter assertions to prove the sharded accounting adds up the way
-// the single-lock cache's did.
+// The sharded cache has one correctness story: a one-shard
+// shardedCache IS a rescache.Cache behind a lock (byte-exact,
+// counter-exact), and a multi-shard one is the same cache partitioned
+// by hash bits with the global bounds split exactly per shard. These
+// tests pin both halves differentially, then hammer a real Server under
+// -race with exact counter assertions to prove the sharded accounting
+// adds up the way the single-lock cache's did.
 
 // shardTestClock is a hand-advanced clock for TTL differential tests.
-type shardTestClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
+type shardTestClock struct{ t time.Time }
 
-func (c *shardTestClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
+func (c *shardTestClock) now() time.Time { return c.t }
 
-func (c *shardTestClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
+func (c *shardTestClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // splitmixNext is a tiny deterministic PRNG for op sequences (the repo
 // convention: no math/rand in differential tests, the sequence is part
@@ -49,18 +40,15 @@ func splitmixNext(s *uint64) uint64 {
 
 // TestShardedCacheSingleShardMatchesFlat drives an identical randomized
 // op sequence — puts, gets, peeks, refreshes, TTL expiry via a shared
-// fake clock — through a one-shard ShardedCache and a flat ResultCache
-// and requires byte-exact results and identical lifetime counters at
-// every step.
+// fake clock — through a one-shard shardedCache and a bare
+// rescache.Cache and requires byte-exact results and identical lifetime
+// counters at every step.
 func TestShardedCacheSingleShardMatchesFlat(t *testing.T) {
 	clk := &shardTestClock{t: time.Unix(1700000000, 0)}
 	const maxEntries, maxBytes = 8, 256
 	ttl := 10 * time.Second
-	flat := NewResultCache(maxEntries, maxBytes, ttl, clk.now)
-	sharded := NewShardedCache(1, maxEntries, maxBytes, ttl, clk.now)
-	if got := sharded.Shards(); got != 1 {
-		t.Fatalf("Shards() = %d, want 1", got)
-	}
+	flat := rescache.New(maxEntries, maxBytes, ttl, clk.now)
+	sharded := newShardedCache(1, maxEntries, maxBytes, ttl, clk.now)
 
 	seed := uint64(42)
 	for step := 0; step < 4000; step++ {
@@ -77,8 +65,8 @@ func TestShardedCacheSingleShardMatchesFlat(t *testing.T) {
 			if fok != sok || string(fb) != string(sb) {
 				t.Fatalf("step %d: Get(%d) = (%q,%v) flat vs (%q,%v) sharded", step, key, fb, fok, sb, sok)
 			}
-		case 3: // Peek
-			if fp, sp := flat.Peek(key), sharded.Peek(key); fp != sp {
+		case 3: // Peek, which only the shard's bare cache offers
+			if fp, sp := flat.Peek(key), sharded.shard(key).c.Peek(key); fp != sp {
 				t.Fatalf("step %d: Peek(%d) = %v flat vs %v sharded", step, key, fp, sp)
 			}
 		case 4: // advance the clock, occasionally past the TTL
@@ -89,25 +77,12 @@ func TestShardedCacheSingleShardMatchesFlat(t *testing.T) {
 			t.Fatalf("step %d: len/bytes diverge: flat (%d,%d) vs sharded (%d,%d)",
 				step, flat.Len(), flat.SizeBytes(), sharded.Len(), sharded.SizeBytes())
 		}
-		if fs, ss := flat.Snapshot(), sharded.Snapshot(); fs != ss {
+		if fs, ss := flat.Stats(), sharded.Stats(); fs != ss {
 			t.Fatalf("step %d: stats diverge: flat %+v vs sharded %+v", step, fs, ss)
 		}
 	}
-	if s := flat.Snapshot(); s.Hits == 0 || s.Misses == 0 || s.Evictions == 0 || s.Expirations == 0 {
+	if s := flat.Stats(); s.Hits == 0 || s.Misses == 0 || s.Evictions == 0 || s.Expirations == 0 {
 		t.Fatalf("op sequence failed to exercise all counters: %+v", s)
-	}
-}
-
-// TestShardedCacheShardRounding pins the shard-count normalization:
-// powers of two pass through, everything else rounds up, and degenerate
-// requests get one shard.
-func TestShardedCacheShardRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
-	} {
-		if got := NewShardedCache(tc.in, 64, 1<<20, 0, nil).Shards(); got != tc.want {
-			t.Errorf("NewShardedCache(%d).Shards() = %d, want %d", tc.in, got, tc.want)
-		}
 	}
 }
 
@@ -117,7 +92,7 @@ func TestShardedCacheShardRounding(t *testing.T) {
 // belongs to a retrievable entry, and evictions are counted.
 func TestShardedCacheAggregateBounds(t *testing.T) {
 	const shards, maxEntries, maxBytes = 8, 64, int64(4096)
-	sc := NewShardedCache(shards, maxEntries, maxBytes, 0, nil)
+	sc := newShardedCache(shards, maxEntries, maxBytes, 0, nil)
 	body := make([]byte, 32)
 	var keys []uint64
 	seed := uint64(7)
@@ -134,7 +109,7 @@ func TestShardedCacheAggregateBounds(t *testing.T) {
 	}
 	live := 0
 	for _, key := range keys {
-		if sc.Peek(key) {
+		if sc.shard(key).c.Peek(key) {
 			live++
 		}
 	}
@@ -144,8 +119,57 @@ func TestShardedCacheAggregateBounds(t *testing.T) {
 	if got, want := sc.SizeBytes(), int64(live*len(body)); got != want {
 		t.Fatalf("SizeBytes() = %d, want %d (%d live entries × %d bytes)", got, want, live, len(body))
 	}
-	if s := sc.Snapshot(); s.Evictions != uint64(len(keys)-live) {
+	if s := sc.Stats(); s.Evictions != uint64(len(keys)-live) {
 		t.Fatalf("evictions = %d, want %d (stored %d keys, %d live)", s.Evictions, len(keys)-live, len(keys), live)
+	}
+}
+
+// TestShardedCacheExactBounds pins that the global bounds split
+// exactly over the shards: bounds smaller than the shard count still
+// hold, rather than rounding every shard's share up to one.
+func TestShardedCacheExactBounds(t *testing.T) {
+	s := New(Config{CacheEntries: 4})
+	t.Cleanup(s.Close)
+	for i := 0; i < 1000; i++ {
+		serveOK(t, s.Handler(), "/v1/eval",
+			fmt.Sprintf(`{"machine":"gtx580","precision":"double","intensity":%d.5}`, i+1))
+	}
+	if n := s.cache.Len(); n == 0 || n > 4 {
+		t.Errorf("-cache-entries 4 holds %d entries after 1000 distinct misses, want 1..4", n)
+	}
+
+	sc := newShardedCache(cacheShards, 1<<20, 8, 0, nil)
+	seed := uint64(3)
+	for i := 0; i < 1000; i++ {
+		sc.Put(splitmixNext(&seed), []byte{1})
+	}
+	if b := sc.SizeBytes(); b == 0 || b > 8 {
+		t.Errorf("an 8-byte bound holds %d bytes after 1000 one-byte puts, want 1..8", b)
+	}
+}
+
+// TestCacheConcurrentAccess exercises the sharded cache under the race
+// detector: the bare rescache.Cache is not safe for concurrent use, so
+// every access goes through a shard lock.
+func TestCacheConcurrentAccess(t *testing.T) {
+	c := newShardedCache(cacheShards, 16, 1<<20, time.Hour, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := uint64(i % 32)
+				c.Put(k, []byte{byte(k)})
+				if body, ok := c.Get(k); ok && body[0] != byte(k) {
+					t.Errorf("corrupt body for key %d", k)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if c.Len() > 16 {
+		t.Errorf("entry bound violated: %d", c.Len())
 	}
 }
 
@@ -178,13 +202,14 @@ func serveOK(tb testing.TB, h http.Handler, path, body string) string {
 }
 
 // TestShardedServerMatchesSingleLockServer runs identical deterministic
-// traffic against a 1-shard server (the pre-PR-10 single-lock
-// configuration) and a 16-shard server, and requires byte-identical
-// response bodies and identical end-state counters. Sharding must be
-// invisible to everything but lock contention.
+// traffic against a server whose cache is swapped for one shard (a
+// single-lock cache) and a default 16-shard server, and requires
+// byte-identical response bodies and identical end-state counters.
+// Sharding must be invisible to everything but lock contention.
 func TestShardedServerMatchesSingleLockServer(t *testing.T) {
-	single := New(Config{CacheShards: 1})
-	sharded := New(Config{CacheShards: 16})
+	single := New(Config{})
+	single.cache = newShardedCache(1, single.cfg.CacheEntries, single.cfg.CacheBytes, single.cfg.CacheTTL, nil)
+	sharded := New(Config{})
 	t.Cleanup(single.Close)
 	t.Cleanup(sharded.Close)
 	single.engine = (&stubEngine{}).fn
@@ -211,7 +236,7 @@ func TestShardedServerMatchesSingleLockServer(t *testing.T) {
 			}
 		}
 	}
-	if s1, s16 := single.cache.Snapshot(), sharded.cache.Snapshot(); s1 != s16 {
+	if s1, s16 := single.cache.Stats(), sharded.cache.Stats(); s1 != s16 {
 		t.Fatalf("cache stats diverge: single %+v vs sharded %+v", s1, s16)
 	}
 	if l1, l16 := single.cache.Len(), sharded.cache.Len(); l1 != l16 {
@@ -237,10 +262,10 @@ func TestShardedServerMatchesSingleLockServer(t *testing.T) {
 //	hits + misses          == successful requests      (one Get each)
 //	misses                 == eval computes + batch computes
 //	                          + engine runs + coalesced flights
-//	cache.Snapshot()       == the handler-side hit/miss counters
+//	cache.Stats()          == the handler-side hit/miss counters
 //	entries                == distinct request keys; no evictions
 func TestShardedServerContentionExactCounters(t *testing.T) {
-	s := New(Config{CacheShards: 16})
+	s := New(Config{})
 	t.Cleanup(s.Close)
 	s.engine = (&stubEngine{}).fn
 
@@ -286,7 +311,7 @@ func TestShardedServerContentionExactCounters(t *testing.T) {
 	if misses != computes {
 		t.Fatalf("misses %d != computes+coalesced %d: a miss vanished or a compute ran without a miss", misses, computes)
 	}
-	cs := s.cache.Snapshot()
+	cs := s.cache.Stats()
 	if cs.Hits != hits || cs.Misses != misses {
 		t.Fatalf("cache-internal counters %+v disagree with handler counters (hits %d, misses %d)", cs, hits, misses)
 	}
