@@ -173,22 +173,6 @@ func resolveSpec(i int, spec ReplicaSpec) (core.Params, model.EnergyModel, error
 	}
 }
 
-// newReplica builds replica i of the fleet.
-func newReplica(i int, spec ReplicaSpec) (*replica, error) {
-	params, em, err := resolveSpec(i, spec)
-	if err != nil {
-		return nil, err
-	}
-	return &replica{
-		id:      i,
-		spec:    spec,
-		params:  params,
-		model:   em,
-		cache:   rescache.New(spec.CacheEntries, spec.CacheBytes, 0, nil),
-		flights: map[uint64]*simFlight{},
-	}, nil
-}
-
 // key returns the production cache/coalescing key this replica computes
 // for req — the same hash the live server's POST /v1/eval handler uses.
 // The event loop reads the same key from the replica's price table.
@@ -276,15 +260,18 @@ func (s *sim) push(time float64, kind uint64, arg int32) {
 // one policy and returns that cell's report. Single-threaded by
 // construction: every data structure here is confined to this call,
 // apart from the price tables, which are only read.
-func runPolicy(sc *Scenario, tr *workload.Trace, kernels []int32, prices [][]kernelPrice, policy Policy, opts Options, policyIdx int) (PolicyReport, error) {
+func runPolicy(sc *Scenario, tr *workload.Trace, kernels []int32, prices []*specPrices, policy Policy, opts Options, policyIdx int) (PolicyReport, error) {
 	reps := make([]*replica, len(sc.Replicas))
 	for i, spec := range sc.Replicas {
-		r, err := newReplica(i, spec)
-		if err != nil {
-			return PolicyReport{}, err
+		reps[i] = &replica{
+			id:      i,
+			spec:    spec,
+			params:  prices[i].params,
+			model:   prices[i].model,
+			prices:  prices[i].table,
+			cache:   rescache.New(spec.CacheEntries, spec.CacheBytes, 0, nil),
+			flights: map[uint64]*simFlight{},
 		}
-		r.prices = prices[i]
-		reps[i] = r
 	}
 	s := &sim{
 		fleet:    &Fleet{reps: reps, hitLatency: sc.HitLatency},
@@ -470,10 +457,11 @@ func (s *sim) finish(p pending, done float64) {
 
 // RunScenario generates (or replays) the scenario's workload and drives
 // it through a fresh fleet under every listed policy. The trace's
-// kernels are indexed and priced once per distinct replica spec, and
-// every cell reads those tables. Policy cells run in parallel up to
-// opts.Workers; each cell is single-threaded and owns its fleet, so the
-// report bytes are independent of the worker count.
+// kernels are indexed once, and each distinct replica spec is resolved
+// and priced once; every cell builds its replicas from those. Policy
+// cells run in parallel up to opts.Workers; each cell is
+// single-threaded and owns its fleet, so the report bytes are
+// independent of the worker count.
 func RunScenario(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err

@@ -227,11 +227,13 @@ func TestTracerReceivesVirtualSpans(t *testing.T) {
 }
 
 // TestFleetAllocsPerRequest pins the event loop's allocation budget at
-// 0.5 allocations per simulated request, on one smoke scenario run (an
+// 0.05 allocations per simulated request, on one smoke scenario run (an
 // open loop) and one closed-loop smoke variant, counting everything a
 // RunScenario call allocates: workload generation, kernel indexing,
-// price tables, per-cell fleets and reports. The steady state should
-// allocate only in the production cache's Put, once per engine run.
+// price tables, per-cell fleets and reports. The steady state allocates
+// nothing per request: the replica caches reuse their slab slots and
+// finished flights are pooled, so what is left is set-up and the growth
+// of per-cell slices and maps (measured 0.013 open, 0.019 closed).
 func TestFleetAllocsPerRequest(t *testing.T) {
 	closed := smokeScenario(t, 0)
 	closed.Workload.Kind = workload.Closed
@@ -253,8 +255,8 @@ func TestFleetAllocsPerRequest(t *testing.T) {
 		perReq := float64(after.Mallocs-before.Mallocs) / float64(simulated)
 		t.Logf("%s: %d allocations for %d simulated requests (%.3f per request)",
 			sc.Workload.Kind, after.Mallocs-before.Mallocs, simulated, perReq)
-		if perReq > 0.5 {
-			t.Errorf("%s: %.3f allocations per simulated request, budget 0.5", sc.Workload.Kind, perReq)
+		if perReq > 0.05 {
+			t.Errorf("%s: %.3f allocations per simulated request, budget 0.05", sc.Workload.Kind, perReq)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/rescache"
 	"repro/internal/workload"
 )
@@ -57,15 +58,24 @@ type kernelPrice struct {
 	estT, estE float64
 }
 
-// priceReplicas returns each replica's price table over the indexed
-// kernels. Replicas with equal specs share one read-only table, which
-// every policy cell reads concurrently.
-func priceReplicas(specs []ReplicaSpec, ix kernelIndex) ([][]kernelPrice, error) {
-	bySpec := make(map[ReplicaSpec][]kernelPrice)
-	tables := make([][]kernelPrice, len(specs))
+// specPrices is what RunScenario resolves once per distinct replica
+// spec: the parameters the replica serves at, the EnergyModel its
+// router prices misses with, and its price table.
+type specPrices struct {
+	params core.Params
+	model  model.EnergyModel
+	table  []kernelPrice
+}
+
+// priceReplicas resolves each replica's spec and prices it over the
+// indexed kernels. Replicas with equal specs share one read-only
+// specPrices, which every policy cell reads concurrently.
+func priceReplicas(specs []ReplicaSpec, ix kernelIndex) ([]*specPrices, error) {
+	bySpec := make(map[ReplicaSpec]*specPrices)
+	out := make([]*specPrices, len(specs))
 	for i, spec := range specs {
-		if t, ok := bySpec[spec]; ok {
-			tables[i] = t
+		if sp, ok := bySpec[spec]; ok {
+			out[i] = sp
 			continue
 		}
 		params, em, err := resolveSpec(i, spec)
@@ -84,8 +94,9 @@ func priceReplicas(specs []ReplicaSpec, ix kernelIndex) ([][]kernelPrice, error)
 				estE:   em.CappedEnergy(kern),
 			}
 		}
-		bySpec[spec] = t
-		tables[i] = t
+		sp := &specPrices{params: params, model: em, table: t}
+		bySpec[spec] = sp
+		out[i] = sp
 	}
-	return tables, nil
+	return out, nil
 }

@@ -119,12 +119,13 @@ func TestPriceTablesMatchScalarOracle(t *testing.T) {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
 		for r, spec := range sc.Replicas {
-			rep, err := newReplica(r, spec)
+			params, em, err := resolveSpec(r, spec)
 			if err != nil {
 				t.Fatalf("%s: %v", sc.Name, err)
 			}
+			rep := &replica{spec: spec, params: params, model: em}
 			for i, req := range tr.Requests {
-				p := prices[r][ix.ids[i]]
+				p := prices[r].table[ix.ids[i]]
 				k := core.KernelAt(req.Work, req.Intensity)
 				if p.key != rep.key(req) ||
 					!bitsEqual(p.svc, rep.params.CappedTime(k)) || !bitsEqual(p.joules, rep.params.CappedEnergy(k)) ||

@@ -36,7 +36,7 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("cluster: scenario %q has no replicas", sc.Name)
 	}
 	for i, spec := range sc.Replicas {
-		if _, err := newReplica(i, spec); err != nil {
+		if _, _, err := resolveSpec(i, spec); err != nil {
 			return err
 		}
 	}

@@ -12,12 +12,13 @@
 //
 // The package is a leaf: it takes no lock and imports nothing of the
 // HTTP layer. The server stripes Caches behind one mutex per shard; a
-// simulated replica uses one bare. (internal/cache is a different
-// thing: the paper's set-associative cache simulator.)
+// simulated replica uses one bare. The LRU is a slab of entries linked
+// by slot index, so a warm cache allocates nothing per operation.
+// (internal/cache is a different thing: the paper's set-associative
+// cache simulator.)
 package rescache
 
 import (
-	"container/list"
 	"math"
 	"time"
 
@@ -74,6 +75,13 @@ func EvalKey(machineKey, precision string, work, intensity float64) uint64 {
 // with an optional TTL. Determinism makes the TTL a residency bound,
 // never a staleness bound.
 //
+// The entries live in one slab, a []entry whose int32 prev/next links
+// keep the recency order. Slot 0 is the sentinel: its next is the most
+// recently used entry and its prev the least. Freed slots are chained
+// through next and reused, and the index maps a key to its slot, so it
+// holds no pointers. Once the slab has grown to its bound (maxEntries+2
+// slots), Get, Peek and Put allocate nothing.
+//
 // A Cache is not safe for concurrent use; callers that share one hold
 // their own lock.
 type Cache struct {
@@ -81,8 +89,9 @@ type Cache struct {
 	maxBytes   int64
 	ttl        time.Duration
 	now        func() time.Time
-	ll         *list.List // front = most recently used
-	index      map[uint64]*list.Element
+	slots      []entry          // slots[0] is the sentinel
+	free       int32            // first free slot, chained through next; 0 when none
+	index      map[uint64]int32 // key → slot
 	bytes      int64
 	stats      Stats
 }
@@ -99,11 +108,12 @@ type Stats struct {
 	Expirations uint64
 }
 
-// entry is one cached response body.
+// entry is one slab slot: a cached response body and its recency links.
 type entry struct {
-	key     uint64
-	body    []byte
-	expires time.Time // zero when the cache has no TTL
+	key        uint64
+	body       []byte
+	expires    time.Time // zero when the cache has no TTL
+	prev, next int32     // slot indices; slot 0 is the sentinel
 }
 
 // New builds a cache holding at most maxEntries bodies and maxBytes
@@ -119,32 +129,32 @@ func New(maxEntries int, maxBytes int64, ttl time.Duration, now func() time.Time
 		maxBytes:   maxBytes,
 		ttl:        ttl,
 		now:        now,
-		ll:         list.New(),
-		index:      map[uint64]*list.Element{},
+		slots:      make([]entry, 1),
+		index:      map[uint64]int32{},
 	}
 }
 
 // live reports whether e has not expired.
 func (c *Cache) live(e *entry) bool {
-	return e.expires.IsZero() || !c.now().After(e.expires)
+	return c.ttl <= 0 || !c.now().After(e.expires)
 }
 
 // Get returns the cached body for key and marks it most recently used.
 // Expired entries are removed and reported as misses.
 func (c *Cache) Get(key uint64) ([]byte, bool) {
-	el, ok := c.index[key]
+	i, ok := c.index[key]
 	if !ok {
 		c.stats.Misses++
 		return nil, false
 	}
-	e := el.Value.(*entry)
+	e := &c.slots[i]
 	if !c.live(e) {
-		c.remove(el)
+		c.remove(i)
 		c.stats.Expirations++
 		c.stats.Misses++
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
+	c.touch(i)
 	c.stats.Hits++
 	return e.body, true
 }
@@ -153,8 +163,8 @@ func (c *Cache) Get(key uint64) ([]byte, bool) {
 // order or the counters — the read a router uses to ask "would this
 // replica hit?" before committing a request.
 func (c *Cache) Peek(key uint64) bool {
-	el, ok := c.index[key]
-	return ok && c.live(el.Value.(*entry))
+	i, ok := c.index[key]
+	return ok && c.live(&c.slots[i])
 }
 
 // Put stores body under key, evicting least-recently-used entries until
@@ -163,20 +173,29 @@ func (c *Cache) Put(key uint64, body []byte) {
 	if c.maxEntries <= 0 || int64(len(body)) > c.maxBytes {
 		return
 	}
-	if el, ok := c.index[key]; ok {
+	if i, ok := c.index[key]; ok {
 		// Same key means same body: refresh recency and expiry rather
 		// than storing a duplicate.
-		e := el.Value.(*entry)
+		e := &c.slots[i]
 		c.bytes += int64(len(body)) - int64(len(e.body))
 		e.body, e.expires = body, c.expiry()
-		c.ll.MoveToFront(el)
+		c.touch(i)
 		return
 	}
-	c.index[key] = c.ll.PushFront(&entry{key: key, body: body, expires: c.expiry()})
+	i := c.free
+	if i != 0 {
+		c.free = c.slots[i].next
+	} else {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, entry{})
+	}
+	c.slots[i] = entry{key: key, body: body, expires: c.expiry()}
+	c.pushFront(i)
+	c.index[key] = i
 	c.bytes += int64(len(body))
 	// The new entry fits both bounds alone, so eviction stops before it.
-	for c.ll.Len() > c.maxEntries || c.bytes > c.maxBytes {
-		c.remove(c.ll.Back())
+	for len(c.index) > c.maxEntries || c.bytes > c.maxBytes {
+		c.remove(c.slots[0].prev)
 		c.stats.Evictions++
 	}
 }
@@ -189,16 +208,42 @@ func (c *Cache) expiry() time.Time {
 	return c.now().Add(c.ttl)
 }
 
-// remove unlinks one entry.
-func (c *Cache) remove(el *list.Element) {
-	e := el.Value.(*entry)
-	c.ll.Remove(el)
+// pushFront links slot i in as the most recently used entry.
+func (c *Cache) pushFront(i int32) {
+	head := &c.slots[0]
+	c.slots[i].prev, c.slots[i].next = 0, head.next
+	c.slots[head.next].prev = i
+	head.next = i
+}
+
+// unlink takes slot i out of the recency order.
+func (c *Cache) unlink(i int32) {
+	e := &c.slots[i]
+	c.slots[e.prev].next = e.next
+	c.slots[e.next].prev = e.prev
+}
+
+// touch makes slot i the most recently used entry.
+func (c *Cache) touch(i int32) {
+	if c.slots[0].next != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
+// remove drops the entry in slot i and frees the slot. Zeroing it lets
+// the collector take the body.
+func (c *Cache) remove(i int32) {
+	c.unlink(i)
+	e := &c.slots[i]
 	delete(c.index, e.key)
 	c.bytes -= int64(len(e.body))
+	*e = entry{next: c.free}
+	c.free = i
 }
 
 // Len returns the number of entries.
-func (c *Cache) Len() int { return c.ll.Len() }
+func (c *Cache) Len() int { return len(c.index) }
 
 // SizeBytes returns the total cached body bytes.
 func (c *Cache) SizeBytes() int64 { return c.bytes }

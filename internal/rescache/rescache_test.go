@@ -1,8 +1,12 @@
 package rescache
 
 import (
+	"bytes"
+	"container/list"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // fakeClock is an injectable, manually advanced time source.
@@ -170,3 +174,309 @@ func TestCachePeek(t *testing.T) {
 		t.Error("Peek hit an expired entry")
 	}
 }
+
+// checkSlab verifies the slab's bookkeeping: the recency list runs
+// through exactly the indexed slots with consistent back links, the
+// free chain holds every other slot but the sentinel, each of them
+// zeroed, and the slab has not outgrown maxEntries+2 slots. A slot
+// that leaks fails the count.
+func checkSlab(t *testing.T, c *Cache) {
+	t.Helper()
+	live, last := 0, int32(0)
+	for i := c.slots[0].next; i != 0; last, i = i, c.slots[i].next {
+		if live++; live > len(c.index) {
+			t.Fatalf("recency list longer than the index's %d entries", len(c.index))
+		}
+		if e := c.slots[i]; e.prev != last {
+			t.Fatalf("slot %d: prev %d, want %d", i, e.prev, last)
+		} else if j, ok := c.index[e.key]; !ok || j != i {
+			t.Fatalf("slot %d holds key %#x, which the index maps to %d (present %v)", i, e.key, j, ok)
+		}
+	}
+	if c.slots[0].prev != last {
+		t.Fatalf("sentinel prev %d, want the last slot %d", c.slots[0].prev, last)
+	}
+	free := 0
+	for i := c.free; i != 0; i = c.slots[i].next {
+		if free++; free > len(c.slots) {
+			t.Fatal("free chain cycles")
+		}
+		if e := c.slots[i]; e.body != nil || e.key != 0 || e.prev != 0 {
+			t.Fatalf("free slot %d not zeroed: %+v", i, e)
+		}
+	}
+	if live != len(c.index) || 1+live+free != len(c.slots) {
+		t.Fatalf("%d slots: %d linked + %d free + the sentinel, with %d indexed", len(c.slots), live, free, len(c.index))
+	}
+	if len(c.slots) > c.maxEntries+2 {
+		t.Fatalf("%d slots for a %d-entry bound", len(c.slots), c.maxEntries)
+	}
+}
+
+// TestCacheMatchesListOracle drives the slab Cache and the
+// container/list oracle through the same random operation sequences:
+// Put with bodies from empty to longer than the byte bound, over a key
+// universe small enough that refreshes and evictions are common; Get;
+// Peek; and clock advances past the TTL. Bounds include zero- and
+// one-entry caches and byte bounds of a few bytes, and half the trials
+// have a TTL. After every operation the return values, Len, SizeBytes
+// and every Stats counter must agree, and the slab must account for
+// every slot. 200 seeded trials.
+func TestCacheMatchesListOracle(t *testing.T) {
+	pool := make([]byte, 1024)
+	for i := range pool {
+		pool[i] = byte(i*7 + i>>8)
+	}
+	entryBounds := []int{0, 1, 2, 3, 8, 64}
+	byteBounds := []int64{0, 1, 5, 16, 100, 1 << 20}
+	for trial := 0; trial < 200; trial++ {
+		r := stats.DeriveRand(int64(trial), stats.HashLabel("rescache-oracle"))
+		maxEntries := entryBounds[r.Intn(len(entryBounds))]
+		maxBytes := byteBounds[r.Intn(len(byteBounds))]
+		var ttl time.Duration
+		if r.Intn(2) == 0 {
+			ttl = time.Duration(1+r.Intn(10)) * time.Second
+		}
+		clk := &fakeClock{t: time.Unix(1000, 0)}
+		c := New(maxEntries, maxBytes, ttl, clk.now)
+		ref := newListCache(maxEntries, maxBytes, ttl, clk.now)
+		keys := 1 + r.Intn(2*maxEntries+4)
+		maxLen := int(min(maxBytes, 200)) + 3
+		for op := 0; op < 2000; op++ {
+			key := uint64(r.Intn(keys))
+			switch n := r.Intn(10); {
+			case n < 4:
+				off := r.Intn(len(pool) - maxLen)
+				body := pool[off : off+r.Intn(maxLen+1)]
+				c.Put(key, body)
+				ref.Put(key, body)
+			case n < 7:
+				got, ok := c.Get(key)
+				want, wantOK := ref.Get(key)
+				if ok != wantOK || !bytes.Equal(got, want) {
+					t.Fatalf("trial %d op %d: Get(%d) = %q, %v; oracle %q, %v", trial, op, key, got, ok, want, wantOK)
+				}
+			case n < 9:
+				if got, want := c.Peek(key), ref.Peek(key); got != want {
+					t.Fatalf("trial %d op %d: Peek(%d) = %v; oracle %v", trial, op, key, got, want)
+				}
+			default:
+				clk.advance(time.Duration(r.Int63n(int64(3 * time.Second))))
+			}
+			if c.Len() != ref.Len() || c.SizeBytes() != ref.SizeBytes() || c.Stats() != ref.Stats() {
+				t.Fatalf("trial %d op %d: len %d, bytes %d, %+v; oracle len %d, bytes %d, %+v",
+					trial, op, c.Len(), c.SizeBytes(), c.Stats(), ref.Len(), ref.SizeBytes(), ref.Stats())
+			}
+			checkSlab(t, c)
+		}
+	}
+}
+
+// TestCacheWarmAllocatesNothing pins what the slab is for: on a full
+// cache, a Put that evicts, a Get hit that relinks its entry and a Peek
+// each allocate nothing, with and without a TTL. Afterwards the cache
+// must hold exactly the newest keys, so every Put evicted the least
+// recently used one, and the slab must not have grown.
+func TestCacheWarmAllocatesNothing(t *testing.T) {
+	const n = 64
+	body := make([]byte, 256)
+	for _, ttl := range []time.Duration{0, time.Hour} {
+		c := New(n, 1<<20, ttl, nil)
+		next := uint64(0)
+		put := func() { c.Put(next, body); next++ }
+		for next < n {
+			put()
+		}
+		if a := testing.AllocsPerRun(1000, put); a != 0 {
+			t.Errorf("ttl %v: Put with eviction allocates %v per call", ttl, a)
+		}
+		for k := next - n; k < next; k++ {
+			if !c.Peek(k) {
+				t.Fatalf("ttl %v: key %d of the newest %d was evicted", ttl, k, n)
+			}
+		}
+		// Get the least recently used entry each time, so every hit
+		// relinks.
+		g := uint64(0)
+		get := func() {
+			if _, ok := c.Get(next - n + g%n); !ok {
+				t.Fatalf("ttl %v: Get(%d) missed", ttl, next-n+g%n)
+			}
+			g++
+		}
+		if a := testing.AllocsPerRun(1000, get); a != 0 {
+			t.Errorf("ttl %v: Get hit allocates %v per call", ttl, a)
+		}
+		if a := testing.AllocsPerRun(1000, func() { c.Peek(next - 1) }); a != 0 {
+			t.Errorf("ttl %v: Peek allocates %v per call", ttl, a)
+		}
+		if c.Len() != n || c.Stats().Evictions != next-n {
+			t.Errorf("ttl %v: %d entries and %d evictions after %d Puts, want %d and %d",
+				ttl, c.Len(), c.Stats().Evictions, next, n, next-n)
+		}
+		checkSlab(t, c)
+	}
+}
+
+// BenchmarkCacheZipf prices one cache-aside step, a Get and on a miss
+// a Put that evicts, under Zipf(1.1) keys at the two sizes the cache
+// runs at: a rooflined shard (16 of the default 256 entries, over
+// eval_zipf's 500 keys split 16 ways) and a simulated replica (4096
+// entries over cluster_1m's 50k keys).
+func BenchmarkCacheZipf(b *testing.B) {
+	for _, size := range []struct {
+		name          string
+		entries, keys int
+	}{{"shard16", 16, 500 / 16}, {"replica4096", 4096, 50000}} {
+		b.Run(size.name, func(b *testing.B) {
+			z, err := stats.NewZipf(size.keys, 1.1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := stats.NewRand(1)
+			keys := make([]uint64, 1<<16)
+			for i := range keys {
+				keys[i] = stats.SplitMix64(uint64(z.Sample(r)))
+			}
+			c := New(size.entries, 1<<30, 0, nil)
+			body := make([]byte, 256)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := keys[i&(len(keys)-1)]
+				if _, ok := c.Get(k); !ok {
+					c.Put(k, body)
+				}
+			}
+		})
+	}
+}
+
+// listCache is the container/list LRU that the slab Cache replaced,
+// kept as the oracle TestCacheMatchesListOracle holds Cache to. Apart
+// from its names and this paragraph it is the replaced code verbatim.
+//
+// listCache is the content-addressed LRU result cache: bodies keyed by
+// canonical request hash, bounded by entry count and total body bytes,
+// with an optional TTL. Determinism makes the TTL a residency bound,
+// never a staleness bound.
+//
+// A listCache is not safe for concurrent use; callers that share one hold
+// their own lock.
+type listCache struct {
+	maxEntries int
+	maxBytes   int64
+	ttl        time.Duration
+	now        func() time.Time
+	ll         *list.List // front = most recently used
+	index      map[uint64]*list.Element
+	bytes      int64
+	stats      Stats
+}
+
+// listEntry is one cached response body.
+type listEntry struct {
+	key     uint64
+	body    []byte
+	expires time.Time // zero when the cache has no TTL
+}
+
+// newListCache builds a cache holding at most maxEntries bodies and maxBytes
+// total body bytes; entries older than ttl are dropped on access
+// (ttl <= 0 disables expiry, and then now is never read). now is
+// injectable for tests; nil means time.Now.
+func newListCache(maxEntries int, maxBytes int64, ttl time.Duration, now func() time.Time) *listCache {
+	if now == nil {
+		now = time.Now
+	}
+	return &listCache{
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
+		ttl:        ttl,
+		now:        now,
+		ll:         list.New(),
+		index:      map[uint64]*list.Element{},
+	}
+}
+
+// live reports whether e has not expired.
+func (c *listCache) live(e *listEntry) bool {
+	return e.expires.IsZero() || !c.now().After(e.expires)
+}
+
+// Get returns the cached body for key and marks it most recently used.
+// Expired entries are removed and reported as misses.
+func (c *listCache) Get(key uint64) ([]byte, bool) {
+	el, ok := c.index[key]
+	if !ok {
+		c.stats.Misses++
+		return nil, false
+	}
+	e := el.Value.(*listEntry)
+	if !c.live(e) {
+		c.remove(el)
+		c.stats.Expirations++
+		c.stats.Misses++
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.stats.Hits++
+	return e.body, true
+}
+
+// Peek reports whether key holds a live listEntry without touching recency
+// order or the counters — the read a router uses to ask "would this
+// replica hit?" before committing a request.
+func (c *listCache) Peek(key uint64) bool {
+	el, ok := c.index[key]
+	return ok && c.live(el.Value.(*listEntry))
+}
+
+// Put stores body under key, evicting least-recently-used entries until
+// both bounds hold. A body larger than the byte bound is not cached.
+func (c *listCache) Put(key uint64, body []byte) {
+	if c.maxEntries <= 0 || int64(len(body)) > c.maxBytes {
+		return
+	}
+	if el, ok := c.index[key]; ok {
+		// Same key means same body: refresh recency and expiry rather
+		// than storing a duplicate.
+		e := el.Value.(*listEntry)
+		c.bytes += int64(len(body)) - int64(len(e.body))
+		e.body, e.expires = body, c.expiry()
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.index[key] = c.ll.PushFront(&listEntry{key: key, body: body, expires: c.expiry()})
+	c.bytes += int64(len(body))
+	// The new listEntry fits both bounds alone, so eviction stops before it.
+	for c.ll.Len() > c.maxEntries || c.bytes > c.maxBytes {
+		c.remove(c.ll.Back())
+		c.stats.Evictions++
+	}
+}
+
+// expiry returns the deadline for an listEntry stored now.
+func (c *listCache) expiry() time.Time {
+	if c.ttl <= 0 {
+		return time.Time{}
+	}
+	return c.now().Add(c.ttl)
+}
+
+// remove unlinks one listEntry.
+func (c *listCache) remove(el *list.Element) {
+	e := el.Value.(*listEntry)
+	c.ll.Remove(el)
+	delete(c.index, e.key)
+	c.bytes -= int64(len(e.body))
+}
+
+// Len returns the number of entries.
+func (c *listCache) Len() int { return c.ll.Len() }
+
+// SizeBytes returns the total cached body bytes.
+func (c *listCache) SizeBytes() int64 { return c.bytes }
+
+// Stats returns the lifetime counters.
+func (c *listCache) Stats() Stats { return c.stats }

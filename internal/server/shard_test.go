@@ -342,8 +342,9 @@ func TestWarmEvalAllocations(t *testing.T) {
 // TestBatch32ColdAllocations pins the allocation ceiling of a cold
 // batch_cold-shaped /v1/evalbatch request (BenchmarkServerEvalBatch32Cold):
 // evaluation columns, the float memo and the body scratch come from the
-// pooled batchScratch, so a miss allocates little beyond the cached body
-// and the cache and flight bookkeeping.
+// pooled batchScratch and the cache's slab reuses its slots, so a miss
+// allocates little beyond the cached body and the flight bookkeeping
+// (measured 6; the pin leaves 2 of headroom).
 func TestBatch32ColdAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool intentionally drops entries under the race detector")
@@ -357,7 +358,7 @@ func TestBatch32ColdAllocations(t *testing.T) {
 		i++
 		p.post(t)
 	})
-	if allocs > 10 {
-		t.Fatalf("cold 32-point /v1/evalbatch allocates %.1f per request, want ≤ 10", allocs)
+	if allocs > 8 {
+		t.Fatalf("cold 32-point /v1/evalbatch allocates %.1f per request, want ≤ 8", allocs)
 	}
 }
