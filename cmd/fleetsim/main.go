@@ -17,15 +17,9 @@
 //	go run ./cmd/fleetsim -json report.json        # machine-readable report ("-" for stdout)
 //	go run ./cmd/fleetsim -trace fleet.json        # Chrome trace_event spans (virtual time)
 //	go run ./cmd/fleetsim -replay trace.json       # replay a recorded workload trace
-//	go run ./cmd/fleetsim -bench -check            # regression gate against BENCH_cluster.json
 //
-// Bench mode times one full run per scenario and records it in
-// BENCH_cluster.json, the schema every BENCH file shares
-// (internal/benchfile): a fixed baseline plus one appended entry per PR
-// that touches the fleet path. -update appends; -check enforces
-// -max-slowdown in CI against the newest entry that records each
-// scenario. -update refuses -requests, -replicas and -pin-max-freq,
-// which would record a different run under the catalog name.
+// The simulator's own speed is BenchmarkFleet in internal/cluster,
+// gated against BENCH_cluster.json by cmd/benchgate.
 package main
 
 import (
@@ -34,11 +28,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
-	"repro/internal/benchfile"
 	"repro/internal/cluster"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -53,14 +44,6 @@ func main() {
 	requests := flag.Int("requests", 0, "override every scenario's request count (0 = scenario default)")
 	replicas := flag.Int("replicas", 0, "override every scenario's replica count by truncating/tiling its fleet (0 = scenario default)")
 	pinMaxFreq := flag.Bool("pin-max-freq", false, "clear every replica's DVFS operating point (run the same fleet at base clock)")
-
-	bench := flag.Bool("bench", false, "measure wall time per scenario and compare against -bench-file")
-	benchPath := flag.String("bench-file", "BENCH_cluster.json", "bench trajectory file")
-	check := flag.Bool("check", false, "with -bench: exit nonzero on regression beyond -max-slowdown")
-	maxSlowdown := flag.Float64("max-slowdown", 2.0, "with -check: fail when ns/op exceeds recorded*this")
-	update := flag.Bool("update", false, "with -bench: append this run to -bench-file")
-	pr := flag.Int("pr", 0, "PR number recorded with -update")
-	note := flag.String("note", "", "note recorded with -update")
 	flag.Parse()
 
 	catalog := cluster.Scenarios()
@@ -98,26 +81,6 @@ func main() {
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = trace.New(trace.Config{Capacity: 1 << 15})
-	}
-
-	if *bench {
-		if *update {
-			for _, o := range []struct {
-				flag string
-				set  bool
-			}{{"requests", *requests > 0}, {"replicas", *replicas > 0}, {"pin-max-freq", *pinMaxFreq}} {
-				if o.set {
-					fatalf("-update records under the catalog scenario name; drop -%s, which changes the scenario", o.flag)
-				}
-			}
-		}
-		runBench(names, catalog, benchOpts{
-			path: *benchPath, check: *check, maxSlowdown: *maxSlowdown,
-			update: *update, pr: *pr, note: *note,
-			workers: *workers, requests: *requests, replicas: *replicas,
-			pinMaxFreq: *pinMaxFreq,
-		})
-		return
 	}
 
 	reports := make([]*cluster.Report, 0, len(names))
@@ -214,94 +177,4 @@ func printReport(r *cluster.Report) {
 			p.Policy, p.ThroughputRPS, p.P50ms, p.P99ms, p.P999ms,
 			100*p.CacheHitRate, p.CoalesceRatio, p.EnergyPerRequest)
 	}
-}
-
-// benchOpts carries bench mode's flag values.
-type benchOpts struct {
-	path        string
-	check       bool
-	maxSlowdown float64
-	update      bool
-	pr          int
-	note        string
-	workers     int
-	requests    int
-	replicas    int
-	pinMaxFreq  bool
-}
-
-// runBench times one full run of each named scenario and checks or
-// records the results in the trajectory file.
-func runBench(names []string, catalog map[string]cluster.Scenario, opts benchOpts) {
-	f, err := benchfile.Load(opts.path, "Trajectory of fleet-simulator benchmarks (go run ./cmd/fleetsim -bench). "+
-		"Each scenario is one full deterministic fleet simulation; ns/op is wall time for the whole run. "+
-		"The baseline block is fixed; entries are append-only, one per PR touching the fleet path. "+
-		"See docs/CLUSTER.md for the scenario catalog.")
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	results := map[string]benchfile.Metrics{}
-	fmt.Printf("%-12s %14s %14s %12s %12s %10s\n", "scenario", "ns/op", "B/op", "allocs/op", "sim rps", "speedup")
-	for _, name := range names {
-		sc := applyOverrides(catalog[name], opts.requests, opts.replicas, opts.pinMaxFreq)
-		m := f.VsBaseline(name, measure(sc, opts.workers))
-		results[name] = m
-		speedup := "-"
-		if m.SpeedupVsBaseline > 0 {
-			speedup = fmt.Sprintf("%.2fx", m.SpeedupVsBaseline)
-		}
-		fmt.Printf("%-12s %14d %14d %12d %12.0f %10s\n",
-			name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, m.SimulatedRPS, speedup)
-	}
-
-	var fails []string
-	if opts.check {
-		fails = f.Check(names, results, benchfile.Gate{MaxSlowdown: opts.maxSlowdown})
-		for _, line := range fails {
-			fmt.Fprintln(os.Stderr, "fleetsim:", line)
-		}
-		if len(fails) == 0 {
-			fmt.Println("fleetsim: all scenarios within thresholds")
-		}
-	}
-
-	if opts.update {
-		if err := f.Append(opts.path, benchfile.Entry{PR: opts.pr, Note: opts.note, Scenarios: results}); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("fleetsim: wrote %s\n", opts.path)
-	}
-	if len(fails) > 0 {
-		os.Exit(1)
-	}
-}
-
-// measure runs one scenario once and reports wall time, allocation
-// totals, and simulated throughput.
-func measure(sc cluster.Scenario, workers int) benchfile.Metrics {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	rep, err := cluster.RunScenario(context.Background(), sc, cluster.Options{Workers: workers})
-	if err != nil {
-		fatalf("%s: %v", sc.Name, err)
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-
-	simulated := 0
-	for _, p := range rep.Policies {
-		simulated += p.Requests
-	}
-	m := benchfile.Metrics{
-		NsPerOp:     elapsed.Nanoseconds(),
-		BytesPerOp:  int64(after.TotalAlloc - before.TotalAlloc),
-		AllocsPerOp: int64(after.Mallocs - before.Mallocs),
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		m.SimulatedRPS = float64(simulated) / secs
-	}
-	return m
 }

@@ -3,7 +3,6 @@ package energyroofline
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -13,8 +12,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-
-	"repro/internal/benchfile"
 )
 
 // buildCmd compiles one command into dir and returns the binary path.
@@ -45,21 +42,6 @@ func runBin(t *testing.T, bin string, args ...string) string {
 		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
 	}
 	return string(out)
-}
-
-// runBinExit runs bin and returns its combined output and exit code,
-// failing t only when the binary cannot run at all.
-func runBinExit(t *testing.T, bin string, args ...string) (string, int) {
-	t.Helper()
-	out, err := exec.Command(bin, args...).CombinedOutput()
-	if err == nil {
-		return string(out), 0
-	}
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) {
-		t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
-	}
-	return string(out), exit.ExitCode()
 }
 
 func TestExperimentsBinary(t *testing.T) {
@@ -524,8 +506,7 @@ func TestRooflinedBinary(t *testing.T) {
 
 // TestFleetsimBinary drives the fleet simulator CLI end to end: the
 // scenario catalog, the JSON report schema, worker-count determinism of
-// the report bytes, the Chrome trace artifact, the bench -check gate,
-// and the error exits.
+// the report bytes, the Chrome trace artifact, and the error exits.
 func TestFleetsimBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e builds binaries")
@@ -629,47 +610,6 @@ func TestFleetsimBinary(t *testing.T) {
 		t.Error("-workers 8 report differs from -workers 1")
 	}
 
-	// Bench mode checks against the committed BENCH_cluster.json (the
-	// shrunken run is far faster than the recorded 1M entry, so -check
-	// passes without writing anything).
-	out = runBin(t, bin, "-bench", "-scenario", "cluster_1m", "-requests", "20000", "-check")
-	if !strings.Contains(out, "within thresholds") {
-		t.Errorf("bench -check did not pass:\n%s", out)
-	}
-
-	// The failing side of the gate: against a copy of the file whose
-	// newest cluster_1m recording is 1 ns/op, the same run regresses.
-	f, err := benchfile.Load("BENCH_cluster.json", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := f.Entries[len(f.Entries)-1].Scenarios
-	m := ref["cluster_1m"]
-	m.NsPerOp = 1
-	ref["cluster_1m"] = m
-	fastPath := filepath.Join(dir, "BENCH_fast.json")
-	if err := f.Save(fastPath); err != nil {
-		t.Fatal(err)
-	}
-	out, code := runBinExit(t, bin, "-bench", "-scenario", "cluster_1m", "-requests", "20000", "-check", "-bench-file", fastPath)
-	if code != 1 || !strings.Contains(out, "REGRESSION cluster_1m") {
-		t.Errorf("bench -check against a 1 ns/op reference: exit %d, want 1 with a REGRESSION line:\n%s", code, out)
-	}
-
-	// -update refuses a resized run, which it would record under the
-	// catalog name, and leaves the file untouched.
-	before, err := os.ReadFile(fastPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, code = runBinExit(t, bin, "-bench", "-scenario", "cluster_1m", "-requests", "20000", "-update", "-bench-file", fastPath)
-	if code != 2 || !strings.Contains(out, "-requests") {
-		t.Errorf("bench -update with -requests: exit %d, want 2 naming the override:\n%s", code, out)
-	}
-	if after, _ := os.ReadFile(fastPath); string(after) != string(before) {
-		t.Error("refused -update still wrote the bench file")
-	}
-
 	// Error exits: unknown scenario, unreadable replay file.
 	if out, err := exec.Command(bin, "-scenario", "warp9").CombinedOutput(); err == nil {
 		t.Errorf("unknown scenario accepted:\n%s", out)
@@ -678,62 +618,6 @@ func TestFleetsimBinary(t *testing.T) {
 	}
 	if out, err := exec.Command(bin, "-replay", "/dev/null").CombinedOutput(); err == nil {
 		t.Errorf("empty replay file accepted:\n%s", out)
-	}
-}
-
-// TestLoadgenBinary covers the BENCH_server.json gate end to end: -bench
-// is required, the retired -load mode is gone, the gate passes against
-// the committed entries when only the host-independent checks are on,
-// and it fails against a reference the run cannot meet.
-func TestLoadgenBinary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e builds binaries")
-	}
-	dir := t.TempDir()
-	bin := buildCmd(t, dir, "loadgen")
-
-	// Without -bench there is nothing to run: the usage error points
-	// HTTP load at the benchmark module.
-	out, code := runBinExit(t, bin)
-	if code != 2 || !strings.Contains(out, "bash bench/run.sh") {
-		t.Errorf("bare loadgen: exit %d, want 2 naming bench/run.sh:\n%s", code, out)
-	}
-	out, code = runBinExit(t, bin, "-load")
-	if code != 2 || !strings.Contains(out, "flag provided but not defined: -load") {
-		t.Errorf("loadgen -load: exit %d, want 2 for an undefined flag:\n%s", code, out)
-	}
-
-	// Against a copy of the committed file, with the time checks off,
-	// what is left (allocation growth, the warm ceiling) holds on any
-	// host. At much under 300ms the cold batch scenario runs too few
-	// iterations to amortise each fresh server's warm-up, and its
-	// allocs/op exceed the recorded count.
-	f, err := benchfile.Load("BENCH_server.json", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_server.json")
-	if err := f.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	out = runBin(t, bin, "-bench", "-check", "-benchtime", "300ms", "-max-slowdown", "0", "-min-warm-speedup", "0", "-bench-file", path)
-	if !strings.Contains(out, "within thresholds") {
-		t.Errorf("bench -check did not pass:\n%s", out)
-	}
-
-	// The failing side: the newest entry records warm /v1/eval at 1 ns/op.
-	// Only the time check is on, so it alone decides the exit code.
-	ref := f.Entries[len(f.Entries)-1].Scenarios
-	m := ref["BenchmarkServerEvalWarm"]
-	m.NsPerOp = 1
-	ref["BenchmarkServerEvalWarm"] = m
-	fastPath := filepath.Join(dir, "BENCH_fast.json")
-	if err := f.Save(fastPath); err != nil {
-		t.Fatal(err)
-	}
-	out, code = runBinExit(t, bin, "-bench", "-check", "-benchtime", "10ms", "-max-alloc-growth", "0", "-min-warm-speedup", "0", "-bench-file", fastPath)
-	if code != 1 || !strings.Contains(out, "REGRESSION BenchmarkServerEvalWarm") {
-		t.Errorf("bench -check against a 1 ns/op reference: exit %d, want 1 with a REGRESSION line:\n%s", code, out)
 	}
 }
 

@@ -21,15 +21,15 @@ func goList(t *testing.T, args ...string) []string {
 
 // TestFleetsimDependencies guards the dependency direction around the
 // shared result cache: the fleet simulator links the cache core
-// (internal/rescache) but not the HTTP server or anything only the
-// server needs, and the core is a leaf over internal/stats that takes
-// no lock.
+// (internal/rescache) but not the HTTP server, anything only the server
+// needs, or the benchmark gate's file format, and the core is a leaf
+// over internal/stats that takes no lock.
 func TestFleetsimDependencies(t *testing.T) {
 	deps := map[string]bool{}
 	for _, p := range goList(t, "-deps", "./cmd/fleetsim") {
 		deps[p] = true
 	}
-	for _, banned := range []string{"repro/internal/server", "repro/internal/campaign", "repro/internal/metrics", "net/http"} {
+	for _, banned := range []string{"repro/internal/server", "repro/internal/campaign", "repro/internal/metrics", "repro/internal/benchfile", "net/http"} {
 		if deps[banned] {
 			t.Errorf("cmd/fleetsim links %s", banned)
 		}

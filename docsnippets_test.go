@@ -117,10 +117,10 @@ func shellCommands(block string) []string {
 }
 
 // TestDocCommandsExist verifies every `go run <path> [flags]` command
-// in the documentation's shell snippets: the target package directory
-// exists, and each -flag the docs pass is actually defined by that
-// binary. Documentation that names a command or flag that does not
-// ship fails here.
+// in the documentation's shell snippets, including each `go run` stage
+// of a pipe: the target package directory exists, and each -flag the
+// docs pass is actually defined by that binary. Documentation that
+// names a command or flag that does not ship fails here.
 func TestDocCommandsExist(t *testing.T) {
 	root := mustModuleRoot(t)
 	checked := 0
@@ -130,32 +130,34 @@ func TestDocCommandsExist(t *testing.T) {
 				continue
 			}
 			for _, cmd := range shellCommands(f.text) {
-				fields := strings.Fields(cmd)
-				if len(fields) < 3 || fields[0] != "go" || fields[1] != "run" {
-					continue
-				}
-				target := fields[2]
-				dir := filepath.Join(root, filepath.FromSlash(target))
-				if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-					t.Errorf("%s (fence at line %d): `%s` targets nonexistent package %s",
-						doc, f.lineN, cmd, target)
-					continue
-				}
-				flags := definedFlags(t, dir)
-				for _, tok := range fields[3:] {
-					if !strings.HasPrefix(tok, "-") || tok == "-" {
+				for _, stage := range strings.Split(cmd, "|") {
+					fields := strings.Fields(stage)
+					if len(fields) < 3 || fields[0] != "go" || fields[1] != "run" {
 						continue
 					}
-					name := strings.TrimLeft(tok, "-")
-					if i := strings.IndexByte(name, '='); i >= 0 {
-						name = name[:i]
+					target := fields[2]
+					dir := filepath.Join(root, filepath.FromSlash(target))
+					if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+						t.Errorf("%s (fence at line %d): `%s` targets nonexistent package %s",
+							doc, f.lineN, cmd, target)
+						continue
 					}
-					if !flags[name] {
-						t.Errorf("%s (fence at line %d): `%s` passes -%s, which %s does not define",
-							doc, f.lineN, cmd, name, target)
+					flags := definedFlags(t, dir)
+					for _, tok := range fields[3:] {
+						if !strings.HasPrefix(tok, "-") || tok == "-" {
+							continue
+						}
+						name := strings.TrimLeft(tok, "-")
+						if i := strings.IndexByte(name, '='); i >= 0 {
+							name = name[:i]
+						}
+						if !flags[name] {
+							t.Errorf("%s (fence at line %d): `%s` passes -%s, which %s does not define",
+								doc, f.lineN, cmd, name, target)
+						}
 					}
+					checked++
 				}
-				checked++
 			}
 		}
 	}
@@ -202,67 +204,51 @@ func TestDocGoSnippetsParse(t *testing.T) {
 	}
 }
 
-// corebenchScenarioNames parses the pinned scenario names out of
-// cmd/corebench's source, so doc checks track the real list.
+// corebenchScenarioNames parses the scenario names out of
+// BenchmarkCore's b.Run calls, so doc checks track the real list.
 func corebenchScenarioNames(t *testing.T, root string) map[string]bool {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(root, "cmd", "corebench", "main.go"))
+	data, err := os.ReadFile(filepath.Join(root, "corebench_test.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := regexp.MustCompile(`name:\s*"([a-z0-9_]+)"`)
+	re := regexp.MustCompile(`b\.Run\("([a-z0-9_]+)"`)
 	names := map[string]bool{}
 	for _, m := range re.FindAllStringSubmatch(string(data), -1) {
 		names[m[1]] = true
 	}
 	if len(names) == 0 {
-		t.Fatal("no scenario names parsed from cmd/corebench/main.go; extraction is likely broken")
+		t.Fatal("no scenario names parsed from corebench_test.go; extraction is likely broken")
 	}
 	return names
 }
 
-// TestDocCorebenchScenariosExist verifies that every -scenario argument
-// a documented corebench command passes names a scenario the binary
-// actually pins, and that the scenario table in docs/PERFORMANCE.md
-// covers every pinned scenario.
+// TestDocCorebenchScenariosExist verifies that every documented
+// `-bench BenchmarkCore/<name>` pattern names a scenario BenchmarkCore
+// actually runs, and that docs/PERFORMANCE.md covers every scenario.
 func TestDocCorebenchScenariosExist(t *testing.T) {
 	root := mustModuleRoot(t)
 	names := corebenchScenarioNames(t, root)
+	pattern := regexp.MustCompile(`-bench[ =]['"]?BenchmarkCore/([^'"\s]+)`)
 	checked := 0
 	for _, doc := range docFiles {
 		for _, f := range fences(t, filepath.Join(root, doc)) {
 			if f.lang != "sh" && f.lang != "bash" {
 				continue
 			}
-			for _, cmd := range shellCommands(f.text) {
-				if !strings.Contains(cmd, "cmd/corebench") {
-					continue
-				}
-				fields := strings.Fields(cmd)
-				for i, tok := range fields {
-					if strings.HasPrefix(tok, "#") {
-						break // trailing shell comment
-					}
-					if strings.TrimLeft(tok, "-") != "scenario" || i+1 >= len(fields) {
-						continue
-					}
-					arg := fields[i+1]
-					if arg == "all" || arg == "list" {
-						continue
-					}
-					for _, name := range strings.Split(arg, ",") {
-						checked++
-						if !names[strings.TrimSpace(name)] {
-							t.Errorf("%s (fence at line %d): `%s` names unknown corebench scenario %q",
-								doc, f.lineN, cmd, name)
-						}
+			for _, m := range pattern.FindAllStringSubmatch(f.text, -1) {
+				for _, name := range strings.Split(strings.Trim(m[1], "^$()"), "|") {
+					checked++
+					if !names[strings.Trim(name, "^$")] {
+						t.Errorf("%s (fence at line %d): `%s` names unknown BenchmarkCore scenario %q",
+							doc, f.lineN, m[0], name)
 					}
 				}
 			}
 		}
 	}
 	if checked == 0 {
-		t.Error("no -scenario arguments found in documented corebench commands; extraction is likely broken")
+		t.Error("no -bench BenchmarkCore/<name> patterns found in the docs; extraction is likely broken")
 	}
 	perf, err := os.ReadFile(filepath.Join(root, "docs", "PERFORMANCE.md"))
 	if err != nil {
@@ -270,7 +256,7 @@ func TestDocCorebenchScenariosExist(t *testing.T) {
 	}
 	for name := range names {
 		if !strings.Contains(string(perf), "`"+name+"`") {
-			t.Errorf("docs/PERFORMANCE.md does not document corebench scenario `%s`", name)
+			t.Errorf("docs/PERFORMANCE.md does not document BenchmarkCore scenario `%s`", name)
 		}
 	}
 }

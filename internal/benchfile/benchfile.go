@@ -1,7 +1,7 @@
 // Package benchfile is the one reader and writer of the repository's
 // BENCH_*.json trajectory files and the one regression gate over them.
-// cmd/corebench, cmd/fleetsim -bench and cmd/loadgen -bench all record
-// into, and check against, files of this schema.
+// cmd/benchgate records go test benchmark results into, and checks
+// them against, files of this schema.
 //
 // A file holds an optional fixed baseline and an append-only list of
 // entries, oldest first. The baseline and every entry name the host they
@@ -67,7 +67,7 @@ type Host struct {
 }
 
 // Metrics is one scenario's measured cost per operation: one testing.B
-// iteration for corebench and loadgen, one full simulation for fleetsim.
+// iteration, which for the fleet benchmark is one full simulation.
 type Metrics struct {
 	// NsPerOp is wall time per operation in nanoseconds.
 	NsPerOp int64 `json:"ns_per_op"`
