@@ -16,7 +16,6 @@ package algs
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -204,16 +203,6 @@ func (f FMMU) Traffic(n, _ float64) float64 { return 4 * n }
 // All returns the built-in algorithm models.
 func All() []Algorithm {
 	return []Algorithm{MatMul{}, Reduction{}, Stencil{}, FFT{}, SpMV{}, FMMU{}}
-}
-
-// ByName looks up a built-in algorithm.
-func ByName(name string) (Algorithm, error) {
-	for _, a := range All() {
-		if a.Name() == name {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("algs: unknown algorithm %q", name)
 }
 
 // IntensityGrowth reports how an algorithm's intensity responds to

@@ -5,8 +5,11 @@
 //
 // A file holds an optional fixed baseline and an append-only list of
 // entries, oldest first. The baseline and every entry name the host they
-// were measured on: time numbers compare only within one host, while
-// allocation counts compare everywhere.
+// were measured on, but the gate does not read that name yet: Check
+// compares time and allocation counts alike with the newest entry that
+// records a scenario, whatever host measured it. Keying time
+// references by host is the ROADMAP item "Gates that bite: time
+// compared on one host, allocations against fresh references".
 package benchfile
 
 import (

@@ -194,11 +194,6 @@ type Hierarchy struct {
 	prefetch       bool
 	prefetchIssued uint64
 
-	// writeThrough switches stores to write-through/no-write-allocate:
-	// every store is forwarded to DRAM, hits update the caches in
-	// place, and write misses install nothing.
-	writeThrough bool
-
 	// Bulk-replay scratch (see segment.go), kept on the hierarchy so
 	// AccessSegment/ReplaySegments allocate nothing in steady state.
 	// All of it is transient within one call; none survives into the
@@ -208,12 +203,6 @@ type Hierarchy struct {
 	segWays    []segWay
 	segRec     sweepRecord
 }
-
-// SetWriteThrough selects the store policy: write-through with
-// no-write-allocate (true) or the default write-back with
-// write-allocate (false). Switching policies mid-run is allowed; dirty
-// lines from the write-back phase still write back on eviction.
-func (h *Hierarchy) SetWriteThrough(on bool) { h.writeThrough = on }
 
 // New builds a hierarchy from innermost (L1) to outermost. All levels
 // must share one line size (the reproduction's platforms do), and each
@@ -296,10 +285,6 @@ func memoSlot(lineAddr uint64) int {
 }
 
 func (h *Hierarchy) accessLine(lineAddr uint64, write bool) {
-	if write && h.writeThrough {
-		h.writeThroughLine(lineAddr)
-		return
-	}
 	// Streaming fast path: a recent walk resolved this line at the
 	// innermost level. The tag check proves residence in that exact way
 	// (tags are full line addresses), so this is an L1 hit — apply the
@@ -392,36 +377,6 @@ func (h *Hierarchy) prefetchLine(lineAddr uint64) {
 	ways[vi] = line{tag: lineAddr, valid: true, used: ts}
 	h.prefetchIssued++
 	h.dramReadLines++
-}
-
-// writeThroughLine handles one store under write-through/no-write-
-// allocate: update every level that holds the line (counted as a write
-// hit there; lines stay clean), count a demand miss at levels that do
-// not, and forward the store to DRAM unconditionally.
-func (h *Hierarchy) writeThroughLine(lineAddr uint64) {
-	for _, l := range h.levels {
-		set := l.setIndex(lineAddr)
-		base := int(set) * l.ways
-		ways := l.data[base : base+l.ways]
-		l.stats.Accesses++
-		hit := false
-		for i := range ways {
-			if ways[i].valid && ways[i].tag == lineAddr {
-				l.stats.Hits++
-				l.stats.WriteHits++
-				l.stats.BytesServed += uint64(l.cfg.LineSize)
-				ways[i].used = h.tick
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			// A no-allocate write miss fetches nothing, so it is not a
-			// demand (read) miss.
-			l.stats.Misses++
-		}
-	}
-	h.dramWriteLines++
 }
 
 // writeback pushes a dirty victim from level idx-1 into level idx (or

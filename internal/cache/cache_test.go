@@ -433,88 +433,3 @@ func TestPrefetchResetClears(t *testing.T) {
 		t.Error("Reset did not clear prefetch state")
 	}
 }
-
-func TestWriteThroughPolicy(t *testing.T) {
-	mk := func(wt bool) *Hierarchy {
-		h, err := New([]machine.CacheLevel{
-			{Name: "L1", Size: 512, LineSize: 64, Assoc: 2},
-			{Name: "L2", Size: 2048, LineSize: 64, Assoc: 4},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.SetWriteThrough(wt)
-		return h
-	}
-
-	// Repeated stores to one resident line: write-back absorbs them
-	// (one eventual writeback at most), write-through forwards each.
-	wb := mk(false)
-	wt := mk(true)
-	for _, h := range []*Hierarchy{wb, wt} {
-		h.Read(0, 64) // make the line resident
-		for i := 0; i < 10; i++ {
-			h.Write(0, 64)
-		}
-	}
-	if wb.DRAMWriteBytes() != 0 {
-		t.Errorf("write-back forwarded stores early: %d bytes", wb.DRAMWriteBytes())
-	}
-	if wt.DRAMWriteBytes() != 10*64 {
-		t.Errorf("write-through DRAM writes = %d, want 640", wt.DRAMWriteBytes())
-	}
-	// Write hits updated the resident line in both caches.
-	if wt.Stats()[0].WriteHits != 10 {
-		t.Errorf("L1 write hits = %d", wt.Stats()[0].WriteHits)
-	}
-
-	// No-write-allocate: a write miss installs nothing, so a following
-	// read still misses.
-	wt2 := mk(true)
-	wt2.Write(4096, 64)
-	if wt2.Stats()[0].Hits != 0 {
-		t.Error("write miss should not hit")
-	}
-	wt2.Read(4096, 64)
-	if wt2.Stats()[0].ReadHits != 0 {
-		t.Error("no-write-allocate must not install the line")
-	}
-	// Write-miss traffic went straight to DRAM, no fetch.
-	if wt2.DRAMReadBytes() != 64 { // only the read's fetch
-		t.Errorf("DRAM reads = %d, want 64", wt2.DRAMReadBytes())
-	}
-	if wt2.DRAMWriteBytes() != 64 {
-		t.Errorf("DRAM writes = %d, want 64", wt2.DRAMWriteBytes())
-	}
-}
-
-func TestWriteThroughStreamingStore(t *testing.T) {
-	// A pure store stream under write-through: DRAM write traffic equals
-	// the stream, and no read traffic at all (write-back with
-	// write-allocate would fetch every line first).
-	wt, err := New([]machine.CacheLevel{{Name: "L1", Size: 512, LineSize: 64, Assoc: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wt.SetWriteThrough(true)
-	for i := 0; i < 500; i++ {
-		wt.Write(uint64(i)*64, 64)
-	}
-	if wt.DRAMReadBytes() != 0 {
-		t.Errorf("write-through stream fetched %d bytes", wt.DRAMReadBytes())
-	}
-	if wt.DRAMWriteBytes() != 500*64 {
-		t.Errorf("write traffic = %d", wt.DRAMWriteBytes())
-	}
-	// Write-back comparison: write-allocate fetches each line.
-	wb, err := New([]machine.CacheLevel{{Name: "L1", Size: 512, LineSize: 64, Assoc: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		wb.Write(uint64(i)*64, 64)
-	}
-	if wb.DRAMReadBytes() == 0 {
-		t.Error("write-allocate should fetch on write miss")
-	}
-}

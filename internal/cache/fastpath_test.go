@@ -87,7 +87,6 @@ type refHierarchy struct {
 	dramWriteLines uint64
 	prefetch       bool
 	prefetchIssued uint64
-	writeThrough   bool
 }
 
 func newRefHierarchy(levels []machine.CacheLevel) *refHierarchy {
@@ -111,10 +110,6 @@ func (h *refHierarchy) Access(addr uint64, size int, write bool) {
 }
 
 func (h *refHierarchy) accessLine(lineAddr uint64, write bool) {
-	if write && h.writeThrough {
-		h.writeThroughLine(lineAddr)
-		return
-	}
 	for i, l := range h.levels {
 		hit, evicted, victim := l.access(lineAddr, write, true, h.tick)
 		if evicted {
@@ -168,30 +163,6 @@ func (h *refHierarchy) prefetchLine(lineAddr uint64) {
 	h.dramReadLines++
 }
 
-func (h *refHierarchy) writeThroughLine(lineAddr uint64) {
-	for _, l := range h.levels {
-		set := lineAddr % l.sets
-		base := int(set) * l.ways
-		ways := l.data[base : base+l.ways]
-		l.stats.Accesses++
-		hit := false
-		for i := range ways {
-			if ways[i].valid && ways[i].tag == lineAddr {
-				l.stats.Hits++
-				l.stats.WriteHits++
-				l.stats.BytesServed += uint64(l.cfg.LineSize)
-				ways[i].used = h.tick
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			l.stats.Misses++
-		}
-	}
-	h.dramWriteLines++
-}
-
 func (h *refHierarchy) writeback(idx int, lineAddr uint64) {
 	if idx >= len(h.levels) {
 		h.dramWriteLines++
@@ -199,7 +170,7 @@ func (h *refHierarchy) writeback(idx int, lineAddr uint64) {
 	}
 	hit, evicted, victim := h.levels[idx].access(lineAddr, true, false, h.tick)
 	if evicted {
-		h.writeback(idx + 1, victim)
+		h.writeback(idx+1, victim)
 	}
 	_ = hit
 }
@@ -247,11 +218,6 @@ func (p *pair) access(addr uint64, size int, write bool) {
 func (p *pair) prefetch(on bool) {
 	p.opt.EnablePrefetch(on)
 	p.ref.prefetch = on
-}
-
-func (p *pair) writeThrough(on bool) {
-	p.opt.SetWriteThrough(on)
-	p.ref.writeThrough = on
 }
 
 func (p *pair) reset() {
@@ -336,14 +302,6 @@ func drive(p *pair) {
 		p.access(addr, 8, i%3 == 0)
 	}
 	p.check("random")
-
-	// Write-through phase over a mixed resident/non-resident range.
-	p.writeThrough(true)
-	for i := uint64(0); i < 3000; i++ {
-		p.access(i*32, 8, i%2 == 0)
-	}
-	p.check("write-through")
-	p.writeThrough(false)
 
 	// Prefetching on: sequential read misses issue next-line fetches.
 	p.prefetch(true)

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzSegmentReplay decodes arbitrary segment groups, hierarchy
-// geometries, and policy bits from the fuzz input, replays them through
+// geometries, and the prefetch bit from the fuzz input, replays them through
 // ReplaySegments on the optimized hierarchy and through the documented
 // scalar loop on the pre-optimization reference model, and requires
 // every counter to match exactly. This is the adversarial complement to
@@ -16,11 +16,11 @@ import (
 // descriptors, so straddles, wraps, overlaps, conflicts, and degenerate
 // shapes are explored without anyone having to imagine them first.
 //
-// Input layout: byte 0 packs the geometry (bits 0-1), prefetch (bit 2)
-// and write-through (bit 3); byte 1 picks the sweep count (1..5); each
-// following 21-byte record is one segment (base u64, stride u64, count
-// u16, size i16, flags). Counts and sizes are clamped to keep one case
-// under a few hundred thousand line accesses.
+// Input layout: byte 0 packs the geometry (bits 0-1) and prefetch
+// (bit 2); byte 1 picks the sweep count (1..5); each following 21-byte
+// record is one segment (base u64, stride u64, count u16, size i16,
+// flags). Counts and sizes are clamped to keep one case under a few
+// hundred thousand line accesses.
 func FuzzSegmentReplay(f *testing.F) {
 	// Canonical shapes: word stream, repeated resident sweeps, an
 	// unaligned AoS straddle, a same-set conflict pair, and a
@@ -74,8 +74,6 @@ func FuzzSegmentReplay(f *testing.F) {
 		ref := newRefHierarchy(levels)
 		opt.EnablePrefetch(mode&4 != 0)
 		ref.prefetch = mode&4 != 0
-		opt.SetWriteThrough(mode&8 != 0)
-		ref.writeThrough = mode&8 != 0
 
 		opt.ReplaySegments(segs, sweeps)
 		refReplaySegments(ref, segs, sweeps)

@@ -5,7 +5,7 @@
 // timestamp is exactly what the word-at-a-time walk would produce; the
 // fast paths fall back to the exact scalar walk whenever that
 // equivalence cannot be proven locally (line-straddling elements,
-// failed residency checks, write-through stores).
+// failed residency checks).
 
 package cache
 
@@ -73,36 +73,22 @@ func (h *Hierarchy) AccessSegment(s Segment) {
 //     residency is invariant — and all their counter updates (hits,
 //     bytes served, per-line dirty bits and LRU timestamps, MRU hints,
 //     tick advance) are applied in closed form. If any line is absent
-//     (the block outgrew the level, conflict misses displaced it, or
-//     write-through stores never installed it), every remaining sweep
-//     is replayed through layer 1 instead.
-//
-// Write-through stores never allocate on miss, so no residency can be
-// established for them; a group containing a write segment while the
-// hierarchy is in write-through mode is replayed entirely scalar.
+//     (the block outgrew the level, or conflict misses displaced it),
+//     every remaining sweep is replayed through layer 1 instead.
 func (h *Hierarchy) ReplaySegments(segs []Segment, sweeps int) {
 	if sweeps < 1 || len(segs) == 0 {
 		return
 	}
-	// Drop no-op segments (matching Access's early return) and detect
-	// write-through stores, which defeat both fast paths.
+	// Drop no-op segments (matching Access's early return).
 	act := h.segScratch[:0]
-	wt := false
 	for _, s := range segs {
 		if s.Count <= 0 || s.Size <= 0 {
 			continue
-		}
-		if s.Write && h.writeThrough {
-			wt = true
 		}
 		act = append(act, s)
 	}
 	h.segScratch = act[:0]
 	if len(act) == 0 {
-		return
-	}
-	if wt {
-		h.replayScalar(act, sweeps)
 		return
 	}
 	var rec *sweepRecord
@@ -121,27 +107,6 @@ func (h *Hierarchy) ReplaySegments(segs []Segment, sweeps int) {
 	}
 	for s := 1; s < sweeps; s++ {
 		h.replaySweep(act, nil)
-	}
-}
-
-// replayScalar is the exact reference loop ReplaySegments documents —
-// the fallback when no fast path is sound (write-through stores).
-func (h *Hierarchy) replayScalar(segs []Segment, sweeps int) {
-	maxCount := 0
-	for i := range segs {
-		if segs[i].Count > maxCount {
-			maxCount = segs[i].Count
-		}
-	}
-	for sweep := 0; sweep < sweeps; sweep++ {
-		for i := 0; i < maxCount; i++ {
-			for si := range segs {
-				s := &segs[si]
-				if i < s.Count {
-					h.Access(s.Base+uint64(i)*s.Stride, s.Size, s.Write)
-				}
-			}
-		}
 	}
 }
 

@@ -119,17 +119,6 @@ func driveSegments(p *pair) {
 	// no-ops in the scalar walk and must stay no-ops here.
 	p.replay("wrap", []Segment{{Base: ^uint64(0) - 100, Stride: 32, Count: 16, Size: 8}}, 2)
 
-	// Write-through stores: the whole group must take the exact scalar
-	// path.
-	p.writeThrough(true)
-	p.replay("write-through", []Segment{
-		{Base: 0, Stride: 4, Count: 1000, Size: 4, Write: true},
-		{Base: 1 << 22, Stride: 4, Count: 1000, Size: 4},
-	}, 3)
-	// Write-through reads alone still use the fast paths.
-	p.replay("write-through-reads", []Segment{{Base: 1 << 23, Stride: 4, Count: 800, Size: 4}}, 3)
-	p.writeThrough(false)
-
 	// Prefetching: round-0 misses issue next-line fetches; with a
 	// single level these can evict chunk neighbours (verification
 	// catches it), with two levels they only touch the outer level.

@@ -17,15 +17,15 @@ import (
 //  1. a scalar reference scan with the eq. 10 classification written
 //     out inline (the pre-batch router, re-implemented here so the
 //     production path and the reference share no classifier code), and
-//  2. the same scan driven by core.ClassifyRatiosInto over the
-//     collected (speedup, greenup) ratio columns — the batched
-//     classifier the production router is built on.
+//  2. the same scan driven by core.ClassifyRatios, the classifier the
+//     production router (routeFromEstimates) calls.
 //
 // Both references price with the scalar Fleet.estimate oracle, not the
 // price tables the policy routes on. All three must pick the same
-// replica for every request, and the batched outcome column must equal
-// the inline scalar outcomes element-wise. This pins the cluster router
-// against any drift in the batch classifier (and vice versa).
+// replica for every request, and ClassifyRatios must reproduce the
+// inline outcome of every (speedup, greenup) pair. This pins the
+// cluster router against any drift in the shared classifier (and vice
+// versa).
 func TestEnergyAwareBatchClassifierProperty(t *testing.T) {
 	for trial := 0; trial < propTrials; trial++ {
 		auditEnergyAware(t, fmt.Sprintf("trial %d", trial), propScenario(trial, nil), nil)
@@ -41,8 +41,7 @@ func auditEnergyAware(t *testing.T, label string, sc Scenario, tr *workload.Trac
 	t.Helper()
 	sc.Policies = []string{EnergyAware}
 	decisions := 0
-	var ts, es, sp, gr []float64
-	var inlineOuts, batchOuts []core.TradeoffOutcome
+	var ts, es []float64
 	opts := Options{
 		Workers: 1,
 		Trace:   tr,
@@ -60,12 +59,8 @@ func auditEnergyAware(t *testing.T, label string, sc Scenario, tr *workload.Trac
 			// Scalar reference scan, classifier inlined.
 			best := 0
 			bestT, bestE := ts[0], es[0]
-			sp, gr = sp[:0], gr[:0]
-			inlineOuts = inlineOuts[:0]
 			for i := 1; i < n; i++ {
 				speedup, greenup := bestT/ts[i], bestE/es[i]
-				sp = append(sp, speedup)
-				gr = append(gr, greenup)
 				var out core.TradeoffOutcome
 				switch {
 				case speedup > 1 && greenup > 1:
@@ -77,7 +72,10 @@ func auditEnergyAware(t *testing.T, label string, sc Scenario, tr *workload.Trac
 				default:
 					out = core.Neither
 				}
-				inlineOuts = append(inlineOuts, out)
+				if got := core.ClassifyRatios(speedup, greenup); got != out {
+					t.Fatalf("%s decision %d challenger %d: ClassifyRatios %v != inline %v (speedup=%g greenup=%g)",
+						label, decisions, i, got, out, speedup, greenup)
+				}
 				switch out {
 				case core.Both:
 					best, bestT, bestE = i, ts[i], es[i]
@@ -96,19 +94,7 @@ func auditEnergyAware(t *testing.T, label string, sc Scenario, tr *workload.Trac
 					label, decisions, chosen, best)
 			}
 
-			// Batched classification of the same ratio columns must
-			// reproduce the inline outcomes and the same final choice.
-			if cap(batchOuts) < len(sp) {
-				batchOuts = make([]core.TradeoffOutcome, len(sp))
-			}
-			batchOuts = batchOuts[:len(sp)]
-			core.ClassifyRatiosInto(batchOuts, sp, gr)
-			for j := range batchOuts {
-				if batchOuts[j] != inlineOuts[j] {
-					t.Fatalf("%s decision %d challenger %d: batch outcome %v != inline %v (speedup=%g greenup=%g)",
-						label, decisions, j+1, batchOuts[j], inlineOuts[j], sp[j], gr[j])
-				}
-			}
+			// The shared classifier must reach the same final choice.
 			bBest := 0
 			bT, bE := ts[0], es[0]
 			for i := 1; i < n; i++ {
@@ -127,7 +113,7 @@ func auditEnergyAware(t *testing.T, label string, sc Scenario, tr *workload.Trac
 				}
 			}
 			if bBest != chosen {
-				t.Fatalf("%s decision %d: policy chose %d, batched-classifier scan chose %d",
+				t.Fatalf("%s decision %d: policy chose %d, ClassifyRatios scan chose %d",
 					label, decisions, chosen, bBest)
 			}
 		},

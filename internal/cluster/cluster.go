@@ -173,13 +173,6 @@ func resolveSpec(i int, spec ReplicaSpec) (core.Params, model.EnergyModel, error
 	}
 }
 
-// key returns the production cache/coalescing key this replica computes
-// for req — the same hash the live server's POST /v1/eval handler uses.
-// The event loop reads the same key from the replica's price table.
-func (r *replica) key(req workload.Request) uint64 {
-	return rescache.EvalKey(r.spec.Machine, r.spec.precisionName(), req.Work, req.Intensity)
-}
-
 // queueLen counts requests in service or queued (coalesced waiters
 // excluded: they consume no service slot).
 func (r *replica) queueLen() int {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -113,29 +112,14 @@ type energyAware struct{}
 // Name implements Policy.
 func (energyAware) Name() string { return EnergyAware }
 
-// estimate predicts (completion latency, marginal energy) for sending
-// req to replica i now, pricing a miss with the EnergyModel em: a
-// predicted cache hit costs the hit latency and its idle-power energy;
-// a miss waits out the replica's pending work and then runs the
-// kernel, costing em's capped time and energy predictions (eq. 6/9
-// under the default analytic model). It is the scalar oracle the tests
-// hold estimateInto's table-priced columns to.
-func (f *Fleet) estimate(now float64, i int, em model.EnergyModel, req workload.Request) (t, e float64) {
-	rep := f.reps[i]
-	if rep.cache.Peek(rep.key(req)) {
-		return f.hitLatency, rep.params.Pi0 * f.hitLatency
-	}
-	k := core.KernelAt(req.Work, req.Intensity)
-	return rep.pendingWork(now) + em.CappedTime(k), em.CappedEnergy(k)
-}
-
 // estimateInto gathers the per-replica (time, energy) estimates for the
 // request being routed into the fleet's scratch columns, growing them
 // only on the first call for a given fleet size. Each replica's
 // estimate reads its price table at f.kernel, where the miss columns
 // hold its own EnergyModel's predictions (ReplicaSpec.Model; analytic
-// by default). Every column equals what estimate computes, bit for
-// bit; the lockstep tests pin that on every routing decision.
+// by default). Every column equals what the scalar oracle
+// Fleet.estimate (prices_test.go) computes, bit for bit; the lockstep
+// tests pin that on every routing decision.
 func (f *Fleet) estimateInto(now float64) (t, e []float64) {
 	n := len(f.reps)
 	if cap(f.estT) < n {

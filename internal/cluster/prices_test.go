@@ -7,8 +7,32 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/rescache"
 	"repro/internal/workload"
 )
+
+// estimate is the scalar oracle for Fleet.estimateInto: it predicts
+// (completion latency, marginal energy) for sending req to replica i
+// now, pricing a miss with the EnergyModel em. A predicted cache hit
+// costs the hit latency and its idle-power energy; a miss waits out the
+// replica's pending work and then runs the kernel, costing em's capped
+// time and energy predictions (eq. 6/9 under the default analytic
+// model). Unlike estimateInto it reads no price table.
+func (f *Fleet) estimate(now float64, i int, em model.EnergyModel, req workload.Request) (t, e float64) {
+	rep := f.reps[i]
+	if rep.cache.Peek(rep.key(req)) {
+		return f.hitLatency, rep.params.Pi0 * f.hitLatency
+	}
+	k := core.KernelAt(req.Work, req.Intensity)
+	return rep.pendingWork(now) + em.CappedTime(k), em.CappedEnergy(k)
+}
+
+// key recomputes the cache/coalescing key a replica uses for req, the
+// hash the live server's POST /v1/eval handler uses. The event loop
+// reads the same key from the replica's price table.
+func (r *replica) key(req workload.Request) uint64 {
+	return rescache.EvalKey(r.spec.Machine, r.spec.precisionName(), req.Work, req.Intensity)
+}
 
 // multiSpecRequests is the request count the multi-spec fleets run at.
 const multiSpecRequests = 20000

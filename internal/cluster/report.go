@@ -35,15 +35,6 @@ func (r *Report) Marshal() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// ParseReport decodes a report produced by Marshal.
-func ParseReport(data []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
 // PolicyReport is one (scenario, policy) cell's aggregate metrics.
 type PolicyReport struct {
 	// Policy is the routing policy name.

@@ -97,89 +97,6 @@ func (p Params) EvalInto(b *Batch, w, q []float64) {
 	}
 }
 
-// TimeInto fills dst[i] = Time({w[i], q[i]}), eq. (3).
-func (p Params) TimeInto(dst, w, q []float64) {
-	n := len(dst)
-	checkCols(n, len(w), len(q))
-	tf, tm := p.TauFlop, p.TauMem
-	w, q = w[:n], q[:n]
-	for i := range dst {
-		dst[i] = math.Max(w[i]*tf, q[i]*tm)
-	}
-}
-
-// EnergyInto fills dst[i] = Energy({w[i], q[i]}), eq. (4), given the
-// precomputed time column t (as filled by TimeInto).
-func (p Params) EnergyInto(dst, w, q, t []float64) {
-	n := len(dst)
-	checkCols(n, len(w), len(q), len(t))
-	ef, em, pi0 := p.EpsFlop, p.EpsMem, p.Pi0
-	w, q, t = w[:n], q[:n], t[:n]
-	for i := range dst {
-		dst[i] = w[i]*ef + q[i]*em + pi0*t[i]
-	}
-}
-
-// AveragePowerInto fills dst[i] = e[i]/t[i], the per-point average power.
-func (p Params) AveragePowerInto(dst, e, t []float64) {
-	n := len(dst)
-	checkCols(n, len(e), len(t))
-	e, t = e[:n], t[:n]
-	for i := range dst {
-		dst[i] = e[i] / t[i]
-	}
-}
-
-// CappedTimeInto fills dst with the §V-B power-capped time per point,
-// given precomputed time and energy columns.
-func (p Params) CappedTimeInto(dst, w, q, t, e []float64) {
-	n := len(dst)
-	checkCols(n, len(w), len(q), len(t), len(e))
-	if p.PowerCap <= 0 {
-		copy(dst, t[:n])
-		return
-	}
-	ef, em := p.EpsFlop, p.EpsMem
-	pcap := p.PowerCap
-	capMinusPi0 := pcap - p.Pi0
-	w, q, t, e = w[:n], q[:n], t[:n], e[:n]
-	for i := range dst {
-		if e[i]/t[i] <= pcap {
-			dst[i] = t[i]
-		} else {
-			dst[i] = (w[i]*ef + q[i]*em) / capMinusPi0
-		}
-	}
-}
-
-// CappedEnergyInto fills dst with the capped total energy per point,
-// given the capped-time column ct (as filled by CappedTimeInto).
-func (p Params) CappedEnergyInto(dst, w, q, ct []float64) {
-	n := len(dst)
-	checkCols(n, len(w), len(q), len(ct))
-	ef, em, pi0 := p.EpsFlop, p.EpsMem, p.Pi0
-	w, q, ct = w[:n], q[:n], ct[:n]
-	for i := range dst {
-		dst[i] = w[i]*ef + q[i]*em + pi0*ct[i]
-	}
-}
-
-// IntensityInto fills dst[i] = Intensity({w[i], q[i]}): W/Q, with +Inf
-// at Q == 0 exactly as Kernel.Intensity defines it.
-func IntensityInto(dst, w, q []float64) {
-	n := len(dst)
-	checkCols(n, len(w), len(q))
-	inf := math.Inf(1)
-	w, q = w[:n], q[:n]
-	for i := range dst {
-		if q[i] == 0 {
-			dst[i] = inf
-		} else {
-			dst[i] = w[i] / q[i]
-		}
-	}
-}
-
 // QAtInto fills dst[i] = w[i]/intensity[i], the traffic column of
 // KernelAt applied per point.
 func QAtInto(dst, w, intensity []float64) {
@@ -284,34 +201,5 @@ func (p Params) boundInto(dst []BoundState, w, q []float64, threshold float64) {
 		} else {
 			dst[i] = MemoryBound
 		}
-	}
-}
-
-// ClassifyRatiosInto fills dst[i] = ClassifyRatios(speedup[i], greenup[i]).
-func ClassifyRatiosInto(dst []TradeoffOutcome, speedup, greenup []float64) {
-	n := len(dst)
-	checkCols(n, len(speedup), len(greenup))
-	speedup, greenup = speedup[:n], greenup[:n]
-	for i := range dst {
-		dst[i] = ClassifyRatios(speedup[i], greenup[i])
-	}
-}
-
-// ClassifyInto fills dst[i] = Classify({w[i], q[i]}, t): the eq. (10)
-// four-way trade-off outcome of applying t to each baseline point.
-func (p Params) ClassifyInto(dst []TradeoffOutcome, w, q []float64, t Tradeoff) {
-	n := len(dst)
-	checkCols(n, len(w), len(q))
-	tf, tm, ef, em, pi0 := p.TauFlop, p.TauMem, p.EpsFlop, p.EpsMem, p.Pi0
-	f, m := t.F, t.M
-	w, q = w[:n], q[:n]
-	for i := range dst {
-		wi, qi := w[i], q[i]
-		tb := math.Max(wi*tf, qi*tm)
-		eb := wi*ef + qi*em + pi0*tb
-		wa, qa := f*wi, qi/m
-		ta := math.Max(wa*tf, qa*tm)
-		ea := wa*ef + qa*em + pi0*ta
-		dst[i] = ClassifyRatios(tb/ta, eb/ea)
 	}
 }

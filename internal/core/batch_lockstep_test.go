@@ -107,37 +107,20 @@ func TestBatchEvalLockstep(t *testing.T) {
 	}
 }
 
-// TestBatchColumnKernelsLockstep pins the unfused per-column kernels —
-// the composable TimeInto/EnergyInto/... layer — to the scalar methods.
+// TestBatchColumnKernelsLockstep pins the (W, Q) column kernels that
+// EvalInto does not fuse, the time and energy bound classifiers, to the
+// scalar methods.
 func TestBatchColumnKernelsLockstep(t *testing.T) {
 	w, q := lockstepGrid(4000)
 	n := len(w)
 	for name, p := range lockstepParams(t) {
 		t.Run(name, func(t *testing.T) {
-			tc := make([]float64, n)
-			ec := make([]float64, n)
-			pc := make([]float64, n)
-			ctc := make([]float64, n)
-			cec := make([]float64, n)
-			ic := make([]float64, n)
-			p.TimeInto(tc, w, q)
-			p.EnergyInto(ec, w, q, tc)
-			p.AveragePowerInto(pc, ec, tc)
-			p.CappedTimeInto(ctc, w, q, tc, ec)
-			p.CappedEnergyInto(cec, w, q, ctc)
-			IntensityInto(ic, w, q)
 			tb := make([]BoundState, n)
 			eb := make([]BoundState, n)
 			p.TimeBoundInto(tb, w, q)
 			p.EnergyBoundInto(eb, w, q)
 			for i := range w {
 				k := Kernel{W: w[i], Q: q[i]}
-				bitEq(t, "TimeInto", i, tc[i], p.Time(k))
-				bitEq(t, "EnergyInto", i, ec[i], p.Energy(k))
-				bitEq(t, "AveragePowerInto", i, pc[i], p.AveragePower(k))
-				bitEq(t, "CappedTimeInto", i, ctc[i], p.CappedTime(k))
-				bitEq(t, "CappedEnergyInto", i, cec[i], p.CappedEnergy(k))
-				bitEq(t, "IntensityInto", i, ic[i], k.Intensity())
 				if tb[i] != p.TimeBound(k) {
 					t.Errorf("TimeBoundInto[%d]: %v != %v", i, tb[i], p.TimeBound(k))
 				}
@@ -183,55 +166,6 @@ func TestBatchCurvesLockstep(t *testing.T) {
 	}
 }
 
-// TestBatchClassifyLockstep pins ClassifyInto and ClassifyRatiosInto to
-// the scalar Classify/ClassifyRatios over randomized baselines and a
-// spread of trade-off factors (including pure improvements and the
-// degenerate f = m = 1).
-func TestBatchClassifyLockstep(t *testing.T) {
-	w, q := lockstepGrid(4000)
-	n := len(w)
-	tradeoffs := []Tradeoff{
-		{F: 1, M: 1},
-		{F: 1.3, M: 2},
-		{F: 2, M: 8},
-		{F: 0.5, M: 0.25},
-		{F: 8, M: 1.01},
-		{F: 1.0000001, M: 1.0000001},
-	}
-	for name, p := range lockstepParams(t) {
-		t.Run(name, func(t *testing.T) {
-			dst := make([]TradeoffOutcome, n)
-			for _, tr := range tradeoffs {
-				p.ClassifyInto(dst, w, q, tr)
-				for i := range w {
-					k := Kernel{W: w[i], Q: q[i]}
-					if want := p.Classify(k, tr); dst[i] != want {
-						t.Errorf("ClassifyInto[%d] f=%g m=%g: %v != %v", i, tr.F, tr.M, dst[i], want)
-					}
-				}
-			}
-			// Ratio-level classification against the scalar helper.
-			rng := rand.New(rand.NewSource(7))
-			sp := make([]float64, 256)
-			gr := make([]float64, 256)
-			for i := range sp {
-				sp[i] = math.Pow(10, -2+4*rng.Float64())
-				gr[i] = math.Pow(10, -2+4*rng.Float64())
-			}
-			sp[0], gr[0] = math.NaN(), 2
-			sp[1], gr[1] = 2, math.NaN()
-			sp[2], gr[2] = 1, 1
-			out := make([]TradeoffOutcome, len(sp))
-			ClassifyRatiosInto(out, sp, gr)
-			for i := range sp {
-				if want := ClassifyRatios(sp[i], gr[i]); out[i] != want {
-					t.Errorf("ClassifyRatiosInto[%d]: %v != %v", i, out[i], want)
-				}
-			}
-		})
-	}
-}
-
 // TestBatchReserveReuses pins the zero-steady-state-allocation
 // contract: a second EvalInto on the same Batch (same size) must not
 // allocate, and Reserve must reuse capacity for any smaller size.
@@ -259,8 +193,9 @@ func TestBatchLengthMismatchPanics(t *testing.T) {
 	p := Params{TauFlop: 1, TauMem: 1, EpsFlop: 1, EpsMem: 1}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("TimeInto with mismatched columns did not panic")
+			t.Fatal("EvalInto with mismatched columns did not panic")
 		}
 	}()
-	p.TimeInto(make([]float64, 3), make([]float64, 2), make([]float64, 3))
+	var b Batch
+	p.EvalInto(&b, make([]float64, 3), make([]float64, 2))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -46,6 +47,45 @@ func TestDVFSFullClockRecoversBaseModel(t *testing.T) {
 	}
 	if stats.RelErr(p.PowerAtFreq(k, 1), p.AveragePower(k)) > 1e-12 {
 		t.Error("P(1) != P")
+	}
+}
+
+// TestAtOperatingPointScalesParameters pins the production pinning path
+// on every point of every DVFS catalog curve at both precisions: τflop,
+// εflop and π0 scale by their factors, the power cap never moves, τmem
+// stays fixed where its scale is 1, and BasePoint is the identity bit
+// for bit.
+func TestAtOperatingPointScalesParameters(t *testing.T) {
+	rel := func(got, want float64) float64 { return math.Abs(got/want - 1) }
+	for _, key := range machine.DVFSCatalogKeys() {
+		m, _ := machine.Find(key)
+		for _, prec := range []machine.Precision{machine.Single, machine.Double} {
+			base := FromMachine(m, prec)
+			if id := base.AtOperatingPoint(machine.BasePoint()); id != base {
+				t.Errorf("%s/%v: base point is not the identity: %+v vs %+v", key, prec, id, base)
+			}
+			for _, op := range m.OperatingPoints {
+				p := base.AtOperatingPoint(op)
+				at := fmt.Sprintf("%s/%v at %s", key, prec, op.Name)
+				// The compute clock sets the flop rate: τflop·s is the
+				// full-clock τflop.
+				if rel(p.TauFlop*op.FreqScale, base.TauFlop) > 1e-12 {
+					t.Errorf("%s: τflop %g at clock %g, base %g", at, p.TauFlop, op.FreqScale, base.TauFlop)
+				}
+				if rel(p.EpsFlop, base.EpsFlop*op.EpsFlopScale) > 1e-12 {
+					t.Errorf("%s: εflop %g, want %g", at, p.EpsFlop, base.EpsFlop*op.EpsFlopScale)
+				}
+				if rel(p.Pi0, base.Pi0*op.Pi0Scale) > 1e-12 {
+					t.Errorf("%s: π0 %g, want %g", at, p.Pi0, base.Pi0*op.Pi0Scale)
+				}
+				if p.PowerCap != base.PowerCap {
+					t.Errorf("%s: power cap moved with the clock: %g vs %g", at, p.PowerCap, base.PowerCap)
+				}
+				if op.TauMemScale == 1 && p.TauMem != base.TauMem {
+					t.Errorf("%s: τmem moved with the compute clock: %g vs %g", at, p.TauMem, base.TauMem)
+				}
+			}
+		}
 	}
 }
 

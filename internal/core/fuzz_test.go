@@ -64,8 +64,6 @@ func FuzzBatchEval(f *testing.F) {
 
 		var b Batch
 		p.EvalInto(&b, w, q)
-		ic := make([]float64, n)
-		IntensityInto(ic, w, q)
 		tb := make([]BoundState, n)
 		eb := make([]BoundState, n)
 		p.TimeBoundInto(tb, w, q)
@@ -78,7 +76,6 @@ func FuzzBatchEval(f *testing.F) {
 			checkBits(t, "CappedTime", i, b.CappedTime[i], p.CappedTime(k))
 			checkBits(t, "CappedEnergy", i, b.CappedEnergy[i], p.CappedEnergy(k))
 			checkBits(t, "CappedPower", i, b.CappedPower[i], p.CappedPower(k))
-			checkBits(t, "Intensity", i, ic[i], k.Intensity())
 			if tb[i] != p.TimeBound(k) {
 				t.Errorf("TimeBound[%d]: batch %v != scalar %v", i, tb[i], p.TimeBound(k))
 			}

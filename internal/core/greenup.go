@@ -140,8 +140,7 @@ func (o TradeoffOutcome) String() string {
 // ClassifyRatios maps a (speedup, greenup) ratio pair onto the eq. (10)
 // vocabulary: ratios above one mean the transformed algorithm is faster
 // / greener than the baseline. It is the shared classifier behind
-// Classify, the batch ClassifyInto kernels, and the cluster router's
-// energy-aware policy.
+// Classify and the cluster router's energy-aware policy.
 func ClassifyRatios(speedup, greenup float64) TradeoffOutcome {
 	speed := speedup > 1
 	green := greenup > 1

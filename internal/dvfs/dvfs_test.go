@@ -14,12 +14,12 @@ import (
 // randMachine builds a synthetic but valid machine from random model
 // parameters, with the given curve attached.
 func randMachine(rng *rand.Rand, curve []machine.OperatingPoint) *machine.Machine {
-	peak := 20e9 * math.Exp2(4*rng.Float64())      // 20–320 Gflop/s
-	bw := 10e9 * math.Exp2(4*rng.Float64())        // 10–160 GB/s
-	epsF := 50e-12 * math.Exp2(4*rng.Float64())    // 50–800 pJ/flop
-	epsM := 100e-12 * math.Exp2(4*rng.Float64())   // 0.1–1.6 nJ/byte
-	pi0 := 5 + 295*rng.Float64()                   // 5–300 W
-	idle := pi0 * rng.Float64()                    // below π0
+	peak := 20e9 * math.Exp2(4*rng.Float64())    // 20–320 Gflop/s
+	bw := 10e9 * math.Exp2(4*rng.Float64())      // 10–160 GB/s
+	epsF := 50e-12 * math.Exp2(4*rng.Float64())  // 50–800 pJ/flop
+	epsM := 100e-12 * math.Exp2(4*rng.Float64()) // 0.1–1.6 nJ/byte
+	pi0 := 5 + 295*rng.Float64()                 // 5–300 W
+	idle := pi0 * rng.Float64()                  // below π0
 	pp := machine.PrecisionParams{PeakFlops: peak, EnergyPerFlop: units.Joules(epsF), AchievedFlopFrac: 1, AchievedBWFrac: 1}
 	return &machine.Machine{
 		Name:            "prop",

@@ -50,18 +50,3 @@ func WriteJSON(w io.Writer, reports []*Report) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
-
-// ReadJSON parses a report artifact written by WriteJSON, returning
-// per-experiment deviation counts keyed by experiment ID — what a
-// regression tracker needs.
-func ReadJSON(r io.Reader) (map[string]int, error) {
-	var in []jsonReport
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, err
-	}
-	out := make(map[string]int, len(in))
-	for _, jr := range in {
-		out[jr.ID] = jr.Deviations
-	}
-	return out, nil
-}

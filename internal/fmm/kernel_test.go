@@ -170,3 +170,18 @@ func BenchmarkInteractF32(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkInteractF32Serial(b *testing.B) {
+	p := UniformPoints(4000, 1)
+	tr, err := Build(p, 64, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := tr.BuildULists()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.InteractF32(u); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -54,15 +54,6 @@ func (p *Points) Validate() error {
 	return nil
 }
 
-// Swap exchanges points i and j (used by the tree build's reordering).
-func (p *Points) Swap(i, j int) {
-	p.X[i], p.X[j] = p.X[j], p.X[i]
-	p.Y[i], p.Y[j] = p.Y[j], p.Y[i]
-	p.Z[i], p.Z[j] = p.Z[j], p.Z[i]
-	p.D[i], p.D[j] = p.D[j], p.D[i]
-	p.Phi[i], p.Phi[j] = p.Phi[j], p.Phi[i]
-}
-
 // UniformPoints returns n points uniformly distributed in the unit cube
 // with unit-mean densities, deterministically from seed.
 func UniformPoints(n int, seed int64) *Points {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/units"
 )
 
 // StudyConfig parameterises the §V-C energy-estimation study.
@@ -267,36 +266,10 @@ func (r VariantResult) IntensityOf() float64 {
 	return r.W / r.Traffic.DRAMReadBytes
 }
 
-// TimeOf returns the variant's simulated time as a typed quantity.
-func (r VariantResult) TimeOf() units.Seconds { return units.Seconds(r.Time) }
-
 // SortByEq2Error orders results by most-severe underestimation first
 // (diagnostic helper for reports).
 func SortByEq2Error(rs []VariantResult) {
 	sort.Slice(rs, func(i, j int) bool {
 		return rs[i].Eq2RelError() < rs[j].Eq2RelError()
 	})
-}
-
-// Best picks the study's winning variants under three objectives —
-// fastest (min time), greenest (min measured energy), and best
-// energy–delay product — the selection step a tuner would run over the
-// paper's ~390-variant population.
-func (r *StudyResult) Best() (fastest, greenest, bestEDP VariantResult, err error) {
-	if len(r.Results) == 0 {
-		return VariantResult{}, VariantResult{}, VariantResult{}, errors.New("fmm: empty study")
-	}
-	fastest, greenest, bestEDP = r.Results[0], r.Results[0], r.Results[0]
-	for _, v := range r.Results[1:] {
-		if v.Time < fastest.Time {
-			fastest = v
-		}
-		if v.MeasuredEnergy < greenest.MeasuredEnergy {
-			greenest = v
-		}
-		if v.MeasuredEnergy*v.Time < bestEDP.MeasuredEnergy*bestEDP.Time {
-			bestEDP = v
-		}
-	}
-	return fastest, greenest, bestEDP, nil
 }

@@ -47,16 +47,6 @@ func TestPointsValidate(t *testing.T) {
 	}
 }
 
-func TestPointsSwap(t *testing.T) {
-	p := NewPoints(2)
-	p.X[0], p.X[1] = 0.1, 0.2
-	p.D[0], p.D[1] = 1, 2
-	p.Swap(0, 1)
-	if p.X[0] != 0.2 || p.D[0] != 2 || p.X[1] != 0.1 {
-		t.Error("swap incomplete")
-	}
-}
-
 func TestBuildErrors(t *testing.T) {
 	p := UniformPoints(10, 1)
 	if _, err := Build(p, 0, 8); err == nil {

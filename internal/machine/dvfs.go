@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/strictjson"
 	"repro/internal/units"
 )
 
@@ -99,7 +98,8 @@ func BasePoint() OperatingPoint {
 	}
 }
 
-// maxCurvePoints bounds a curve's length on the wire surface.
+// maxCurvePoints bounds a curve's length, including one read from
+// machine JSON.
 const maxCurvePoints = 64
 
 // ValidateCurve checks a DVFS curve: every point valid, names unique,
@@ -144,28 +144,16 @@ func CloneCurve(curve []OperatingPoint) []OperatingPoint {
 // coupling documented at the top of this file.
 type ScalingLaw struct {
 	// VMin is the voltage floor as a fraction of nominal: V(s) =
-	// VMin + (1−VMin)·s, the linear governor approximation. Default 0.75.
+	// VMin + (1−VMin)·s, the linear governor approximation.
 	VMin float64 `json:"v_min,omitempty"`
 	// Pi0Floor is κ, the fraction of π0 (leakage, fans, board) that
-	// never scales with the clock. Default 0.5.
+	// never scales with the clock.
 	Pi0Floor float64 `json:"pi0_floor,omitempty"`
 }
 
 // DefaultScalingLaw returns the law used for every catalog curve:
 // a 0.75 voltage floor and half the constant power unscalable.
 func DefaultScalingLaw() ScalingLaw { return ScalingLaw{VMin: 0.75, Pi0Floor: 0.5} }
-
-// withDefaults fills zero fields with the defaults.
-func (l ScalingLaw) withDefaults() ScalingLaw {
-	d := DefaultScalingLaw()
-	if l.VMin == 0 {
-		l.VMin = d.VMin
-	}
-	if l.Pi0Floor == 0 {
-		l.Pi0Floor = d.Pi0Floor
-	}
-	return l
-}
 
 // Validate checks the law's parameters. Beyond range checks it requires
 //
@@ -254,27 +242,6 @@ func (m *Machine) Point(name string) (OperatingPoint, bool) {
 	return OperatingPoint{}, false
 }
 
-// AtOperatingPoint returns a copy of the machine pinned to one
-// operating point: the scale factors are folded into the base
-// parameters and the curve is dropped (a pinned machine has a single
-// operating point by construction). Peak throughputs divide by the τ
-// scales; energy coefficients, constant power, and idle power multiply
-// by theirs. The power cap is an electrical limit of the board and does
-// not move with the clock.
-func (m *Machine) AtOperatingPoint(op OperatingPoint) *Machine {
-	c := m.Clone()
-	c.OperatingPoints = nil
-	c.SP.PeakFlops /= op.TauFlopScale
-	c.DP.PeakFlops /= op.TauFlopScale
-	c.Bandwidth /= op.TauMemScale
-	c.SP.EnergyPerFlop = units.Joules(float64(c.SP.EnergyPerFlop) * op.EpsFlopScale)
-	c.DP.EnergyPerFlop = units.Joules(float64(c.DP.EnergyPerFlop) * op.EpsFlopScale)
-	c.EnergyPerByte = units.Joules(float64(c.EnergyPerByte) * op.EpsMemScale)
-	c.ConstantPower = units.Watts(float64(c.ConstantPower) * op.Pi0Scale)
-	c.IdlePower = units.Watts(float64(c.IdlePower) * op.Pi0Scale)
-	return c
-}
-
 // Multi-SM family -------------------------------------------------------------
 
 // gtx580SMCount is the GTX 580's full streaming-multiprocessor count.
@@ -356,85 +323,4 @@ func Find(key string) (*Machine, bool) {
 		return m, true
 	}
 	return nil, false
-}
-
-// Wire surface ----------------------------------------------------------------
-
-// OperatingPointConfig is the JSON wire/CLI form of a DVFS curve:
-// either an explicit point list or the parameters of a synthesized one.
-// Zero fields take defaults; parsed strictly by
-// ParseOperatingPointConfig.
-type OperatingPointConfig struct {
-	// Machine is the catalog key the curve attaches to.
-	Machine string `json:"machine"`
-	// Points, when non-empty, is the explicit curve (ValidateCurve
-	// rules apply). Mutually exclusive with FreqScales/VMin/Pi0Floor.
-	Points []OperatingPoint `json:"points,omitempty"`
-	// FreqScales are the clock fractions to synthesize (default
-	// DefaultFreqScales): strictly increasing, ending at 1.
-	FreqScales []float64 `json:"freq_scales,omitempty"`
-	// VMin is the synthesis law's voltage floor (default 0.75).
-	VMin float64 `json:"v_min,omitempty"`
-	// Pi0Floor is the synthesis law's constant-power floor (default 0.5).
-	Pi0Floor float64 `json:"pi0_floor,omitempty"`
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (c OperatingPointConfig) withDefaults() OperatingPointConfig {
-	if len(c.Points) == 0 && len(c.FreqScales) == 0 {
-		c.FreqScales = DefaultFreqScales()
-	}
-	if len(c.Points) == 0 {
-		law := ScalingLaw{VMin: c.VMin, Pi0Floor: c.Pi0Floor}.withDefaults()
-		c.VMin, c.Pi0Floor = law.VMin, law.Pi0Floor
-	}
-	return c
-}
-
-// Validate reports whether the config describes a buildable curve. It
-// is syntactic: the machine key's existence is the caller's concern
-// (the CLI has the catalog).
-func (c OperatingPointConfig) Validate() error {
-	if c.Machine == "" {
-		return fmt.Errorf("machine: operating-point config needs a machine")
-	}
-	if len(c.Points) > 0 {
-		if len(c.FreqScales) > 0 || c.VMin != 0 || c.Pi0Floor != 0 {
-			return fmt.Errorf("machine: operating-point config lists explicit points and synthesis parameters; pick one")
-		}
-		return ValidateCurve(c.Points)
-	}
-	if len(c.FreqScales) > maxCurvePoints {
-		return fmt.Errorf("machine: config lists %d freq scales, max %d", len(c.FreqScales), maxCurvePoints)
-	}
-	_, err := c.Curve()
-	return err
-}
-
-// Curve materializes the configured curve: the explicit points, or the
-// synthesized law over the frequency scales.
-func (c OperatingPointConfig) Curve() ([]OperatingPoint, error) {
-	if len(c.Points) > 0 {
-		if err := ValidateCurve(c.Points); err != nil {
-			return nil, err
-		}
-		return CloneCurve(c.Points), nil
-	}
-	return ScalingLaw{VMin: c.VMin, Pi0Floor: c.Pi0Floor}.withDefaults().Curve(c.FreqScales)
-}
-
-// ParseOperatingPointConfig parses the JSON form strictly — unknown
-// fields are rejected — fills defaults, and validates. It is the fuzzed
-// entry point (FuzzOperatingPointConfig): any byte slice either yields
-// a config whose Curve passes ValidateCurve, or errors.
-func ParseOperatingPointConfig(data []byte) (OperatingPointConfig, error) {
-	var c OperatingPointConfig
-	if err := strictjson.Unmarshal(data, &c); err != nil {
-		return OperatingPointConfig{}, fmt.Errorf("machine: parse operating-point config: %w", err)
-	}
-	c = c.withDefaults()
-	if err := c.Validate(); err != nil {
-		return OperatingPointConfig{}, err
-	}
-	return c, nil
 }

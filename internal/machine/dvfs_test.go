@@ -2,9 +2,12 @@ package machine
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/strictjson"
 )
 
 func TestDefaultCurveValidates(t *testing.T) {
@@ -126,41 +129,6 @@ func TestCloneCopiesCurve(t *testing.T) {
 	}
 }
 
-func TestAtOperatingPointScalesParameters(t *testing.T) {
-	m := DVFSCatalog()["gtx580"]
-	op, ok := m.Point("0.70x")
-	if !ok {
-		t.Fatal("default curve lost the 0.70x point")
-	}
-	pinned := m.AtOperatingPoint(op)
-	if err := pinned.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if pinned.OperatingPoints != nil {
-		t.Fatal("pinned machine still carries a curve")
-	}
-	if got, want := pinned.DP.PeakFlops, m.DP.PeakFlops*0.70; math.Abs(got/want-1) > 1e-12 {
-		t.Errorf("pinned DP peak %g, want %g", got, want)
-	}
-	if pinned.Bandwidth != m.Bandwidth {
-		t.Errorf("bandwidth moved with the compute clock: %g vs %g", pinned.Bandwidth, m.Bandwidth)
-	}
-	if got, want := float64(pinned.DP.EnergyPerFlop), float64(m.DP.EnergyPerFlop)*op.EpsFlopScale; math.Abs(got/want-1) > 1e-12 {
-		t.Errorf("pinned ε_flop %g, want %g", got, want)
-	}
-	if got, want := float64(pinned.ConstantPower), float64(m.ConstantPower)*op.Pi0Scale; math.Abs(got/want-1) > 1e-12 {
-		t.Errorf("pinned π0 %g, want %g", got, want)
-	}
-	if pinned.PowerCap != m.PowerCap {
-		t.Errorf("power cap moved with the clock: %g vs %g", pinned.PowerCap, m.PowerCap)
-	}
-	// The base point is the identity.
-	id := m.AtOperatingPoint(BasePoint())
-	if float64(id.ConstantPower) != float64(m.ConstantPower) || id.DP.PeakFlops != m.DP.PeakFlops {
-		t.Fatal("base point is not the identity")
-	}
-}
-
 func TestGTX580SMFamily(t *testing.T) {
 	full := GTX580()
 	for _, n := range []int{1, 4, 8, 16} {
@@ -234,26 +202,68 @@ func TestDVFSCatalogAndFind(t *testing.T) {
 	}
 }
 
+// curveInput is the JSON shape FuzzOperatingPointConfig decodes: a
+// DVFS catalog key with either an explicit curve or a scaling law over
+// clock fractions. The law fields start at DefaultScalingLaw and the
+// fractions at DefaultFreqScales, so an input that leaves them out
+// builds the catalog curve.
+type curveInput struct {
+	Machine    string           `json:"machine"`
+	Points     []OperatingPoint `json:"points"`
+	FreqScales []float64        `json:"freq_scales"`
+	VMin       float64          `json:"v_min"`
+	Pi0Floor   float64          `json:"pi0_floor"`
+}
+
+// decodeCurve strictly decodes data as a curveInput and returns the
+// named machine carrying the curve it describes: the explicit points
+// after ValidateCurve, or the law's Curve, which runs
+// ScalingLaw.Validate and ValidateCurve.
+func decodeCurve(data []byte) (*Machine, error) {
+	law := DefaultScalingLaw()
+	in := curveInput{FreqScales: DefaultFreqScales(), VMin: law.VMin, Pi0Floor: law.Pi0Floor}
+	if err := strictjson.Unmarshal(data, &in); err != nil {
+		return nil, err
+	}
+	m, ok := Find(in.Machine)
+	if !ok {
+		return nil, fmt.Errorf("unknown machine %q", in.Machine)
+	}
+	curve := in.Points
+	if len(curve) > 0 {
+		if err := ValidateCurve(curve); err != nil {
+			return nil, err
+		}
+	} else {
+		var err error
+		if curve, err = (ScalingLaw{VMin: in.VMin, Pi0Floor: in.Pi0Floor}).Curve(in.FreqScales); err != nil {
+			return nil, err
+		}
+	}
+	m.OperatingPoints = curve
+	return m, nil
+}
+
+// TestParseOperatingPointConfig pins which inputs decodeCurve accepts,
+// so the fuzz target's seeds reach the curve rules rather than stop at
+// the decoder.
 func TestParseOperatingPointConfig(t *testing.T) {
 	// Defaults: machine only.
-	c, err := ParseOperatingPointConfig([]byte(`{"machine":"gtx580"}`))
+	m, err := decodeCurve([]byte(`{"machine":"gtx580"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve, err := c.Curve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != len(DefaultFreqScales()) {
-		t.Fatalf("default config built %d points, want %d", len(curve), len(DefaultFreqScales()))
+	if len(m.OperatingPoints) != len(DefaultFreqScales()) {
+		t.Fatalf("default input built %d points, want %d", len(m.OperatingPoints), len(DefaultFreqScales()))
 	}
 	// Synthesis parameters.
-	if _, err := ParseOperatingPointConfig([]byte(`{"machine":"i7-950","freq_scales":[0.5,1],"v_min":0.8,"pi0_floor":0.6}`)); err != nil {
+	if _, err := decodeCurve([]byte(`{"machine":"i7-950","freq_scales":[0.5,1],"v_min":0.8,"pi0_floor":0.6}`)); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []string{
 		``,                              // empty
 		`{}`,                            // no machine
+		`{"machine":"nope"}`,            // not a DVFS catalog key
 		`{"machine":"gtx580","nope":1}`, // unknown field
 		`{"machine":"gtx580"} trailing`, // trailing data
 		`{"machine":"gtx580"}}`,         // stray closing brace
@@ -261,87 +271,60 @@ func TestParseOperatingPointConfig(t *testing.T) {
 		`{"machine":"gtx580"} {}`,       // second value
 		`{"machine":"gtx580","freq_scales":[1,0.5]}`,       // not increasing
 		`{"machine":"gtx580","freq_scales":[0.5]}`,         // does not end at 1
+		`{"machine":"gtx580","freq_scales":[0,1]}`,         // zero clock fraction
+		`{"machine":"gtx580","freq_scales":[]}`,            // empty curve
 		`{"machine":"gtx580","v_min":0.5,"pi0_floor":0.3}`, // law violates the convexity bound
-		`{"machine":"gtx580","points":[{"name":"x","freq_scale":0.5,"tau_flop_scale":2,"tau_mem_scale":1,"eps_flop_scale":0.8,"eps_mem_scale":1,"pi0_scale":0.8}],"v_min":0.9}`, // points + synthesis params
+		`{"machine":"gtx580","points":[{"name":"x","freq_scale":0.5,"tau_flop_scale":2,"tau_mem_scale":1,"eps_flop_scale":0.8,"eps_mem_scale":1,"pi0_scale":0.8}]}`, // explicit curve not ending at the identity
 	} {
-		if _, err := ParseOperatingPointConfig([]byte(bad)); err == nil {
-			t.Errorf("config %q parsed, want error", bad)
+		if _, err := decodeCurve([]byte(bad)); err == nil {
+			t.Errorf("input %q decoded, want error", bad)
 		}
 	}
 	// Explicit points.
 	pts := `{"machine":"gtx580","points":[
 	  {"name":"half","freq_scale":0.5,"tau_flop_scale":2,"tau_mem_scale":1,"eps_flop_scale":0.77,"eps_mem_scale":1,"pi0_scale":0.66},
 	  {"name":"full","freq_scale":1,"tau_flop_scale":1,"tau_mem_scale":1,"eps_flop_scale":1,"eps_mem_scale":1,"pi0_scale":1}]}`
-	c, err = ParseOperatingPointConfig([]byte(pts))
+	m, err = decodeCurve([]byte(pts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve, err = c.Curve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 2 || curve[0].Name != "half" {
-		t.Fatalf("explicit points mangled: %+v", curve)
+	if len(m.OperatingPoints) != 2 || m.OperatingPoints[0].Name != "half" {
+		t.Fatalf("explicit points mangled: %+v", m.OperatingPoints)
 	}
 }
 
-// FuzzOperatingPointConfig is the strict-parser differential target: any
-// byte slice either errors or yields a config whose materialized curve
-// passes ValidateCurve and attaches to a catalog machine that still
-// validates.
+// FuzzOperatingPointConfig is the curve rules' differential target: any
+// byte slice either fails decodeCurve (strictjson, ScalingLaw.Curve,
+// ValidateCurve) or yields a machine that validates and round-trips
+// through its JSON encoding.
 func FuzzOperatingPointConfig(f *testing.F) {
 	f.Add([]byte(`{"machine":"gtx580"}`))
 	f.Add([]byte(`{"machine":"i7-950","freq_scales":[0.25,0.5,0.75,1]}`))
 	f.Add([]byte(`{"machine":"gtx580-8sm","v_min":0.9,"pi0_floor":0.7}`))
-	f.Add([]byte(`{"machine":"x","points":[{"name":"half","freq_scale":0.5,"tau_flop_scale":2,"tau_mem_scale":1,"eps_flop_scale":0.77,"eps_mem_scale":1,"pi0_scale":0.66},{"name":"full","freq_scale":1,"tau_flop_scale":1,"tau_mem_scale":1,"eps_flop_scale":1,"eps_mem_scale":1,"pi0_scale":1}]}`))
+	f.Add([]byte(`{"machine":"gtx580-4sm","points":[{"name":"half","freq_scale":0.5,"tau_flop_scale":2,"tau_mem_scale":1,"eps_flop_scale":0.77,"eps_mem_scale":1,"pi0_scale":0.66},{"name":"full","freq_scale":1,"tau_flop_scale":1,"tau_mem_scale":1,"eps_flop_scale":1,"eps_mem_scale":1,"pi0_scale":1}]}`))
 	f.Add([]byte(`{"machine":"gtx580","freq_scales":[1,0.5]}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ParseOperatingPointConfig(data)
+		m, err := decodeCurve(data)
 		if err != nil {
 			return
 		}
-		curve, err := c.Curve()
-		if err != nil {
-			t.Fatalf("accepted config cannot build its curve: %v\nconfig: %+v", err, c)
-		}
-		if err := ValidateCurve(curve); err != nil {
-			t.Fatalf("accepted config built an invalid curve: %v", err)
-		}
-		m := GTX580()
-		m.OperatingPoints = curve
 		if err := m.Validate(); err != nil {
 			t.Fatalf("valid curve rejected by machine validation: %v", err)
 		}
-		// The wire form round-trips through the machine encoding.
+		// The curve round-trips through the machine encoding.
 		data2, err := m.ToJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := FromJSON(data2); err != nil {
+		got, err := FromJSON(data2)
+		if err != nil {
 			t.Fatalf("curve-bearing machine does not round-trip: %v", err)
 		}
-		// Every non-base point must price differently from base in at
-		// least the clock: pinning is well-defined.
-		for _, op := range curve[:len(curve)-1] {
-			pinned := m.AtOperatingPoint(op)
-			if err := pinned.Validate(); err != nil {
-				t.Fatalf("pinned machine invalid at %s: %v", op.Name, err)
-			}
+		if len(got.OperatingPoints) != len(m.OperatingPoints) {
+			t.Fatalf("round trip kept %d of %d points", len(got.OperatingPoints), len(m.OperatingPoints))
 		}
 	})
-}
-
-func TestOperatingPointConfigEmptyScalesList(t *testing.T) {
-	// An explicit empty freq_scales list decodes to a nil slice, which
-	// withDefaults fills — document that it behaves like omission.
-	c, err := ParseOperatingPointConfig([]byte(`{"machine":"gtx580","freq_scales":[]}`))
-	if err != nil {
-		t.Fatalf("empty freq_scales should take defaults, got %v", err)
-	}
-	if len(c.FreqScales) != len(DefaultFreqScales()) {
-		t.Fatalf("empty freq_scales filled %d entries, want defaults", len(c.FreqScales))
-	}
 }
 
 func TestCurveJSONStable(t *testing.T) {

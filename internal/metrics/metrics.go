@@ -145,34 +145,6 @@ func EvaluateBatch(p core.Params, out *ScoreColumns, w, q []float64) error {
 	return nil
 }
 
-// BestIntensityFor returns the intensity in [lo, hi] that optimises the
-// given EDⁿP exponent for a fixed-work kernel (lower EDⁿP is better),
-// found on a dense log grid. For n = 0 (energy) the optimum is always
-// hi — more intensity never hurts energy; for larger n the optimum
-// still saturates at hi under this model, but the *gain* flattens past
-// the relevant balance point, which Flatness reports.
-func BestIntensityFor(p core.Params, w float64, n int, lo, hi float64) (float64, error) {
-	if n < 0 {
-		return 0, errors.New("metrics: delay exponent must be non-negative")
-	}
-	grid := core.LogGrid(lo, hi, 257)
-	if grid == nil {
-		return 0, errors.New("metrics: bad intensity range")
-	}
-	best, bestV := grid[0], math.Inf(1)
-	for _, i := range grid {
-		k := core.KernelAt(w, i)
-		v, err := EDnP(p.Energy(k), p.Time(k), n)
-		if err != nil {
-			return 0, err
-		}
-		if v < bestV {
-			best, bestV = i, v
-		}
-	}
-	return best, nil
-}
-
 // Flatness returns the ratio metric(I)/metric(2I) for the EDⁿP family:
 // values near 1 mean more intensity no longer buys improvement (the
 // kernel has passed the relevant balance point).

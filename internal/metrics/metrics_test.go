@@ -69,27 +69,6 @@ func TestEvaluateConsistency(t *testing.T) {
 	}
 }
 
-func TestBestIntensitySaturates(t *testing.T) {
-	p := params()
-	for _, n := range []int{0, 1, 2} {
-		best, err := BestIntensityFor(p, 1e9, n, 0.25, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Under this model more intensity never hurts any EDⁿP, so the
-		// optimum is the top of the range.
-		if math.Abs(best-64) > 1e-6*64 {
-			t.Errorf("n=%d: best intensity = %v, want 64", n, best)
-		}
-	}
-	if _, err := BestIntensityFor(p, 1e9, -1, 0.25, 64); err == nil {
-		t.Error("negative exponent accepted")
-	}
-	if _, err := BestIntensityFor(p, 1e9, 1, 4, 2); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
 func TestFlatnessDetectsBalancePoints(t *testing.T) {
 	p := params()
 	// Deep in the memory-bound regime, doubling intensity halves both

@@ -482,18 +482,6 @@ func FitEq9(points []Point) (*Coefficients, *regress.Result, error) {
 	}, res, nil
 }
 
-// RunProgram executes a generated instruction-stream kernel on the
-// engine: the program's counted ops become the executed W and Q, so
-// what runs is exactly what the stream encodes (the simulation analogue
-// of executing the inspected PTX).
-func RunProgram(eng *sim.Engine, prog Program, tuning sim.Tuning) (*sim.Run, error) {
-	w, q := prog.Counts()
-	if w <= 0 && q <= 0 {
-		return nil, errors.New("microbench: program performs no work and moves no data")
-	}
-	return eng.Run(sim.KernelSpec{W: w, Q: q, Precision: prog.Precision, Tuning: tuning})
-}
-
 // Peaks reports the best achieved compute and bandwidth rates for one
 // precision — the §IV-B "88.3% of system peak"-style numbers. It runs a
 // strongly compute-bound and a strongly memory-bound kernel at the

@@ -305,32 +305,6 @@ func TestFittedCoefficientsPredictHeldOutPoints(t *testing.T) {
 	}
 }
 
-func TestRunProgramExecutesCountedOps(t *testing.T) {
-	m := machine.CoreI7950()
-	e := engine(t, m, 77)
-	prog, err := GeneratePolynomial(64, 1<<20, machine.Single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RunProgram(e, prog, e.OptimalTuning())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, q := prog.Counts()
-	// The run's achieved rate reflects exactly the counted stream.
-	gflops := w / float64(r.Duration) / 1e9
-	if gflops <= 0 || gflops > m.SP.PeakFlops/1e9 {
-		t.Errorf("program rate %v GFLOP/s out of range", gflops)
-	}
-	if r.Spec.W != w || r.Spec.Q != q {
-		t.Error("run spec does not match program counts")
-	}
-	// Degenerate program rejected.
-	if _, err := RunProgram(e, Program{}, e.OptimalTuning()); err == nil {
-		t.Error("empty program accepted")
-	}
-}
-
 // TestSweepWorkerInvariance pins the determinism contract of the
 // parallel sweep: because every (grid point, rep) task derives its
 // noise stream from its identity rather than from scheduling order,

@@ -5,14 +5,12 @@ import (
 	"math"
 
 	"repro/internal/machine"
-	"repro/internal/strictjson"
 )
 
 // FitConfig describes one blackbox fit: which (machine, precision)
 // pair to fit and the simulated measurement campaign to fit it on.
 // Zero fields take defaults (see DefaultFitConfig); the zero Machine
-// is invalid. The JSON form is the wire/CLI surface, parsed strictly
-// by ParseFitConfig.
+// is invalid.
 type FitConfig struct {
 	// Machine is the catalog key to fit ("gtx580", ...).
 	Machine string `json:"machine"`
@@ -88,9 +86,9 @@ func (c FitConfig) withDefaults() FitConfig {
 	return c
 }
 
-// Fit-config bounds: syntactic sanity for the wire surface. The caps
-// keep a hostile config from requesting an unbounded simulation
-// campaign; Fit checks the machine against the catalog separately.
+// Fit-config bounds: syntactic sanity checks. The caps keep a hostile
+// config from requesting an unbounded simulation campaign; Fit checks
+// the machine against the catalog separately.
 const (
 	maxFitPoints  = 1 << 12
 	maxFitReps    = 1 << 12
@@ -136,22 +134,6 @@ func (c FitConfig) Validate() error {
 		return fmt.Errorf("model: volumes must include at least two distinct sizes (equal volumes leave the time intercept unidentified)")
 	}
 	return nil
-}
-
-// ParseFitConfig parses the JSON form strictly — unknown fields are
-// rejected — fills defaults, and validates. It is the fuzzed entry
-// point (FuzzModelConfig): any byte slice either round-trips to a
-// config that Validate accepts, or errors.
-func ParseFitConfig(data []byte) (FitConfig, error) {
-	var c FitConfig
-	if err := strictjson.Unmarshal(data, &c); err != nil {
-		return FitConfig{}, fmt.Errorf("model: parse fit config: %w", err)
-	}
-	c = c.withDefaults()
-	if err := c.Validate(); err != nil {
-		return FitConfig{}, err
-	}
-	return c, nil
 }
 
 // parsePrecision maps the wire names to machine.Precision; the empty

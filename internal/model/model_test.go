@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -211,73 +210,4 @@ func TestRegistry(t *testing.T) {
 	if model.Describe("psychic") != "" {
 		t.Error("unregistered name has a description")
 	}
-}
-
-// TestParseFitConfig covers the strict wire parser: defaults, rejection
-// of unknown fields, trailing data, and each Validate failure.
-func TestParseFitConfig(t *testing.T) {
-	good, err := model.ParseFitConfig([]byte(`{"machine": "gtx580"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good.Precision != "double" || good.Points != 9 || good.Reps != 8 ||
-		good.LoIntensity != 0.25 || good.HiIntensity != 64 ||
-		len(good.Volumes) != 2 || good.Seed != 101 {
-		t.Errorf("defaults not applied: %+v", good)
-	}
-
-	bad := []struct {
-		name, body, wantErr string
-	}{
-		{"not json", `nope`, "parse"},
-		{"unknown field", `{"machine": "gtx580", "turbo": true}`, "unknown field"},
-		{"trailing data", `{"machine": "gtx580"} {}`, "trailing data"},
-		{"stray brace", `{"machine": "gtx580"}}`, "trailing data"},
-		{"stray bracket", `{"machine": "gtx580"}]`, "trailing data"},
-		{"no machine", `{}`, "needs a machine"},
-		{"bad precision", `{"machine": "gtx580", "precision": "half"}`, "unknown precision"},
-		{"negative lo", `{"machine": "gtx580", "lo_intensity": -1}`, "lo_intensity"},
-		{"hi below lo", `{"machine": "gtx580", "lo_intensity": 8, "hi_intensity": 2}`, "hi_intensity"},
-		{"one point", `{"machine": "gtx580", "points": 1}`, "points"},
-		{"points cap", `{"machine": "gtx580", "points": 5000}`, "points"},
-		{"reps cap", `{"machine": "gtx580", "reps": 5000}`, "reps"},
-		{"single volume", `{"machine": "gtx580", "volumes": [1048576]}`, "volumes"},
-		{"equal volumes", `{"machine": "gtx580", "volumes": [1048576, 1048576]}`, "distinct"},
-		{"huge volume", `{"machine": "gtx580", "volumes": [1, 2e12]}`, "volume"},
-	}
-	for _, tc := range bad {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := model.ParseFitConfig([]byte(tc.body))
-			if err == nil {
-				t.Fatalf("accepted %s", tc.body)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("error %q does not mention %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// FuzzModelConfig fuzzes the strict JSON entry point: any input either
-// parses to a config Validate accepts, or errors — never panics, and
-// an accepted config survives a defaults round-trip.
-func FuzzModelConfig(f *testing.F) {
-	f.Add([]byte(`{"machine": "gtx580"}`))
-	f.Add([]byte(`{"machine": "i7-950", "precision": "single", "points": 5, "reps": 3}`))
-	f.Add([]byte(`{"machine": "fermi", "volumes": [1048576, 4194304], "seed": 99}`))
-	f.Add([]byte(`{"machine": "", "hi_intensity": 1e308}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`{"machine": "gtx580"} trailing`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, err := model.ParseFitConfig(data)
-		if err != nil {
-			return
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("parsed config fails its own Validate: %v", err)
-		}
-		if cfg.Machine == "" || cfg.Points < 2 || cfg.Reps < 1 || len(cfg.Volumes) < 2 {
-			t.Fatalf("accepted config missing defaults: %+v", cfg)
-		}
-	})
 }

@@ -12,10 +12,10 @@ type steady units.Watts
 
 func (s steady) PowerAt(units.Seconds) units.Watts { return units.Watts(s) }
 
-// Sampling a device and summarising the trace. Stats, AveragePower and
-// Energy share one fused integration pass over the samples, so asking
-// for all three costs a single traversal.
-func ExampleTrace_Stats() {
+// Sampling a device and summarising the trace. AveragePower and Energy
+// share one memoized integration pass over the samples, so asking for
+// both costs a single traversal.
+func ExampleTrace_Energy() {
 	m, err := powermon.New(powermon.GPUChannels(), powermon.Config{Seed: 7})
 	if err != nil {
 		panic(err)
@@ -24,22 +24,11 @@ func ExampleTrace_Stats() {
 	if err != nil {
 		panic(err)
 	}
-	st, err := tr.Stats()
-	if err != nil {
-		panic(err)
-	}
 	fmt.Printf("samples: %d\n", len(tr.Samples))
-	fmt.Printf("mean: %.1f W\n", float64(st.MeanPower))
+	fmt.Printf("mean: %.1f W\n", float64(tr.AveragePower()))
 	fmt.Printf("energy: %.1f J\n", float64(tr.Energy()))
-	for i, ch := range tr.Channels {
-		fmt.Printf("%s share: %.2f\n", ch.Name, st.ChannelShare[i])
-	}
 	// Output:
 	// samples: 128
 	// mean: 150.0 W
 	// energy: 150.0 J
-	// 12V-8pin share: 0.45
-	// 12V-6pin share: 0.30
-	// PCIe-12V share: 0.20
-	// PCIe-3.3V share: 0.05
 }

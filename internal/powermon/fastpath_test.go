@@ -6,7 +6,7 @@ import (
 	"repro/internal/units"
 )
 
-// The fused single-pass trace integration and the trace-free
+// The memoized single-pass trace integration and the trace-free
 // EnergyDerived path replaced straightforward multi-pass code in the
 // hot loop. These tests pin the optimized paths bit-identical to the
 // pre-optimization reference implementations, reproduced verbatim
@@ -26,35 +26,6 @@ func naiveAveragePower(t *Trace) units.Watts {
 	return units.Watts(sum / float64(len(t.Samples)))
 }
 
-// naiveStats is the pre-fusion Stats: its own pass with a nested
-// per-channel accumulation.
-func naiveStats(t *Trace) TraceStats {
-	s := TraceStats{
-		ChannelMeanPower: make([]units.Watts, len(t.Channels)),
-		ChannelShare:     make([]float64, len(t.Channels)),
-	}
-	total := 0.0
-	for i := range t.Samples {
-		sm := &t.Samples[i]
-		p := float64(sm.Power())
-		total += p
-		if units.Watts(p) > s.PeakPower {
-			s.PeakPower = units.Watts(p)
-			s.PeakAt = sm.T
-		}
-		for c := range t.Channels {
-			s.ChannelMeanPower[c] += units.Watts(sm.Volts[c] * sm.Amps[c])
-		}
-	}
-	n := float64(len(t.Samples))
-	s.MeanPower = units.Watts(total / n)
-	for c := range s.ChannelMeanPower {
-		s.ChannelMeanPower[c] /= units.Watts(n)
-		s.ChannelShare[c] = float64(s.ChannelMeanPower[c]) / float64(s.MeanPower)
-	}
-	return s
-}
-
 // noisyMonitor builds a monitor with every imperfection enabled so the
 // comparison covers noise, gain error, and dropouts.
 func noisyMonitor(t *testing.T, seed int64) *Monitor {
@@ -64,7 +35,7 @@ func noisyMonitor(t *testing.T, seed int64) *Monitor {
 		RateHz:      512,
 		VoltNoiseSD: 0.002,
 		CurrNoiseSD: 0.01,
-		GainError: 0.01,
+		GainError:   0.01,
 		DropoutProb: 0.02,
 	})
 	if err != nil {
@@ -82,7 +53,6 @@ func TestFusedIntegrationMatchesNaive(t *testing.T) {
 		}
 		wantAvg := naiveAveragePower(tr)
 		wantE := wantAvg.Mul(tr.Duration)
-		wantStats := naiveStats(tr)
 
 		// Exercise the memo in every call order.
 		if got := tr.AveragePower(); got != wantAvg {
@@ -91,28 +61,12 @@ func TestFusedIntegrationMatchesNaive(t *testing.T) {
 		if got := tr.Energy(); got != wantE {
 			t.Errorf("Energy = %v, want %v (bit-exact)", got, wantE)
 		}
-		st, err := tr.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.MeanPower != wantStats.MeanPower || st.PeakPower != wantStats.PeakPower || st.PeakAt != wantStats.PeakAt {
-			t.Errorf("Stats scalars = %+v, want %+v", st, wantStats)
-		}
-		for c := range st.ChannelMeanPower {
-			if st.ChannelMeanPower[c] != wantStats.ChannelMeanPower[c] {
-				t.Errorf("channel %d mean = %v, want %v", c, st.ChannelMeanPower[c], wantStats.ChannelMeanPower[c])
-			}
-			if st.ChannelShare[c] != wantStats.ChannelShare[c] {
-				t.Errorf("channel %d share = %v, want %v", c, st.ChannelShare[c], wantStats.ChannelShare[c])
-			}
-		}
 		// Second calls must serve the memo unchanged.
 		if got := tr.AveragePower(); got != wantAvg {
 			t.Errorf("memoized AveragePower = %v, want %v", got, wantAvg)
 		}
-		st2, _ := tr.Stats()
-		if st2.MeanPower != st.MeanPower || st2.PeakPower != st.PeakPower {
-			t.Error("second Stats call differs from first")
+		if got := tr.Energy(); got != wantE {
+			t.Errorf("memoized Energy = %v, want %v", got, wantE)
 		}
 	}
 }
@@ -139,30 +93,6 @@ func TestEnergyDerivedMatchesForkMeasure(t *testing.T) {
 		if got != want {
 			t.Errorf("labels %v: EnergyDerived = %v, want Fork.Measure.Energy %v (bit-exact)", labels, got, want)
 		}
-	}
-}
-
-func TestEnergyDerivedAfterCalibration(t *testing.T) {
-	// Calibration rewrites the trim factors; the derived path must see
-	// the same calibrated gains the fork path copies.
-	m, err := New(CPUChannels(), Config{Seed: 3, RateHz: 256, GainError: 0.05, VoltNoiseSD: 0.001, CurrNoiseSD: 0.004})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Calibrate(150, 2); err != nil {
-		t.Fatal(err)
-	}
-	labels := []uint64{9, 9, 9}
-	tr, err := m.Fork(labels...).Measure(constSource(150), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.EnergyDerived(labels, constSource(150), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != tr.Energy() {
-		t.Errorf("calibrated EnergyDerived = %v, want %v", got, tr.Energy())
 	}
 }
 

@@ -80,7 +80,7 @@ type Config struct {
 	// GainError is a per-channel multiplicative calibration error drawn
 	// once at construction from N(1, GainError) — the systematic bias a
 	// shunt-resistor tolerance introduces. Unlike sample noise it does
-	// not average out; Calibrate removes it. Default 0.
+	// not average out. Default 0.
 	GainError float64
 }
 
@@ -89,10 +89,8 @@ type Monitor struct {
 	channels []Channel
 	cfg      Config
 	rng      *stats.Rand
-	// gain holds the hidden per-channel systematic error; trim holds
-	// the correction Calibrate computes (identity before calibration).
+	// gain holds the hidden per-channel systematic error.
 	gain []float64
-	trim []float64
 }
 
 // New builds a monitor. Channel shares must sum to 1 (±1e-9) and all
@@ -143,11 +141,9 @@ func New(channels []Channel, cfg Config) (*Monitor, error) {
 		cfg:      cfg,
 		rng:      stats.NewRand(cfg.Seed),
 		gain:     make([]float64, len(channels)),
-		trim:     make([]float64, len(channels)),
 	}
 	for i := range m.gain {
 		m.gain[i] = 1
-		m.trim[i] = 1
 		if cfg.GainError > 0 {
 			m.gain[i] = m.rng.RelNoise(cfg.GainError)
 		}
@@ -156,7 +152,7 @@ func New(channels []Channel, cfg Config) (*Monitor, error) {
 }
 
 // Fork returns a monitor that shares this monitor's channels,
-// configuration, hidden gain error, and calibration trim but draws its
+// configuration, and hidden gain error but draws its
 // sample noise from an independent stream derived from the monitor's
 // seed and the given labels (see stats.DeriveSeed). Forks with equal
 // labels produce identical traces; forks with different labels are
@@ -165,54 +161,13 @@ func New(channels []Channel, cfg Config) (*Monitor, error) {
 //
 // A monitor's Measure mutates its own rng, so a single Monitor must not
 // be shared across goroutines — each concurrent task takes one Fork
-// keyed by its task labels instead. Calibrate still applies to the
-// parent only and must not run concurrently with Measure on any fork
-// (forks created afterwards inherit the new trim).
+// keyed by its task labels instead.
 func (m *Monitor) Fork(labels ...uint64) *Monitor {
 	f := *m
 	f.rng = stats.DeriveRand(m.cfg.Seed, labels...)
 	f.gain = append([]float64(nil), m.gain...)
-	f.trim = append([]float64(nil), m.trim...)
 	return &f
 }
-
-// Calibrate measures a known constant load and sets per-channel trim
-// factors that cancel the gain error — the standard shunt-calibration
-// procedure for a PowerMon-class board. The reference wattage must be
-// positive and the measurement long enough for at least one sample per
-// channel.
-func (m *Monitor) Calibrate(referenceWatts float64, duration units.Seconds) error {
-	if referenceWatts <= 0 {
-		return errors.New("powermon: reference load must be positive")
-	}
-	// Reset trims so the calibration measurement sees the raw gains.
-	for i := range m.trim {
-		m.trim[i] = 1
-	}
-	tr, err := m.Measure(constReference(referenceWatts), duration)
-	if err != nil {
-		return err
-	}
-	st, err := tr.Stats()
-	if err != nil {
-		return err
-	}
-	for c, ch := range m.channels {
-		want := referenceWatts * ch.Share
-		got := float64(st.ChannelMeanPower[c])
-		if got <= 0 {
-			return fmt.Errorf("powermon: channel %s measured no power during calibration", ch.Name)
-		}
-		m.trim[c] = want / got
-	}
-	return nil
-}
-
-// constReference is the known calibration load.
-type constReference float64
-
-// PowerAt implements Source.
-func (c constReference) PowerAt(units.Seconds) units.Watts { return units.Watts(c) }
 
 // Sample is one time-stamped reading across all channels.
 type Sample struct {
@@ -234,11 +189,11 @@ func (s *Sample) Power() units.Watts {
 }
 
 // Trace is a complete measurement of one run. A Trace integrates
-// itself lazily: the first call to AveragePower, Energy, or Stats makes
-// one fused pass over the samples and memoizes the sums, so asking for
-// all three costs one integration, not three. Mutating Samples in
-// place after that first call is not supported (append/truncate is
-// detected; in-place edits are not).
+// itself lazily: the first call to AveragePower or Energy makes one
+// pass over the samples and memoizes the sum, so asking for both costs
+// one integration, not two. Mutating Samples in place after that first
+// call is not supported (append/truncate is detected; in-place edits
+// are not).
 type Trace struct {
 	// Channels are the monitored rails, in sample column order.
 	Channels []Channel
@@ -253,19 +208,15 @@ type Trace struct {
 	// point into — one allocation per measurement instead of two per
 	// sample.
 	flat []float64
-	// sum is the memoized fused integration (nil until first use).
+	// sum is the memoized integration (nil until first use).
 	sum *traceSummary
 }
 
-// traceSummary holds the single-pass integration of a trace: the
-// running total, peak, and per-channel sums everything downstream
-// (AveragePower, Energy, Stats) is a cheap function of.
+// traceSummary holds the single-pass integration of a trace: the total
+// of the per-sample powers over nSamples samples.
 type traceSummary struct {
 	nSamples int
 	total    float64
-	peak     float64
-	peakAt   units.Seconds
-	chanSum  []float64
 }
 
 // sampleCount validates the duration and returns the number of samples
@@ -345,7 +296,7 @@ func (m *Monitor) measureInto(rng *stats.Rand, tr *Trace, src Source, duration u
 		}
 		for c, ch := range m.channels {
 			v := ch.NominalVolts * rng.RelNoise(m.cfg.VoltNoiseSD)
-			chanPower := truth * ch.Share * m.gain[c] * m.trim[c] * rng.RelNoise(m.cfg.CurrNoiseSD)
+			chanPower := truth * ch.Share * m.gain[c] * rng.RelNoise(m.cfg.CurrNoiseSD)
 			s.Volts[c] = v
 			s.Amps[c] = chanPower / v
 		}
@@ -369,8 +320,7 @@ func (m *Monitor) measureInto(rng *stats.Rand, tr *Trace, src Source, duration u
 // arithmetic operation match that pipeline exactly — readings are
 // integrated on the fly instead of stored. Like Fork, EnergyDerived
 // never touches the parent's sequential stream and is safe to call
-// concurrently (with distinct labels) as long as Calibrate does not run
-// at the same time.
+// concurrently (with distinct labels).
 func (m *Monitor) EnergyDerived(labels []uint64, src Source, duration units.Seconds) (units.Joules, error) {
 	n, period, err := m.sampleCount(duration)
 	if err != nil {
@@ -392,7 +342,7 @@ func (m *Monitor) EnergyDerived(labels []uint64, src Source, duration units.Seco
 		p := 0.0
 		for c, ch := range m.channels {
 			v := ch.NominalVolts * rng.RelNoise(m.cfg.VoltNoiseSD)
-			chanPower := truth * ch.Share * m.gain[c] * m.trim[c] * rng.RelNoise(m.cfg.CurrNoiseSD)
+			chanPower := truth * ch.Share * m.gain[c] * rng.RelNoise(m.cfg.CurrNoiseSD)
 			// Mirror Measure + Sample.Power exactly: the stored amps are
 			// chanPower/v, and integration multiplies them back by v —
 			// v*(chanPower/v) is not chanPower in floating point.
@@ -408,33 +358,21 @@ func (m *Monitor) EnergyDerived(labels []uint64, src Source, duration units.Seco
 	return units.Watts(total / float64(kept)).Mul(duration), nil
 }
 
-// integrate runs (or returns the memoized) fused single pass over the
-// samples. The accumulation order matches the pre-fusion
-// AveragePower/Stats loops operation for operation, so the fused
-// results are bit-identical to integrating three times.
+// integrate runs (or returns the memoized) single pass over the
+// samples. Each sample's power accumulates exactly as Sample.Power
+// does, so AveragePower is bit-identical to averaging Sample.Power.
 func (t *Trace) integrate() *traceSummary {
 	if t.sum != nil && t.sum.nSamples == len(t.Samples) {
 		return t.sum
 	}
-	s := &traceSummary{
-		nSamples: len(t.Samples),
-		chanSum:  make([]float64, len(t.Channels)),
-	}
+	s := &traceSummary{nSamples: len(t.Samples)}
 	for i := range t.Samples {
 		sm := &t.Samples[i]
 		p := 0.0
 		for c := range sm.Volts {
-			pw := sm.Volts[c] * sm.Amps[c]
-			p += pw
-			if c < len(s.chanSum) {
-				s.chanSum[c] += pw
-			}
+			p += sm.Volts[c] * sm.Amps[c]
 		}
 		s.total += p
-		if p > s.peak {
-			s.peak = p
-			s.peakAt = sm.T
-		}
 	}
 	t.sum = s
 	return s
@@ -452,41 +390,4 @@ func (t *Trace) AveragePower() units.Watts {
 // Energy is the paper's estimator: average power times total time.
 func (t *Trace) Energy() units.Joules {
 	return t.AveragePower().Mul(t.Duration)
-}
-
-// TraceStats summarises a trace: overall and per-channel power.
-type TraceStats struct {
-	// MeanPower and PeakPower are over the sampled instantaneous power.
-	MeanPower, PeakPower units.Watts
-	// PeakAt is the timestamp of the peak sample.
-	PeakAt units.Seconds
-	// ChannelMeanPower holds each rail's mean power, in channel order.
-	ChannelMeanPower []units.Watts
-	// ChannelShare is each rail's fraction of total energy.
-	ChannelShare []float64
-}
-
-// Stats computes the trace summary. The peak sample is what Fig. 5's
-// "measured max power" points report. Stats shares the trace's fused
-// single-pass integration with AveragePower and Energy, so calling all
-// three walks the samples once; the returned slices are fresh copies
-// the caller may keep.
-func (t *Trace) Stats() (TraceStats, error) {
-	if len(t.Samples) == 0 {
-		return TraceStats{}, errors.New("powermon: empty trace")
-	}
-	sum := t.integrate()
-	s := TraceStats{
-		PeakPower:        units.Watts(sum.peak),
-		PeakAt:           sum.peakAt,
-		ChannelMeanPower: make([]units.Watts, len(t.Channels)),
-		ChannelShare:     make([]float64, len(t.Channels)),
-	}
-	n := float64(sum.nSamples)
-	s.MeanPower = units.Watts(sum.total / n)
-	for c := range s.ChannelMeanPower {
-		s.ChannelMeanPower[c] = units.Watts(sum.chanSum[c]) / units.Watts(n)
-		s.ChannelShare[c] = float64(s.ChannelMeanPower[c]) / float64(s.MeanPower)
-	}
-	return s, nil
 }

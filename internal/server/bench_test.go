@@ -95,12 +95,6 @@ func newDirectPoster(h http.Handler, path, body string) *directPoster {
 	return p
 }
 
-// setBody swaps the posted body (cold benchmarks vary it per
-// iteration).
-func (p *directPoster) setBody(body string) {
-	p.body = append(p.body[:0], body...)
-}
-
 // post serves one request, reporting a non-200 status to tb.
 func (p *directPoster) post(tb testing.TB) {
 	p.rdr.Reset(p.body)
@@ -116,20 +110,42 @@ const benchEvalBody = `{"machine":"gtx580","precision":"double","work":1e9,"inte
 
 const benchEvalBatchBody = `{"machine":"gtx580","precision":"double","intensities":[0.25,0.5,1,2,4,8,16,32]}`
 
+// coldBodies pre-renders 1024 distinct bodies from format, whose one %g
+// verb takes base + i·1e-6: four times the default cache's 256 entries,
+// so a benchmark cycling through them misses on every request and its
+// allocs/op counts the server alone.
+func coldBodies(format string, base float64) [][]byte {
+	bodies := make([][]byte, 1024)
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf(format, base+float64(i)*1e-6))
+	}
+	return bodies
+}
+
+// postCold serves b.N requests cycling through bodies and fails the
+// benchmark if any of them hit the cache.
+func postCold(b *testing.B, s *Server, path string, bodies [][]byte) {
+	p := newDirectPoster(s.Handler(), path, "")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.body = bodies[i%len(bodies)]
+		p.post(b)
+	}
+	b.StopTimer()
+	if hits := s.reg.Counter("cache_hits_total").Value(); hits != 0 {
+		b.Fatalf("%d cache hits, want every request to miss", hits)
+	}
+}
+
 // BenchmarkServerEvalCold measures the direct request path with a cache
 // miss on every iteration: decode, validate, hash, model evaluation,
 // encode.
 func BenchmarkServerEvalCold(b *testing.B) {
 	s := New(Config{})
 	b.Cleanup(s.Close)
-	p := newDirectPoster(s.Handler(), "/v1/eval", "")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.setBody(fmt.Sprintf(`{"machine":"gtx580","precision":"double","work":1e9,"intensity":%g}`,
-			1+float64(i)*1e-6))
-		p.post(b)
-	}
+	postCold(b, s, "/v1/eval",
+		coldBodies(`{"machine":"gtx580","precision":"double","work":1e9,"intensity":%g}`, 1))
 }
 
 // BenchmarkServerEvalWarm measures the direct cache-hit path: identical
@@ -173,26 +189,20 @@ func BenchmarkServerEvalWarmParallel(b *testing.B) {
 func BenchmarkServerEvalBatchCold(b *testing.B) {
 	s := New(Config{})
 	b.Cleanup(s.Close)
-	p := newDirectPoster(s.Handler(), "/v1/evalbatch", "")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.setBody(fmt.Sprintf(`{"machine":"gtx580","precision":"double","intensities":[0.25,0.5,1,2,4,8,16,%g]}`,
-			32+float64(i)*1e-6))
-		p.post(b)
-	}
+	postCold(b, s, "/v1/evalbatch",
+		coldBodies(`{"machine":"gtx580","precision":"double","intensities":[0.25,0.5,1,2,4,8,16,%g]}`, 32))
 }
 
-// batch32ColdPoster pre-renders the bodies BenchmarkServerEvalBatch32Cold
+// batch32ColdBodies pre-renders the bodies BenchmarkServerEvalBatch32Cold
 // cycles through: 1024 distinct batch_cold-shaped batches, four times
 // the default cache's 256 entries, so every request misses.
-func batch32ColdPoster(h http.Handler) (*directPoster, [][]byte) {
+func batch32ColdBodies() [][]byte {
 	qs := batchColdRequests(1024)
 	bodies := make([][]byte, len(qs))
 	for i, q := range qs {
 		bodies[i] = []byte(batchRequestBody(q))
 	}
-	return newDirectPoster(h, "/v1/evalbatch", ""), bodies
+	return bodies
 }
 
 // BenchmarkServerEvalBatch32Cold measures the direct batch path on the
@@ -202,17 +212,7 @@ func batch32ColdPoster(h http.Handler) (*directPoster, [][]byte) {
 func BenchmarkServerEvalBatch32Cold(b *testing.B) {
 	s := New(Config{})
 	b.Cleanup(s.Close)
-	p, bodies := batch32ColdPoster(s.Handler())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.body = bodies[i%len(bodies)]
-		p.post(b)
-	}
-	b.StopTimer()
-	if hits := s.reg.Counter("cache_hits_total").Value(); hits != 0 {
-		b.Fatalf("%d cache hits, want every request to miss", hits)
-	}
+	postCold(b, s, "/v1/evalbatch", batch32ColdBodies())
 }
 
 // BenchmarkEvaluateBatch32 measures the evaluate-and-render stage alone

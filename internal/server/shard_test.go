@@ -351,7 +351,8 @@ func TestBatch32ColdAllocations(t *testing.T) {
 	}
 	s := New(Config{})
 	t.Cleanup(s.Close)
-	p, bodies := batch32ColdPoster(s.Handler())
+	p := newDirectPoster(s.Handler(), "/v1/evalbatch", "")
+	bodies := batch32ColdBodies()
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		p.body = bodies[i%len(bodies)]

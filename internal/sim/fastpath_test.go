@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/machine"
@@ -60,31 +59,6 @@ func TestRunRepeatedMatchesSequentialRun(t *testing.T) {
 	runsEqual(t, got, want, "RunRepeated")
 }
 
-func TestRunRepeatedParallelMatchesDerivedRunWith(t *testing.T) {
-	// RunRepeatedParallel borrows pooled sources seeded by fold-state
-	// extension; the pre-optimization path derived each stream with
-	// DeriveRand(repStream, labels..., i) and allocated every Run.
-	spec := specForTest()
-	e := noisyEngine(t, 7)
-	labels := []uint64{3, 11}
-	want := make([]*Run, 32)
-	for i := range want {
-		rng := e.DeriveRand(append([]uint64{repStream, 3, 11}, uint64(i))...)
-		r, err := e.RunWith(rng, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
-	for _, workers := range []int{1, 4} {
-		got, err := e.RunRepeatedParallel(context.Background(), spec, 32, workers, labels...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runsEqual(t, got, want, "RunRepeatedParallel")
-	}
-}
-
 func TestTuningQualityMemoTransparent(t *testing.T) {
 	e := noisyEngine(t, 1)
 	fresh := noisyEngine(t, 1)
@@ -124,8 +98,8 @@ func TestBorrowedStreamMatchesDerived(t *testing.T) {
 
 func TestExtendStateMatchesDeriveSeed(t *testing.T) {
 	for i := uint64(0); i < 50; i++ {
-		want := stats.DeriveSeed(7, repStream, 5, i)
-		state := stats.DeriveState(7, repStream)
+		want := stats.DeriveSeed(7, 11, 5, i)
+		state := stats.DeriveState(7, 11)
 		state = stats.ExtendState(state, 5)
 		if got := int64(stats.ExtendState(state, i)); got != want {
 			t.Fatalf("fold-state seed %d != DeriveSeed %d", got, want)
@@ -159,27 +133,5 @@ func TestRunRepeatedAllocs(t *testing.T) {
 	// One Run block and one pointer slice per call, however many reps.
 	if allocs > 2 {
 		t.Errorf("RunRepeated(64) allocates %.1f objects per call, want <= 2", allocs)
-	}
-}
-
-func TestRunRepeatedParallelAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool intentionally drops entries under the race detector")
-	}
-	e := noisyEngine(t, 5)
-	spec := specForTest()
-	ctx := context.Background()
-	if _, err := e.RunRepeatedParallel(ctx, spec, 64, 1); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.RunRepeatedParallel(ctx, spec, 64, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Run block + pointer slice + the inline worker's bookkeeping; the
-	// point is the absence of the former per-rep rand state (~5 KB each).
-	if allocs > 8 {
-		t.Errorf("RunRepeatedParallel(64) allocates %.1f objects per call, want <= 8", allocs)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/machine"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -297,7 +296,7 @@ func (e *Engine) RunWith(rng *stats.Rand, spec KernelSpec) (*Run, error) {
 }
 
 // runInto is RunWith writing the record into caller-provided storage,
-// letting RunRepeated/RunRepeatedParallel allocate one Run block per
+// letting RunRepeated allocate one Run block per
 // call instead of one Run per repetition. The noise draws and
 // arithmetic are exactly RunWith's.
 func (e *Engine) runInto(rng *stats.Rand, spec KernelSpec, out *Run) error {
@@ -443,49 +442,6 @@ func (e *Engine) RunRepeated(spec KernelSpec, reps int) ([]*Run, error) {
 	return out, nil
 }
 
-// repStream tags the derived-seed namespace RunRepeatedParallel uses,
-// keeping its streams disjoint from any other consumer of DeriveRand.
-const repStream uint64 = 0x73657065 // "reps"
-
-// RunRepeatedParallel executes the kernel reps times across at most
-// workers goroutines (workers < 1 means GOMAXPROCS, 1 runs inline).
-// Unlike RunRepeated, every repetition draws from its own noise stream
-// derived from (engine seed, rep index), so the returned records are
-// byte-identical at any worker count — including workers = 1 — and
-// independent of scheduling. The extra labels extend the derivation,
-// letting callers keep several concurrent rep loops (different grid
-// points, precisions) on disjoint streams.
-func (e *Engine) RunRepeatedParallel(ctx context.Context, spec KernelSpec, reps, workers int, labels ...uint64) ([]*Run, error) {
-	if reps < 1 {
-		return nil, errors.New("sim: reps must be >= 1")
-	}
-	// Fold the shared label prefix once; each repetition extends the
-	// fold with its index and borrows a pooled source seeded from the
-	// result — the same seed DeriveRand(repStream, labels..., i) yields,
-	// without a label slice or a ~5 KB rand state per rep. Records land
-	// in one shared block at their rep index, so the output is identical
-	// at any worker count.
-	state := stats.DeriveState(e.cfg.Seed, repStream)
-	for _, l := range labels {
-		state = stats.ExtendState(state, l)
-	}
-	runs := make([]Run, reps)
-	out := make([]*Run, reps)
-	err := parallel.ForEach(ctx, reps, workers, func(_ context.Context, i int) error {
-		rng := stats.BorrowRand(int64(stats.ExtendState(state, uint64(i))))
-		defer rng.Release()
-		if err := e.runInto(rng, spec, &runs[i]); err != nil {
-			return err
-		}
-		out[i] = &runs[i]
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Aggregate summarises repeated runs into mean observed time, energy
 // and power.
 func Aggregate(runs []*Run) (meanT units.Seconds, meanE units.Joules, meanP units.Watts, err error) {
@@ -502,27 +458,4 @@ func Aggregate(runs []*Run) (meanT units.Seconds, meanE units.Joules, meanP unit
 	meanE = units.Joules(se / n)
 	meanP = units.Watts(float64(meanE) / float64(meanT))
 	return meanT, meanE, meanP, nil
-}
-
-// AggregateRobust is Aggregate with a trimmed mean (trim fraction per
-// tail), the defence against interference outliers in repeated runs.
-func AggregateRobust(runs []*Run, trim float64) (meanT units.Seconds, meanE units.Joules, meanP units.Watts, err error) {
-	if len(runs) == 0 {
-		return 0, 0, 0, errors.New("sim: no runs to aggregate")
-	}
-	ts := make([]float64, len(runs))
-	es := make([]float64, len(runs))
-	for i, r := range runs {
-		ts[i] = float64(r.Duration)
-		es[i] = float64(r.Energy)
-	}
-	mt, err := stats.TrimmedMean(ts, trim)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	me, err := stats.TrimmedMean(es, trim)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return units.Seconds(mt), units.Joules(me), units.Watts(me / mt), nil
 }

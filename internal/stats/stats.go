@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the reproduction
-// needs: descriptive statistics, percentiles, error metrics, bootstrap
-// confidence intervals, and deterministic noise generation for the
-// simulated measurement apparatus.
+// needs: descriptive statistics, percentiles, error metrics, and
+// deterministic noise generation for the simulated measurement
+// apparatus.
 package stats
 
 import (
@@ -50,34 +50,6 @@ func StdDev(xs []float64) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. xs is not modified.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -115,58 +87,6 @@ func RelErr(got, want float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(got-want) / math.Abs(want)
-}
-
-// MedianRelErr returns the median of per-element relative errors of got
-// against want. The slices must have equal nonzero length.
-func MedianRelErr(got, want []float64) (float64, error) {
-	if len(got) != len(want) || len(got) == 0 {
-		return 0, errors.New("stats: mismatched or empty slices")
-	}
-	errs := make([]float64, len(got))
-	for i := range got {
-		errs[i] = RelErr(got[i], want[i])
-	}
-	return Median(errs)
-}
-
-// Summary bundles the descriptive statistics of a sample.
-type Summary struct {
-	// N is the sample size.
-	N int
-	// Mean is the arithmetic mean.
-	Mean float64
-	// StdDev is the sample standard deviation (0 for N = 1).
-	StdDev float64
-	// Min and Max are the extremes.
-	Min float64
-	// P25 is the lower quartile.
-	P25 float64
-	// Median is the 50th percentile.
-	Median float64
-	// P75 is the upper quartile.
-	P75 float64
-	// Max is the largest sample.
-	Max float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	var s Summary
-	s.N = len(xs)
-	s.Mean, _ = Mean(xs)
-	if len(xs) > 1 {
-		s.StdDev, _ = StdDev(xs)
-	}
-	s.Min, _ = Min(xs)
-	s.Max, _ = Max(xs)
-	s.P25, _ = Percentile(xs, 25)
-	s.Median, _ = Median(xs)
-	s.P75, _ = Percentile(xs, 75)
-	return s, nil
 }
 
 // Rand is the deterministic random source used by the simulators. It is
@@ -352,60 +272,4 @@ func (z *Zipf) Sample(r *Rand) int {
 		}
 	}
 	return lo
-}
-
-// BootstrapCI returns a (lo, hi) percentile bootstrap confidence
-// interval for the statistic stat over xs at the given confidence level
-// (e.g. 0.95), using rounds resamples drawn from r.
-func BootstrapCI(r *Rand, xs []float64, rounds int, level float64, stat func([]float64) float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if rounds < 1 || level <= 0 || level >= 1 {
-		return 0, 0, errors.New("stats: bad bootstrap parameters")
-	}
-	vals := make([]float64, rounds)
-	resample := make([]float64, len(xs))
-	for i := 0; i < rounds; i++ {
-		for j := range resample {
-			resample[j] = xs[r.Intn(len(xs))]
-		}
-		vals[i] = stat(resample)
-	}
-	alpha := (1 - level) / 2
-	lo, _ = Percentile(vals, alpha*100)
-	hi, _ = Percentile(vals, (1-alpha)*100)
-	return lo, hi, nil
-}
-
-// TrimmedMean returns the mean of xs after discarding the trim
-// fraction (0 <= trim < 0.5) from each tail — the standard defence
-// against occasional outlier measurements.
-func TrimmedMean(xs []float64, trim float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if trim < 0 || trim >= 0.5 {
-		return 0, errors.New("stats: trim fraction must be in [0, 0.5)")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	k := int(trim * float64(len(s)))
-	s = s[k : len(s)-k]
-	return Mean(s)
-}
-
-// GeoMean returns the geometric mean of xs; all elements must be > 0.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geomean requires positive samples")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
 }

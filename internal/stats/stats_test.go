@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -33,20 +34,8 @@ func TestEmptyErrors(t *testing.T) {
 	if _, err := Variance([]float64{1}); err != ErrEmpty {
 		t.Error("Variance of single sample should fail")
 	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Error("Min(nil) should fail")
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Error("Max(nil) should fail")
-	}
 	if _, err := Percentile(nil, 50); err != ErrEmpty {
 		t.Error("Percentile(nil) should fail")
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Error("Summarize(nil) should fail")
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Error("GeoMean(nil) should fail")
 	}
 }
 
@@ -101,9 +90,7 @@ func TestPercentileBoundsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		return got >= mn && got <= mx
+		return got >= slices.Min(xs) && got <= slices.Max(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -119,39 +106,6 @@ func TestRelErr(t *testing.T) {
 	}
 	if got := RelErr(1, 0); !math.IsInf(got, 1) {
 		t.Errorf("RelErr(1,0) = %v", got)
-	}
-}
-
-func TestMedianRelErr(t *testing.T) {
-	got := []float64{10, 22, 28}
-	want := []float64{10, 20, 40}
-	m, err := MedianRelErr(got, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// errors: 0, 0.1, 0.3 -> median 0.1
-	if math.Abs(m-0.1) > 1e-12 {
-		t.Errorf("MedianRelErr = %v, want 0.1", m)
-	}
-	if _, err := MedianRelErr([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if s.P25 != 2 || s.P75 != 4 {
-		t.Errorf("quartiles = %v, %v", s.P25, s.P75)
-	}
-	single, err := Summarize([]float64{9})
-	if err != nil || single.StdDev != 0 || single.Mean != 9 {
-		t.Errorf("single summary = %+v, %v", single, err)
 	}
 }
 
@@ -209,95 +163,6 @@ func TestRelNoiseClamped(t *testing.T) {
 	}
 	if math.Abs(sum/float64(n)-1) > 0.005 {
 		t.Errorf("RelNoise mean = %v", sum/float64(n))
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	r := NewRand(3)
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = r.Gaussian(50, 5)
-	}
-	lo, hi, err := BootstrapCI(r, xs, 500, 0.95, func(s []float64) float64 {
-		m, _ := Mean(s)
-		return m
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= hi {
-		t.Fatalf("CI inverted: [%v, %v]", lo, hi)
-	}
-	if lo > 50 || hi < 50 {
-		t.Errorf("CI [%v, %v] should contain the true mean 50", lo, hi)
-	}
-	if hi-lo > 3 {
-		t.Errorf("CI suspiciously wide: [%v, %v]", lo, hi)
-	}
-	if _, _, err := BootstrapCI(r, nil, 10, 0.95, func([]float64) float64 { return 0 }); err == nil {
-		t.Error("empty bootstrap should fail")
-	}
-	if _, _, err := BootstrapCI(r, xs, 0, 0.95, func([]float64) float64 { return 0 }); err == nil {
-		t.Error("zero rounds should fail")
-	}
-	if _, _, err := BootstrapCI(r, xs, 10, 1.5, func([]float64) float64 { return 0 }); err == nil {
-		t.Error("bad level should fail")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 10, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g-10) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 10", g)
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Error("negative geomean should fail")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	if mn != -1 || mx != 5 {
-		t.Errorf("Min/Max = %v/%v", mn, mx)
-	}
-}
-
-func TestTrimmedMean(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 100} // one gross outlier
-	plain, _ := Mean(xs)
-	trimmed, err := TrimmedMean(xs, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trimming one from each tail leaves {2, 3, 4}.
-	if trimmed != 3 {
-		t.Errorf("TrimmedMean = %v, want 3", trimmed)
-	}
-	if math.Abs(plain-22) > 1e-12 {
-		t.Errorf("plain mean = %v", plain)
-	}
-	// trim 0 is the plain mean.
-	zero, _ := TrimmedMean(xs, 0)
-	if zero != plain {
-		t.Error("trim=0 should equal the mean")
-	}
-	if _, err := TrimmedMean(nil, 0.1); err != ErrEmpty {
-		t.Error("empty trimmed mean should fail")
-	}
-	if _, err := TrimmedMean(xs, 0.5); err == nil {
-		t.Error("trim=0.5 accepted")
-	}
-	if _, err := TrimmedMean(xs, -0.1); err == nil {
-		t.Error("negative trim accepted")
-	}
-	// Input not reordered.
-	if xs[4] != 100 {
-		t.Error("TrimmedMean modified its input")
 	}
 }
 

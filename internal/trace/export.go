@@ -2,16 +2,12 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
-// This file turns the ring buffer into consumable artifacts: Chrome
-// trace_event JSON (the format chrome://tracing and Perfetto open
-// directly) and per-phase aggregates for quick terminal diagnosis and
-// the /metrics latency histograms.
+// This file turns the ring buffer into Chrome trace_event JSON, the
+// format chrome://tracing and Perfetto open directly.
 
 // chromeEvent is one trace_event record. Complete events (ph "X")
 // carry both a timestamp and a duration in microseconds.
@@ -93,64 +89,4 @@ func (s Snapshot) WriteChrome(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// Aggregate is one phase's reduced statistics over the ring buffer.
-type Aggregate struct {
-	// Name is the span name the statistics cover.
-	Name string
-	// Count is the number of recorded spans with this name.
-	Count int
-	// Total is the summed duration.
-	Total time.Duration
-	// Min and Max bound the observed durations.
-	Min time.Duration
-	// Max is the largest observed duration.
-	Max time.Duration
-}
-
-// Mean returns Total/Count (0 for an empty aggregate).
-func (a Aggregate) Mean() time.Duration {
-	if a.Count == 0 {
-		return 0
-	}
-	return a.Total / time.Duration(a.Count)
-}
-
-// String renders the aggregate as one diagnostic line.
-func (a Aggregate) String() string {
-	return fmt.Sprintf("%-24s n=%-6d total=%-12v mean=%-10v min=%-10v max=%v",
-		a.Name, a.Count, a.Total, a.Mean(), a.Min, a.Max)
-}
-
-// Aggregates reduces the ring to one Aggregate per span name, sorted
-// by descending total duration — the "where did the time go" summary.
-func (t *Tracer) Aggregates() []Aggregate {
-	byName := map[string]*Aggregate{}
-	for _, ev := range t.Events() {
-		a, ok := byName[ev.Name]
-		if !ok {
-			a = &Aggregate{Name: ev.Name, Min: ev.Dur, Max: ev.Dur}
-			byName[ev.Name] = a
-		}
-		a.Count++
-		a.Total += ev.Dur
-		if ev.Dur < a.Min {
-			a.Min = ev.Dur
-		}
-		if ev.Dur > a.Max {
-			a.Max = ev.Dur
-		}
-	}
-	out := make([]Aggregate, 0, len(byName))
-	for _, a := range byName {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }

@@ -63,33 +63,3 @@ func TestWriteChromeEmptyTraceIsValid(t *testing.T) {
 		t.Errorf("empty tracer exported %d events", len(got.TraceEvents))
 	}
 }
-
-func TestAggregates(t *testing.T) {
-	tr := New(Config{Clock: newFake(time.Millisecond)})
-	ctx := WithTracer(context.Background(), tr)
-	// Three "rep" spans of 1ms each, one "fit" span of 1ms.
-	for i := 0; i < 3; i++ {
-		_, sp := Start(ctx, "rep")
-		sp.End()
-	}
-	_, sp := Start(ctx, "fit")
-	sp.End()
-
-	aggs := tr.Aggregates()
-	if len(aggs) != 2 {
-		t.Fatalf("got %d aggregates, want 2", len(aggs))
-	}
-	// Sorted by descending total: rep (3ms) before fit (1ms).
-	if aggs[0].Name != "rep" || aggs[0].Count != 3 || aggs[0].Total != 3*time.Millisecond {
-		t.Errorf("rep aggregate wrong: %+v", aggs[0])
-	}
-	if aggs[0].Mean() != time.Millisecond || aggs[0].Min != time.Millisecond || aggs[0].Max != time.Millisecond {
-		t.Errorf("rep stats wrong: %+v", aggs[0])
-	}
-	if aggs[1].Name != "fit" || aggs[1].Count != 1 {
-		t.Errorf("fit aggregate wrong: %+v", aggs[1])
-	}
-	if s := aggs[0].String(); s == "" {
-		t.Error("String rendered empty")
-	}
-}

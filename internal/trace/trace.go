@@ -26,9 +26,8 @@
 // tracer, Start opens a span (inheriting the parent span's track, so
 // one goroutine's nested phases share a lane in the exported trace),
 // and End records it. Export produces Chrome trace_event JSON that
-// chrome://tracing and Perfetto open directly; Aggregates reduces the
-// ring to per-phase statistics for quick diagnosis and for the
-// /metrics latency histograms (via the Observer hook).
+// chrome://tracing and Perfetto open directly; the Observer hook feeds
+// each finished span to the /metrics latency histograms.
 package trace
 
 import (

@@ -1,16 +1,15 @@
 // Package units provides the physical quantities used throughout the
 // energy-roofline model: time, energy, power, data volume, and operation
-// counts, together with SI-prefixed formatting and parsing.
+// counts, together with SI-prefixed formatting.
 //
 // All quantities are represented as float64 in base SI units (seconds,
 // Joules, Watts, bytes, operations). Distinct named types keep the
 // public API self-documenting and prevent accidental unit mixups, while
 // conversion helpers keep arithmetic convenient where the model needs it
-// (for example, Energy/Time -> Power).
+// (for example, Power × Time -> Energy).
 package units
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -34,24 +33,9 @@ type Flops float64
 
 // Common derived helpers.
 
-// Div returns the power that results from spending e Joules over t seconds.
-func (e Joules) Div(t Seconds) Watts {
-	return Watts(float64(e) / float64(t))
-}
-
 // Mul returns the energy accumulated by drawing p Watts for t seconds.
 func (p Watts) Mul(t Seconds) Joules {
 	return Joules(float64(p) * float64(t))
-}
-
-// PerSecond interprets a flop count over a duration as a rate in FLOP/s.
-func (f Flops) PerSecond(t Seconds) float64 {
-	return float64(f) / float64(t)
-}
-
-// PerJoule interprets a flop count over an energy as efficiency in FLOP/J.
-func (f Flops) PerJoule(e Joules) float64 {
-	return float64(f) / float64(e)
 }
 
 // SI prefix handling -------------------------------------------------------
@@ -102,46 +86,6 @@ func trimFloat(v float64, sig int) string {
 	return s
 }
 
-// ParseSI parses a string like "513 pJ", "25.6 GB", or "122W" and
-// returns the value in base units together with the unit suffix that
-// remained after stripping the prefix.
-func ParseSI(s string) (value float64, unit string, err error) {
-	s = strings.TrimSpace(s)
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		if (c >= '0' && c <= '9') || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E' {
-			// Accept 'e'/'E' only when part of an exponent (preceded by digit).
-			if (c == 'e' || c == 'E') && (i == 0 || !isDigitByte(s[i-1])) {
-				break
-			}
-			i++
-			continue
-		}
-		break
-	}
-	numPart := strings.TrimSpace(s[:i])
-	rest := strings.TrimSpace(s[i:])
-	if numPart == "" {
-		return 0, "", fmt.Errorf("units: no numeric part in %q", s)
-	}
-	v, err := strconv.ParseFloat(numPart, 64)
-	if err != nil {
-		return 0, "", fmt.Errorf("units: bad number in %q: %v", s, err)
-	}
-	if rest == "" {
-		return v, "", nil
-	}
-	for _, p := range siPrefixes {
-		if p.symbol != "" && strings.HasPrefix(rest, p.symbol) && len(rest) > len(p.symbol) {
-			return v * p.scale, rest[len(p.symbol):], nil
-		}
-	}
-	return v, rest, nil
-}
-
-func isDigitByte(c byte) bool { return c >= '0' && c <= '9' }
-
 // String implementations ----------------------------------------------------
 
 // String renders the duration with an SI prefix.
@@ -164,21 +108,5 @@ func (f Flops) String() string { return FormatSI(float64(f), "flop", 4) }
 // PicoJoules returns v pJ as Joules.
 func PicoJoules(v float64) Joules { return Joules(v * 1e-12) }
 
-// NanoSeconds returns v ns as Seconds.
-func NanoSeconds(v float64) Seconds { return Seconds(v * 1e-9) }
-
-// PicoSeconds returns v ps as Seconds.
-func PicoSeconds(v float64) Seconds { return Seconds(v * 1e-12) }
-
-// GigaFlopsPerSecond converts a throughput in GFLOP/s to a time-per-flop.
-func GigaFlopsPerSecond(v float64) Seconds { return Seconds(1 / (v * 1e9)) }
-
-// GigaBytesPerSecond converts a bandwidth in GB/s to a time-per-byte.
-func GigaBytesPerSecond(v float64) Seconds { return Seconds(1 / (v * 1e9)) }
-
 // AsPicoJoules reports e in picoJoules.
 func (e Joules) AsPicoJoules() float64 { return float64(e) * 1e12 }
-
-// AsGigaPerSecond interprets t as a time-per-item and reports the
-// corresponding throughput in G items per second.
-func (t Seconds) AsGigaPerSecond() float64 { return 1 / (float64(t) * 1e9) }

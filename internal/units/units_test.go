@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestFormatSI(t *testing.T) {
@@ -31,101 +30,15 @@ func TestFormatSI(t *testing.T) {
 	}
 }
 
-func TestParseSI(t *testing.T) {
-	cases := []struct {
-		in       string
-		wantVal  float64
-		wantUnit string
-	}{
-		{"513 pJ", 513e-12, "J"},
-		{"25.6 GB", 25.6e9, "B"},
-		{"122W", 122, "W"},
-		{"1.9 ps", 1.9e-12, "s"},
-		{"144GB", 144e9, "B"},
-		{"-3.3 mV", -3.3e-3, "V"},
-		{"42", 42, ""},
-		{"1e3 J", 1e3, "J"},
-	}
-	for _, c := range cases {
-		v, u, err := ParseSI(c.in)
-		if err != nil {
-			t.Fatalf("ParseSI(%q): %v", c.in, err)
-		}
-		if math.Abs(v-c.wantVal) > 1e-9*math.Abs(c.wantVal)+1e-30 {
-			t.Errorf("ParseSI(%q) value = %g, want %g", c.in, v, c.wantVal)
-		}
-		if u != c.wantUnit {
-			t.Errorf("ParseSI(%q) unit = %q, want %q", c.in, u, c.wantUnit)
-		}
-	}
-}
-
-func TestParseSIErrors(t *testing.T) {
-	for _, in := range []string{"", "pJ", "abc", "--3 J"} {
-		if _, _, err := ParseSI(in); err == nil {
-			t.Errorf("ParseSI(%q): expected error", in)
-		}
-	}
-}
-
-func TestParseFormatRoundTrip(t *testing.T) {
-	f := func(mant float64, exp int8) bool {
-		e := int(exp)%12 - 6 // exponent in [-6, 5]
-		v := mant * math.Pow(10, float64(e))
-		if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 {
-			return true
-		}
-		s := FormatSI(v, "J", 9)
-		got, unit, err := ParseSI(s)
-		if err != nil || unit != "J" {
-			return false
-		}
-		return math.Abs(got-v) <= 1e-6*math.Abs(v)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDerivedQuantities(t *testing.T) {
-	e := Joules(10)
-	p := e.Div(Seconds(2))
-	if p != Watts(5) {
-		t.Errorf("10 J / 2 s = %v, want 5 W", p)
-	}
 	if got := Watts(5).Mul(Seconds(2)); got != Joules(10) {
 		t.Errorf("5 W * 2 s = %v, want 10 J", got)
-	}
-	if got := Flops(1e9).PerSecond(Seconds(0.5)); got != 2e9 {
-		t.Errorf("FLOP/s = %g, want 2e9", got)
-	}
-	if got := Flops(1e9).PerJoule(Joules(2)); got != 5e8 {
-		t.Errorf("FLOP/J = %g, want 5e8", got)
 	}
 }
 
 func TestConstructors(t *testing.T) {
 	if got := PicoJoules(25); math.Abs(float64(got)-25e-12) > 1e-24 {
 		t.Errorf("PicoJoules(25) = %v", got)
-	}
-	if got := PicoSeconds(1.9); math.Abs(float64(got)-1.9e-12) > 1e-24 {
-		t.Errorf("PicoSeconds(1.9) = %v", got)
-	}
-	if got := NanoSeconds(3); math.Abs(float64(got)-3e-9) > 1e-21 {
-		t.Errorf("NanoSeconds(3) = %v", got)
-	}
-	// The paper's Table II: 515 GFLOP/s peak means 1.94 ps per flop.
-	tf := GigaFlopsPerSecond(515)
-	if math.Abs(float64(tf)-1.0/515e9) > 1e-24 {
-		t.Errorf("GigaFlopsPerSecond(515) = %v", tf)
-	}
-	tb := GigaBytesPerSecond(144)
-	if math.Abs(float64(tb)-1.0/144e9) > 1e-24 {
-		t.Errorf("GigaBytesPerSecond(144) = %v", tb)
-	}
-	// Round trips back to rates.
-	if got := tf.AsGigaPerSecond(); math.Abs(got-515) > 1e-9 {
-		t.Errorf("AsGigaPerSecond = %g, want 515", got)
 	}
 	if got := PicoJoules(513).AsPicoJoules(); math.Abs(got-513) > 1e-9 {
 		t.Errorf("AsPicoJoules = %g, want 513", got)

@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/strictjson"
 )
 
 // clampForFuzz bounds a parsed spec's population sizes so a fuzz
@@ -57,10 +59,23 @@ func checkStream(t *testing.T, tr *Trace) {
 	}
 }
 
-// FuzzWorkloadConfig feeds arbitrary bytes through the strict spec
-// parser and, when a spec survives, generates its (clamped) trace and
-// asserts the stream invariants — no negative or NaN inter-arrival can
-// escape any spec the parser accepts.
+// parseSpec strictly decodes a Spec (unknown fields and trailing data
+// rejected, as ParseTrace decodes a trace's spec) and validates it.
+func parseSpec(data []byte) (Spec, error) {
+	var s Spec
+	if err := strictjson.Unmarshal(data, &s); err != nil {
+		return Spec{}, err
+	}
+	if err := s.Validate(); err != nil {
+		return Spec{}, err
+	}
+	return s, nil
+}
+
+// FuzzWorkloadConfig feeds arbitrary bytes through parseSpec and, when
+// a spec survives, generates its (clamped) trace and asserts the stream
+// invariants — no negative or NaN inter-arrival can escape any spec
+// Validate accepts.
 func FuzzWorkloadConfig(f *testing.F) {
 	def := DefaultSpec()
 	for _, s := range []Spec{def,
@@ -79,7 +94,7 @@ func FuzzWorkloadConfig(f *testing.F) {
 	f.Add([]byte(`{"kind":"poisson","rate":-1,"requests":10,"keys":5,"seed":0}`))
 	f.Add([]byte(`{"kind":"mmpp","rate":1e308,"burst_rate":1e308,"requests":1,"keys":1,"seed":0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := ParseSpec(data)
+		spec, err := parseSpec(data)
 		if err != nil {
 			return
 		}

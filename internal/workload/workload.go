@@ -177,19 +177,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// ParseSpec strictly decodes a Spec from JSON (unknown fields and
-// trailing garbage rejected) and validates it.
-func ParseSpec(data []byte) (Spec, error) {
-	var s Spec
-	if err := strictjson.Unmarshal(data, &s); err != nil {
-		return Spec{}, fmt.Errorf("workload: bad spec: %v", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
-}
-
 // Trace is a generated (or replayed) request stream plus its
 // provenance. Requests are in ID order; for open-loop kinds arrival
 // times are non-decreasing.

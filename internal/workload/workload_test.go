@@ -251,19 +251,20 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestParseSpecStrict checks parsing accepts the canonical form and
-// rejects unknown fields and trailing bytes.
+// TestParseSpecStrict pins which inputs the fuzz target's decoder
+// accepts: the canonical form reaches Validate, and unknown fields and
+// trailing bytes stop at the strict decode.
 func TestParseSpecStrict(t *testing.T) {
 	good := []byte(`{"kind":"poisson","rate":100,"requests":10,"keys":5,"zipf_s":1.1,"work_flops":1e9,"lo_intensity":0.5,"hi_intensity":8,"seed":7}`)
-	if _, err := ParseSpec(good); err != nil {
-		t.Fatalf("ParseSpec rejected valid spec: %v", err)
+	if _, err := parseSpec(good); err != nil {
+		t.Fatalf("parseSpec rejected valid spec: %v", err)
 	}
-	if _, err := ParseSpec([]byte(`{"kind":"poisson","rate":1,"requests":1,"keys":1,"work_flops":1,"lo_intensity":1,"hi_intensity":1,"seed":0,"bogus":true}`)); err == nil {
-		t.Fatal("ParseSpec accepted an unknown field")
+	if _, err := parseSpec([]byte(`{"kind":"poisson","rate":1,"requests":1,"keys":1,"work_flops":1,"lo_intensity":1,"hi_intensity":1,"seed":0,"bogus":true}`)); err == nil {
+		t.Fatal("parseSpec accepted an unknown field")
 	}
 	for _, tail := range []string{"garbage", "}", "]", " {}"} {
-		if _, err := ParseSpec(append(append([]byte{}, good...), tail...)); err == nil {
-			t.Errorf("ParseSpec accepted trailing %q", tail)
+		if _, err := parseSpec(append(append([]byte{}, good...), tail...)); err == nil {
+			t.Errorf("parseSpec accepted trailing %q", tail)
 		}
 	}
 }
