@@ -1,17 +1,18 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation: one testing.B target per artifact, each driving the same
+// evaluation and every extension study: BenchmarkExperiment has one
+// sub-benchmark per registered experiment, each driving the same
 // experiment code as `cmd/experiments`. Run with
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench BenchmarkExperiment -benchmem .
 //
-// The per-iteration work is the full (fast-mode) experiment, so
-// ns/op reports the cost of regenerating that artifact.
+// or a single artifact with -bench 'BenchmarkExperiment/^fig4a$'. The
+// per-iteration work is the full (fast-mode) experiment, so ns/op
+// reports the cost of regenerating that artifact.
 package energyroofline
 
 import (
-	"testing"
-
 	"context"
+	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -19,54 +20,22 @@ import (
 	"repro/internal/machine"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	cfg := exp.Config{Seed: 42, Fast: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := e.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if f := rep.Failures(); len(f) != 0 {
-			b.Fatalf("%s deviates: %+v", id, f)
-		}
+func BenchmarkExperiment(b *testing.B) {
+	cfg := exp.Config{Seed: exp.DefaultSeed, Fast: true}
+	for _, e := range exp.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := e.Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if f := rep.Failures(); len(f) != 0 {
+					b.Fatalf("%s deviates: %+v", e.ID, f)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkTableI(b *testing.B)     { benchExperiment(b, "tableI") }
-func BenchmarkTableII(b *testing.B)    { benchExperiment(b, "tableII") }
-func BenchmarkTableIII(b *testing.B)   { benchExperiment(b, "tableIII") }
-func BenchmarkTableIV(b *testing.B)    { benchExperiment(b, "tableIV") }
-func BenchmarkFig2a(b *testing.B)      { benchExperiment(b, "fig2a") }
-func BenchmarkFig2b(b *testing.B)      { benchExperiment(b, "fig2b") }
-func BenchmarkFig4a(b *testing.B)      { benchExperiment(b, "fig4a") }
-func BenchmarkFig4b(b *testing.B)      { benchExperiment(b, "fig4b") }
-func BenchmarkFig5a(b *testing.B)      { benchExperiment(b, "fig5a") }
-func BenchmarkFig5b(b *testing.B)      { benchExperiment(b, "fig5b") }
-func BenchmarkPeaks(b *testing.B)      { benchExperiment(b, "peaks") }
-func BenchmarkFMMU(b *testing.B)       { benchExperiment(b, "fmmu") }
-func BenchmarkGreenup(b *testing.B)    { benchExperiment(b, "greenup") }
-func BenchmarkRaceToHalt(b *testing.B) { benchExperiment(b, "racetohalt") }
-
-// Extension experiments (ablations and refinements from DESIGN.md §5).
-func BenchmarkAblationOverlap(b *testing.B)  { benchExperiment(b, "ablation-overlap") }
-func BenchmarkAblationPi0(b *testing.B)      { benchExperiment(b, "ablation-pi0") }
-func BenchmarkAblationCap(b *testing.B)      { benchExperiment(b, "ablation-cap") }
-func BenchmarkAblationSampling(b *testing.B) { benchExperiment(b, "ablation-sampling") }
-func BenchmarkDVFS(b *testing.B)             { benchExperiment(b, "dvfs") }
-func BenchmarkAlgs(b *testing.B)             { benchExperiment(b, "algs") }
-func BenchmarkConcurrency(b *testing.B)      { benchExperiment(b, "concurrency") }
-func BenchmarkFutureRegime(b *testing.B)     { benchExperiment(b, "future") }
-func BenchmarkModelFit(b *testing.B)         { benchExperiment(b, "modelfit") }
-func BenchmarkMetrics(b *testing.B)          { benchExperiment(b, "metrics") }
-func BenchmarkPipeline(b *testing.B)         { benchExperiment(b, "pipeline") }
-func BenchmarkTradeoffs(b *testing.B)        { benchExperiment(b, "tradeoffs") }
-func BenchmarkAblationPrefetch(b *testing.B) { benchExperiment(b, "ablation-prefetch") }
 
 // Model-evaluation microbenchmarks: the analytic core must stay cheap
 // enough to sit inside schedulers and auto-tuners.

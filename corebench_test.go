@@ -11,6 +11,7 @@ import (
 	"repro/internal/microbench"
 	"repro/internal/powermon"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // BenchmarkCore runs the core hot-path scenarios BENCH_core.json
@@ -34,7 +35,7 @@ func benchSingleRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	spec := sim.KernelSpec{W: 1e9, Q: 2.5e8, Precision: machine.Single}
-	rng := eng.DeriveRand(0xC0DE)
+	rng := stats.DeriveRand(eng.Seed(), 0xC0DE)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

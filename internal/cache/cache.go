@@ -40,14 +40,6 @@ type LevelStats struct {
 	Writebacks uint64
 }
 
-// HitRate returns Hits/Accesses, or 0 for an untouched level.
-func (s LevelStats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 type line struct {
 	tag   uint64
 	valid bool
@@ -65,9 +57,6 @@ type level struct {
 	// two (pow2Sets), the common geometry.
 	setMask  uint64
 	pow2Sets bool
-	// mru holds each set's most-recently-touched way, probed before the
-	// way scan — replay workloads hit the same way run after run.
-	mru []uint32
 }
 
 func newLevel(cfg machine.CacheLevel) *level {
@@ -78,7 +67,6 @@ func newLevel(cfg machine.CacheLevel) *level {
 		sets: sets,
 		ways: cfg.Assoc,
 		data: make([]line, lines),
-		mru:  make([]uint32, sets),
 	}
 	if sets&(sets-1) == 0 {
 		l.pow2Sets = true
@@ -106,17 +94,9 @@ func (l *level) access(lineAddr uint64, write, demand bool, tick uint64) (hit bo
 	base := int(set) * l.ways
 	ways := l.data[base : base+l.ways]
 	l.stats.Accesses++
-	// Probe the set's most-recently-used way before scanning: streaming
-	// and strided replays hit the same way repeatedly. A tag can live in
-	// at most one way, so hitting here is exactly the scan's outcome.
-	if m := int(l.mru[set]); m < len(ways) && ways[m].valid && ways[m].tag == lineAddr {
-		l.hitWay(&ways[m], write, tick)
-		return true, false, 0
-	}
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == lineAddr {
 			l.hitWay(&ways[i], write, tick)
-			l.mru[set] = uint32(i)
 			return true, false, 0
 		}
 	}
@@ -146,7 +126,6 @@ func (l *level) access(lineAddr uint64, write, demand bool, tick uint64) (hit bo
 		}
 	}
 	ways[vi] = line{tag: lineAddr, valid: true, dirty: write, used: tick}
-	l.mru[set] = uint32(vi)
 	return false, evicted, victim
 }
 
@@ -172,18 +151,6 @@ type Hierarchy struct {
 	// lineShift is log2(lineSize) when the line size is a power of two,
 	// else -1; Access then splits requests by shift instead of divide.
 	lineShift int
-
-	// memo is a small direct-mapped table of innermost-level ways
-	// recently resolved by a full walk. Sub-line streaming replay (an
-	// SoA record read is several 4-byte accesses to each of a few
-	// parallel lines) short-circuits the whole level walk on a memo
-	// hit, applying exactly the counter updates of an L1 hit. Entries
-	// are hints, validated by tag on every use: a way holds full line
-	// addresses as tags, so tag == lineAddr proves the line is resident
-	// in that very way and a stale entry simply misses. Only Reset —
-	// which replaces the backing arrays the hints point into — must
-	// clear the table.
-	memo [memoSlots]*line
 
 	dramReadLines  uint64
 	dramWriteLines uint64
@@ -272,57 +239,22 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) {
 	}
 }
 
-// memoSlots sizes the streaming memo: big enough that the handful of
-// parallel streams a structure-of-arrays replay interleaves usually
-// land in distinct slots, small enough to stay resident in L1.
-const memoSlots = 16
-
-// memoSlot hashes a line address to its memo slot (SplitMix64's
-// multiplicative constant; the top bits decorrelate the stride-sharing
-// base addresses of parallel arrays).
-func memoSlot(lineAddr uint64) int {
-	return int((lineAddr * 0x9e3779b97f4a7c15) >> 60)
-}
-
 func (h *Hierarchy) accessLine(lineAddr uint64, write bool) {
-	// Streaming fast path: a recent walk resolved this line at the
-	// innermost level. The tag check proves residence in that exact way
-	// (tags are full line addresses), so this is an L1 hit — apply the
-	// identical counter updates without the level walk.
-	slot := memoSlot(lineAddr)
-	if w := h.memo[slot]; w != nil && w.valid && w.tag == lineAddr {
-		l := h.levels[0]
-		l.stats.Accesses++
-		l.hitWay(w, write, h.tick)
-		return
-	}
 	for i, l := range h.levels {
 		hit, evicted, victim := l.access(lineAddr, write, true, h.tick)
 		if evicted {
 			h.writeback(i+1, victim)
 		}
 		if hit {
-			h.memoize(slot, lineAddr)
 			return
 		}
 	}
 	// Missed everywhere: line comes from DRAM (and was installed at
-	// every level on the way down, innermost included).
-	h.memoize(slot, lineAddr)
+	// every level on the way down).
 	h.dramReadLines++
 	if h.prefetch && !write {
 		h.prefetchLine(lineAddr + 1)
 	}
-}
-
-// memoize records which innermost-level way holds lineAddr. Called
-// right after a level walk resolved the line, when the innermost level
-// is guaranteed to hold it (a hit found it there, a deeper hit or full
-// miss write-allocated it there) and its mru entry points at that way.
-func (h *Hierarchy) memoize(slot int, lineAddr uint64) {
-	l := h.levels[0]
-	set := l.setIndex(lineAddr)
-	h.memo[slot] = &l.data[int(set)*l.ways+int(l.mru[set])]
 }
 
 // EnablePrefetch turns the outer-level next-line prefetcher on or off.
@@ -336,9 +268,7 @@ func (h *Hierarchy) PrefetchIssued() uint64 { return h.prefetchIssued }
 // statistics (but it is still DRAM traffic).
 func (h *Hierarchy) prefetchLine(lineAddr uint64) {
 	outer := h.levels[len(h.levels)-1]
-	// Probe without disturbing statistics: a silent lookup. (With a
-	// single level this install can evict a memoized way; the memo's
-	// per-use tag validation turns that into a plain memo miss.)
+	// Probe without disturbing statistics: a silent lookup.
 	set := outer.setIndex(lineAddr)
 	base := int(set) * outer.ways
 	ways := outer.data[base : base+outer.ways]
@@ -425,26 +355,14 @@ func (h *Hierarchy) DRAMWriteBytes() uint64 { return h.dramWriteLines * h.lineSi
 // DRAMBytes is total DRAM traffic in both directions.
 func (h *Hierarchy) DRAMBytes() uint64 { return h.DRAMReadBytes() + h.DRAMWriteBytes() }
 
-// CacheBytes is the total traffic served by all cache levels — the
-// quantity the paper multiplies by its fitted 187 pJ/B cache cost.
-func (h *Hierarchy) CacheBytes() uint64 {
-	var sum uint64
-	for _, l := range h.levels {
-		sum += l.stats.BytesServed
-	}
-	return sum
-}
-
 // Reset clears all cache contents and counters.
 func (h *Hierarchy) Reset() {
 	for _, l := range h.levels {
 		clear(l.data)
-		clear(l.mru)
 		l.stats = LevelStats{Name: l.cfg.Name}
 	}
 	h.tick = 0
 	h.dramReadLines = 0
 	h.dramWriteLines = 0
 	h.prefetchIssued = 0
-	h.memo = [memoSlots]*line{}
 }

@@ -277,16 +277,6 @@ func TestWorkingSetFitsAfterWarmup(t *testing.T) {
 	}
 }
 
-func TestCacheBytesAggregates(t *testing.T) {
-	h := tiny(t)
-	h.Read(0, 64) // cold
-	h.Read(0, 64) // L1 hit
-	h.Read(0, 64) // L1 hit
-	if got := h.CacheBytes(); got != 128 {
-		t.Errorf("CacheBytes = %d, want 128", got)
-	}
-}
-
 func TestReset(t *testing.T) {
 	h := tiny(t)
 	h.Read(0, 512)
@@ -307,17 +297,6 @@ func TestZeroSizeAccessIgnored(t *testing.T) {
 	h.Access(0, -5, true)
 	if h.Stats()[0].Accesses != 0 {
 		t.Error("zero/negative size should be ignored")
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	var s LevelStats
-	if s.HitRate() != 0 {
-		t.Error("empty hit rate should be 0")
-	}
-	s.Accesses, s.Hits = 10, 4
-	if s.HitRate() != 0.4 {
-		t.Errorf("hit rate = %v", s.HitRate())
 	}
 }
 

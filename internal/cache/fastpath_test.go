@@ -6,14 +6,14 @@ import (
 	"repro/internal/machine"
 )
 
-// The optimized Hierarchy added a streaming memo table, per-set MRU way
-// hints, and shift/mask address math. None of those may change a single
-// counter: this file keeps a reference model with the pre-optimization
-// logic (plain divide/modulo, full way scans, no memo) and drives both
-// with identical workloads, comparing every statistic exactly.
+// Hierarchy splits requests into lines by shift and picks sets by mask
+// whenever the geometry is a power of two. That must not change a single
+// counter: this file keeps a reference model that divides and takes the
+// modulo everywhere, drives both with identical workloads, and compares
+// every statistic exactly.
 
-// refLevel is the pre-optimization level: modulo set indexing and a
-// linear way scan on every access.
+// refLevel is the reference level: modulo set indexing and a linear way
+// scan on every access.
 type refLevel struct {
 	cfg   machine.CacheLevel
 	sets  uint64
@@ -77,8 +77,8 @@ func (l *refLevel) access(lineAddr uint64, write, demand bool, tick uint64) (hit
 	return false, evicted, victim
 }
 
-// refHierarchy is the pre-optimization hierarchy: no memo, no MRU, no
-// shift/mask fast paths.
+// refHierarchy is the reference hierarchy: divide and modulo address
+// math throughout.
 type refHierarchy struct {
 	levels         []*refLevel
 	lineSize       uint64
@@ -264,10 +264,9 @@ func nonPow2Levels() []machine.CacheLevel {
 func lcg(x uint64) uint64 { return x*6364136223846793005 + 1442695040888963407 }
 
 // drive runs a mixed workload through the pair, checking after every
-// phase. The phases hit each fast path: sub-line streaming (memo hits),
-// SoA interleave (multi-slot memo), strides (MRU hints), random traffic
-// with writes (evictions, writebacks, stale memo entries), policy
-// switches, prefetching, and a mid-run Reset.
+// phase: sub-line streaming, an SoA interleave, strides that cycle sets,
+// random traffic with writes (evictions, writebacks), prefetching, and a
+// mid-run Reset.
 func drive(p *pair) {
 	// Sub-line streaming reads: repeated hits on the same line.
 	for i := uint64(0); i < 6000; i++ {
@@ -276,7 +275,7 @@ func drive(p *pair) {
 	p.check("stream")
 
 	// SoA interleave: four parallel arrays, read/read/read/write per
-	// record, the FMM replay shape the memo table is built for.
+	// record, the FMM replay's access shape.
 	const mib = 1 << 20
 	for r := uint64(0); r < 3000; r++ {
 		p.access(0*mib+r*8, 8, false)
@@ -286,15 +285,15 @@ func drive(p *pair) {
 	}
 	p.check("soa")
 
-	// Strided reads at line granularity: MRU-hint territory, with a
-	// stride wide enough to cycle sets.
+	// Strided reads at line granularity, with a stride wide enough to
+	// cycle sets.
 	for i := uint64(0); i < 4000; i++ {
 		p.access((i*192)%(1<<22), 16, false)
 	}
 	p.check("strided")
 
 	// Random read/write mix over a footprint larger than L2: misses,
-	// LRU evictions, dirty writebacks, and memo entries going stale.
+	// LRU evictions and dirty writebacks.
 	x := uint64(12345)
 	for i := 0; i < 8000; i++ {
 		x = lcg(x)
@@ -311,8 +310,7 @@ func drive(p *pair) {
 	p.check("prefetch")
 	p.prefetch(false)
 
-	// Reset mid-run, then stream again: the memo table must not carry
-	// pointers into the replaced arrays.
+	// Reset mid-run, then stream again from a cold hierarchy.
 	p.reset()
 	for i := uint64(0); i < 4000; i++ {
 		p.access(i*4, 4, i%5 == 4)
@@ -329,8 +327,8 @@ func TestHierarchyMatchesReferenceNonPow2(t *testing.T) {
 }
 
 func TestHierarchyMatchesReferenceSingleLevel(t *testing.T) {
-	// A single level makes the outer level and the memoized innermost
-	// level the same object — the prefetch-evicts-memoized-way hazard.
+	// A single level makes the prefetcher's outer level the innermost
+	// level too, so a prefetch install can evict a line just read.
 	drive(newPair(t, []machine.CacheLevel{
 		{Name: "L1", Size: 16 << 10, LineSize: 64, Assoc: 4},
 	}))

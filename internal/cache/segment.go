@@ -71,8 +71,8 @@ func (h *Hierarchy) AccessSegment(s Segment) {
 //     resident in the innermost level afterwards, sweeps 2..n would
 //     replay as pure innermost-level hits — hits never evict, so
 //     residency is invariant — and all their counter updates (hits,
-//     bytes served, per-line dirty bits and LRU timestamps, MRU hints,
-//     tick advance) are applied in closed form. If any line is absent
+//     bytes served, per-line dirty bits and LRU timestamps, tick
+//     advance) are applied in closed form. If any line is absent
 //     (the block outgrew the level, or conflict misses displaced it),
 //     every remaining sweep is replayed through layer 1 instead.
 func (h *Hierarchy) ReplaySegments(segs []Segment, sweeps int) {
@@ -122,10 +122,9 @@ type segLine struct {
 	n       uint64
 	lastOff uint64
 	write   bool
-	// way and wayIdx are filled by sweepResident when the closed-form
-	// path is taken.
-	way    *line
-	wayIdx uint32
+	// way is filled by sweepResident when the closed-form path is
+	// taken.
+	way *line
 }
 
 // sweepRecord accumulates the line-touch profile of one sweep, in
@@ -208,24 +207,23 @@ func (h *Hierarchy) sameLineRun(s *Segment, i, maxRun int) int {
 // request type, for the bulk hit application.
 type segWay struct {
 	w     *line
-	idx   uint32
 	la    uint64
 	write bool
 }
 
 // findInnerWay scans the innermost level's set for la and returns the
 // holding way, or nil when the line is not resident there.
-func (h *Hierarchy) findInnerWay(la uint64) (*line, uint32) {
+func (h *Hierarchy) findInnerWay(la uint64) *line {
 	l := h.levels[0]
 	set := l.setIndex(la)
 	base := int(set) * l.ways
 	ways := l.data[base : base+l.ways]
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == la {
-			return &ways[i], uint32(i)
+			return &ways[i]
 		}
 	}
-	return nil, 0
+	return nil
 }
 
 // replaySweep replays one interleaved pass over segs, chunking rounds
@@ -309,12 +307,12 @@ func (h *Hierarchy) replaySweep(segs []Segment, rec *sweepRecord) {
 			if i >= s.Count {
 				continue
 			}
-			w, wi := h.findInnerWay(la[ai])
+			w := h.findInnerWay(la[ai])
 			if w == nil {
 				resident = false
 				break
 			}
-			ways = append(ways, segWay{w: w, idx: wi, la: la[ai], write: s.Write})
+			ways = append(ways, segWay{w: w, la: la[ai], write: s.Write})
 			ai++
 		}
 		h.segWays = ways[:0]
@@ -354,7 +352,6 @@ func (h *Hierarchy) replaySweep(segs []Segment, rec *sweepRecord) {
 				l0.stats.ReadHits += rounds
 			}
 			wy.w.used = lastTick
-			l0.mru[l0.setIndex(wy.la)] = wy.idx
 			if rec != nil {
 				rec.add(wy.la, wy.write, rounds, lastTick-rec.startTick)
 			}
@@ -373,11 +370,10 @@ func (h *Hierarchy) replaySweep(segs []Segment, rec *sweepRecord) {
 func (h *Hierarchy) sweepResident(rec *sweepRecord) bool {
 	for i := range rec.lines {
 		e := &rec.lines[i]
-		w, wi := h.findInnerWay(e.la)
-		if w == nil {
+		e.way = h.findInnerWay(e.la)
+		if e.way == nil {
 			return false
 		}
-		e.way, e.wayIdx = w, wi
 	}
 	return true
 }
@@ -403,7 +399,6 @@ func (h *Hierarchy) applyResidentSweeps(rec *sweepRecord, extra, perSweep uint64
 			rh += e.n
 		}
 		e.way.used = base + (extra-1)*perSweep + e.lastOff
-		l0.mru[l0.setIndex(e.la)] = e.wayIdx
 	}
 	l0.stats.Accesses += extra * acc
 	l0.stats.Hits += extra * acc

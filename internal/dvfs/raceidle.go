@@ -228,11 +228,11 @@ func raceIdleCase(m *machine.Machine, key, scenario string, idleW float64, cfg C
 		return RaceIdleCase{}, err
 	}
 	src := stepSource{activeW: p.AveragePower(k), idleW: idleW, tActive: p.Time(k)}
-	tr, err := mon.Measure(src, units.Seconds(deadline))
+	e, err := mon.Energy(src, units.Seconds(deadline))
 	if err != nil {
 		return RaceIdleCase{}, err
 	}
-	out.MeasuredRaceJ = float64(tr.Energy())
+	out.MeasuredRaceJ = float64(e)
 	out.MeasuredRelErr = stats.RelErr(out.MeasuredRaceJ, out.RaceEnergyJ)
 	return out, nil
 }

@@ -334,11 +334,11 @@ func runAblationSampling(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := mon.Measure(rampSource{peak: peak, dur: dur}, units.Seconds(dur))
+		e, err := mon.Energy(rampSource{peak: peak, dur: dur}, units.Seconds(dur))
 		if err != nil {
 			return nil, err
 		}
-		got := float64(tr.Energy())
+		got := float64(e)
 		re := math.Abs(got-want) / want
 		errs = append(errs, re)
 		fmt.Fprintf(&sb, "%10.0f %14.4f %12.3g\n", rate, got, re)

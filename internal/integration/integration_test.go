@@ -83,7 +83,7 @@ func TestMeasurementStackConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := mon.Measure(run, run.Duration)
+	monE, err := mon.Energy(run, run.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMeasurementStackConsistency(t *testing.T) {
 	if re := stats.RelErr(float64(run.Energy), modelE); re > 1e-9 {
 		t.Errorf("engine vs model: %v", re)
 	}
-	if re := stats.RelErr(float64(tr.Energy()), modelE); re > 0.02 {
+	if re := stats.RelErr(float64(monE), modelE); re > 0.02 {
 		t.Errorf("monitor vs model: %v", re)
 	}
 }

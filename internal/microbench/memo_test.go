@@ -1,11 +1,27 @@
 package microbench
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
+
+// probeScore measures a tuning's two probes as one batch on the
+// engine's sequential stream and combines their throughputs
+// geometrically, as AutoTune's batchScore does for each fresh tuning.
+func probeScore(eng *sim.Engine, prec machine.Precision, t sim.Tuning) (float64, error) {
+	var specs [2]sim.KernelSpec
+	specs[0], specs[1] = probeSpecs(prec, t)
+	var runs [2]sim.Run
+	if err := eng.RunBatch(nil, specs[:], runs[:]); err != nil {
+		return 0, err
+	}
+	fl := specs[0].W / float64(runs[0].Duration)
+	bw := specs[1].Q / float64(runs[1].Duration)
+	return math.Sqrt(fl * bw), nil
+}
 
 // autoTuneEveryVisit is the pre-memoization search, preserved verbatim:
 // every grid cell and every hill-climb proposal is probed, even when

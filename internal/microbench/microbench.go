@@ -37,9 +37,9 @@ func AutoTune(eng *sim.Engine, prec machine.Precision) (sim.Tuning, float64, err
 	// batchScore probes every distinct not-yet-scored tuning in cands —
 	// in first-visit order, two probe kernels each — with one RunBatch
 	// call, and memoizes the scores. The engine's sequential noise
-	// stream sees exactly the draws one-at-a-time probeScore calls would
-	// make for the same fresh tunings, so the memo contents are
-	// bit-identical to sequential probing.
+	// stream sees exactly the draws probing the fresh tunings one at a
+	// time would make, so the memo contents are bit-identical to
+	// sequential probing. Every candidate is scored before it is read.
 	batchScore := func(cands []sim.Tuning) error {
 		fresh = fresh[:0]
 	next:
@@ -76,17 +76,6 @@ func AutoTune(eng *sim.Engine, prec machine.Precision) (sim.Tuning, float64, err
 		}
 		return nil
 	}
-	score := func(t sim.Tuning) (float64, error) {
-		if s, ok := scores[t]; ok {
-			return s, nil
-		}
-		s, err := probeScore(eng, prec, t)
-		if err != nil {
-			return 0, err
-		}
-		scores[t] = s
-		return s, nil
-	}
 
 	// Coarse grid over powers of two, opened by the seed point. Every
 	// grid candidate carries the seed's Unroll and RequestsPerThread
@@ -103,17 +92,9 @@ func AutoTune(eng *sim.Engine, prec machine.Precision) (sim.Tuning, float64, err
 	if err := batchScore(grid); err != nil {
 		return sim.Tuning{}, 0, err
 	}
-	best := seed
-	bestScore, err := score(best)
-	if err != nil {
-		return sim.Tuning{}, 0, err
-	}
+	best, bestScore := seed, scores[seed]
 	for _, t := range grid[1:] {
-		s, err := score(t)
-		if err != nil {
-			return sim.Tuning{}, 0, err
-		}
-		if s > bestScore {
+		if s := scores[t]; s > bestScore {
 			best, bestScore = t, s
 		}
 	}
@@ -128,11 +109,7 @@ func AutoTune(eng *sim.Engine, prec machine.Precision) (sim.Tuning, float64, err
 			return sim.Tuning{}, 0, err
 		}
 		for _, cand := range ring {
-			s, err := score(cand)
-			if err != nil {
-				return sim.Tuning{}, 0, err
-			}
-			if s > bestScore*(1+1e-9) {
+			if s := scores[cand]; s > bestScore*(1+1e-9) {
 				best, bestScore = cand, s
 				improved = true
 			}
@@ -183,21 +160,6 @@ func probeSpecs(prec machine.Precision, t sim.Tuning) (compute, memory sim.Kerne
 	return compute, memory
 }
 
-// probeScore measures a tuning's two probes as one batch on the
-// engine's sequential stream and combines their throughputs
-// geometrically.
-func probeScore(eng *sim.Engine, prec machine.Precision, t sim.Tuning) (float64, error) {
-	var specs [2]sim.KernelSpec
-	specs[0], specs[1] = probeSpecs(prec, t)
-	var runs [2]sim.Run
-	if err := eng.RunBatch(nil, specs[:], runs[:]); err != nil {
-		return 0, err
-	}
-	fl := specs[0].W / float64(runs[0].Duration)
-	bw := specs[1].Q / float64(runs[1].Duration)
-	return math.Sqrt(fl * bw), nil
-}
-
 // Point is one measured intensity point: the paper's (W, Q, T, R)
 // tuple plus its measured energy and power.
 type Point struct {
@@ -230,7 +192,7 @@ type SweepConfig struct {
 	// Tuning are the launch parameters (defaults to AutoTune's result
 	// if zero and UseAutoTune is set, else the engine optimum shape).
 	Tuning sim.Tuning
-	// Monitor, if non-nil, measures energy via the sampled power trace
+	// Monitor, if non-nil, measures energy by sampling each run's power
 	// (the full §IV-A pipeline). If nil, the run's direct observables
 	// are used.
 	Monitor *powermon.Monitor
@@ -342,8 +304,9 @@ func Sweep(ctx context.Context, eng *sim.Engine, prec machine.Precision, cfg Swe
 			labels := []uint64{0, uint64(prec), uint64(gi), uint64(rep)}
 			labels[0] = sweepStream
 			// Borrow the per-rep simulator stream from the pool: the seed
-			// (and so the stream) is exactly eng.DeriveRand(labels...)'s,
-			// without allocating a fresh ~5 KB rand state per repetition.
+			// (and so the stream) is exactly
+			// stats.DeriveRand(eng.Seed(), labels...)'s, without
+			// allocating a fresh ~5 KB rand state per repetition.
 			rng := stats.BorrowDerived(eng.Seed(), labels...)
 			r, err := eng.RunWithCtx(ctx, rng, grid[gi].spec)
 			rng.Release()
@@ -354,9 +317,6 @@ func Sweep(ctx context.Context, eng *sim.Engine, prec machine.Precision, cfg Swe
 			if cfg.Monitor != nil {
 				labels[0] = monitorStream
 				_, monSpan := trace.Start(ctx, "powermon.integrate")
-				// EnergyDerived is bit-identical to
-				// Fork(labels...).Measure(r, r.Duration).Energy() but
-				// integrates on the fly instead of materialising a trace.
 				e, err := cfg.Monitor.EnergyDerived(labels, r, r.Duration)
 				monSpan.End()
 				if err != nil {

@@ -80,15 +80,6 @@ func (p Program) Counts() (w, q float64) {
 	return flops * n, words * n * float64(p.Precision.WordSize())
 }
 
-// Intensity returns W/Q of the generated kernel.
-func (p Program) Intensity() float64 {
-	w, q := p.Counts()
-	if q == 0 {
-		return math.Inf(1)
-	}
-	return w / q
-}
-
 // Execute interprets the program over the input, returning one output
 // value per element. Each element's evaluation starts with acc = 0;
 // OpLoad pulls the element (inputs are reused cyclically for bodies

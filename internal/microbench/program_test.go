@@ -22,13 +22,13 @@ func TestPolynomialCounts(t *testing.T) {
 		t.Errorf("Q = %v, want 4000", q)
 	}
 	// I = 2d/wordsize = 20/4 = 5 flop/byte.
-	if got := p.Intensity(); math.Abs(got-5) > 1e-12 {
+	if got := w / q; math.Abs(got-5) > 1e-12 {
 		t.Errorf("intensity = %v, want 5", got)
 	}
 	// Double precision halves the intensity.
 	pd, _ := GeneratePolynomial(10, 1000, machine.Double)
-	if got := pd.Intensity(); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("double intensity = %v, want 2.5", got)
+	if wd, qd := pd.Counts(); math.Abs(wd/qd-2.5) > 1e-12 {
+		t.Errorf("double intensity = %v, want 2.5", wd/qd)
 	}
 }
 
@@ -40,7 +40,8 @@ func TestPolynomialDegreeForRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := p.Intensity()
+			w, q := p.Counts()
+			got := w / q
 			// Degree granularity bounds the error to half a step.
 			step := 2.0 / float64(prec.WordSize())
 			if math.Abs(got-target) > step/2+1e-12 {
@@ -63,7 +64,7 @@ func TestFMAMixCounts(t *testing.T) {
 		t.Errorf("W, Q = %v, %v", w, q)
 	}
 	// I = 2·8/(2·4) = 2.
-	if got := p.Intensity(); math.Abs(got-2) > 1e-12 {
+	if got := w / q; math.Abs(got-2) > 1e-12 {
 		t.Errorf("intensity = %v, want 2", got)
 	}
 	// Loads are interleaved, not clumped: the first op is a load and
@@ -186,8 +187,8 @@ func TestOpString(t *testing.T) {
 
 func TestZeroTrafficProgramIntensity(t *testing.T) {
 	p := Program{Body: []Op{OpFMA}, Elements: 1, Precision: machine.Single}
-	if !math.IsInf(p.Intensity(), 1) {
-		t.Error("flops-only program should have infinite intensity")
+	if w, q := p.Counts(); w != 2 || q != 0 || !math.IsInf(w/q, 1) {
+		t.Errorf("flops-only program: W = %v, Q = %v; want 2 flops, no traffic, infinite intensity", w, q)
 	}
 }
 

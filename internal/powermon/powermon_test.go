@@ -26,6 +26,18 @@ func (r rampSource) PowerAt(t units.Seconds) units.Watts {
 	return units.Watts(r.peak * float64(t) / r.dur)
 }
 
+// timedSource draws a fixed power and records every time the monitor
+// samples it, so tests can see the sampling schedule.
+type timedSource struct {
+	watts float64
+	at    []units.Seconds
+}
+
+func (s *timedSource) PowerAt(t units.Seconds) units.Watts {
+	s.at = append(s.at, t)
+	return units.Watts(s.watts)
+}
+
 func noiseless(t *testing.T, chans []Channel, rate float64) *Monitor {
 	t.Helper()
 	m, err := New(chans, Config{RateHz: rate, VoltNoiseSD: 1e-12, CurrNoiseSD: 1e-12, Seed: 1})
@@ -74,32 +86,28 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New(neg, Config{}); err == nil {
 		t.Error("negative share accepted")
 	}
-	if _, err := New(GPUChannels(), Config{GainError: -0.1}); err == nil {
-		t.Error("negative gain error accepted")
-	}
-	if _, err := New(GPUChannels(), Config{GainError: 0.9}); err == nil {
-		t.Error("huge gain error accepted")
-	}
 }
 
 func TestConstantPowerMeasurement(t *testing.T) {
 	m := noiseless(t, GPUChannels(), 128)
-	tr, err := m.Measure(constSource(200), 1.0)
+	src := &timedSource{watts: 200}
+	e, err := m.Energy(src, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 s at 128 Hz: 128 samples, 7.8125 ms apart (the paper's period).
-	if len(tr.Samples) != 128 {
-		t.Fatalf("samples = %d, want 128", len(tr.Samples))
+	// 1 s at 128 Hz: 128 samples, 7.8125 ms apart (the paper's period),
+	// the first at mid-period.
+	if len(src.at) != 128 {
+		t.Fatalf("samples = %d, want 128", len(src.at))
 	}
-	gap := float64(tr.Samples[1].T - tr.Samples[0].T)
+	if got := float64(src.at[0]); math.Abs(got-0.0078125/2) > 1e-12 {
+		t.Errorf("first sample at %v, want 3.90625 ms", got)
+	}
+	gap := float64(src.at[1] - src.at[0])
 	if math.Abs(gap-0.0078125) > 1e-12 {
 		t.Errorf("sample period = %v, want 7.8125 ms", gap)
 	}
-	if got := float64(tr.AveragePower()); math.Abs(got-200) > 1e-6 {
-		t.Errorf("avg power = %v, want 200", got)
-	}
-	if got := float64(tr.Energy()); math.Abs(got-200) > 1e-6 {
+	if got := float64(e); math.Abs(got-200) > 1e-6 {
 		t.Errorf("energy = %v, want 200 J", got)
 	}
 }
@@ -108,70 +116,59 @@ func TestRampMeasurement(t *testing.T) {
 	// Mean of a 0→100 W ramp is 50 W; mid-interval sampling makes the
 	// discrete mean exact for a linear signal.
 	m := noiseless(t, CPUChannels(), 256)
-	tr, err := m.Measure(rampSource{peak: 100, dur: 2}, 2)
+	e, err := m.Energy(rampSource{peak: 100, dur: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := float64(tr.AveragePower()); math.Abs(got-50) > 1e-6 {
+	if got := float64(e) / 2; math.Abs(got-50) > 1e-6 {
 		t.Errorf("avg of ramp = %v, want 50", got)
-	}
-}
-
-func TestPerChannelSplit(t *testing.T) {
-	m := noiseless(t, GPUChannels(), 128)
-	tr, err := m.Measure(constSource(100), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tr.Samples[0]
-	for i, ch := range tr.Channels {
-		p := s.Volts[i] * s.Amps[i]
-		if math.Abs(p-100*ch.Share) > 1e-6 {
-			t.Errorf("channel %s power = %v, want %v", ch.Name, p, 100*ch.Share)
-		}
-		if math.Abs(s.Volts[i]-ch.NominalVolts) > 0.01*ch.NominalVolts {
-			t.Errorf("channel %s volts = %v", ch.Name, s.Volts[i])
-		}
 	}
 }
 
 func TestMeasureErrors(t *testing.T) {
 	m := noiseless(t, GPUChannels(), 128)
-	if _, err := m.Measure(constSource(1), 0); err == nil {
+	if _, err := m.Energy(constSource(1), 0); err == nil {
 		t.Error("zero duration accepted")
 	}
-	tiny, err := New(GPUChannels(), Config{RateHz: 1024, MaxSamples: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tiny.Measure(constSource(1), 10); err == nil {
+	// At 1024 Hz an 80-minute run needs more than the 4 Mi sample limit.
+	fast := noiseless(t, GPUChannels(), 1024)
+	if _, err := fast.Energy(constSource(1), 80*60); err == nil {
 		t.Error("sample-limit overflow accepted")
 	}
-	// A run shorter than one period still yields one sample.
-	tr, err := m.Measure(constSource(42), 0.001)
+	// A run shorter than one period still yields one sample, taken at
+	// the end of the run rather than past it.
+	src := &timedSource{watts: 42}
+	e, err := m.Energy(src, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Samples) != 1 {
-		t.Errorf("short run samples = %d, want 1", len(tr.Samples))
+	if len(src.at) != 1 {
+		t.Fatalf("short run samples = %d, want 1", len(src.at))
 	}
-	if tr.Samples[0].T > tr.Duration {
-		t.Error("sample timestamp beyond duration")
+	if src.at[0] != 0.001 {
+		t.Errorf("short run sampled at %v, want the run's end 0.001", src.at[0])
+	}
+	if got := float64(e); math.Abs(got-0.042) > 1e-9 {
+		t.Errorf("short run energy = %v, want 0.042 J", got)
 	}
 }
 
 func TestMeasurementNoiseStatistics(t *testing.T) {
+	// Reading noise makes repeated measurements of one steady load
+	// differ, but the per-sample errors average out: the measured mean
+	// power stays within a fraction of a watt of the truth.
 	m, err := New(GPUChannels(), Config{RateHz: 1024, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := m.Measure(constSource(150), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const dur = 0.25
 	var ps []float64
-	for i := range tr.Samples {
-		ps = append(ps, float64(tr.Samples[i].Power()))
+	for i := uint64(0); i < 64; i++ {
+		e, err := m.EnergyDerived([]uint64{i}, constSource(150), dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, float64(e)/dur)
 	}
 	mean, _ := stats.Mean(ps)
 	if math.Abs(mean-150) > 0.5 {
@@ -179,10 +176,10 @@ func TestMeasurementNoiseStatistics(t *testing.T) {
 	}
 	sd, _ := stats.StdDev(ps)
 	if sd == 0 {
-		t.Error("noise should make samples vary")
+		t.Error("noise should make measurements vary")
 	}
-	if sd > 3 {
-		t.Errorf("noise too large: sd = %v", sd)
+	if sd > 0.2 {
+		t.Errorf("noise too large: sd of mean power = %v W", sd)
 	}
 }
 
@@ -202,14 +199,14 @@ func TestMeasureSimRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := mon.Measure(run, run.Duration)
+	e, err := mon.Energy(run, run.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := float64(tr.Energy()), float64(run.Energy); stats.RelErr(got, want) > 0.02 {
+	if got, want := float64(e), float64(run.Energy); stats.RelErr(got, want) > 0.02 {
 		t.Errorf("monitored energy %v vs true %v", got, want)
 	}
-	if got, want := float64(tr.AveragePower()), float64(run.AvgPower); stats.RelErr(got, want) > 0.02 {
+	if got, want := float64(e)/float64(run.Duration), float64(run.AvgPower); stats.RelErr(got, want) > 0.02 {
 		t.Errorf("monitored power %v vs true %v", got, want)
 	}
 }
@@ -222,11 +219,11 @@ func TestSamplingRateAblation(t *testing.T) {
 	var errAt []float64
 	for _, rate := range []float64{8, 1024} {
 		m := noiseless(t, GPUChannels(), rate)
-		tr, err := m.Measure(src, units.Seconds(0.311))
+		e, err := m.Energy(src, units.Seconds(0.311))
 		if err != nil {
 			t.Fatal(err)
 		}
-		errAt = append(errAt, stats.RelErr(float64(tr.Energy()), want))
+		errAt = append(errAt, stats.RelErr(float64(e), want))
 	}
 	if errAt[1] >= errAt[0] {
 		t.Errorf("1024 Hz error %v should beat 8 Hz error %v", errAt[1], errAt[0])
@@ -236,110 +233,40 @@ func TestSamplingRateAblation(t *testing.T) {
 	}
 }
 
-func TestEmptyTraceDefaults(t *testing.T) {
-	tr := &Trace{}
-	if tr.AveragePower() != 0 || tr.Energy() != 0 {
-		t.Error("empty trace should report zero power/energy")
-	}
-}
-
-func TestDropoutInjection(t *testing.T) {
-	// 15% sample dropout: readings go missing but the averaging
-	// pipeline stays unbiased because absences are skipped, not zeroed.
-	m, err := New(GPUChannels(), Config{
-		RateHz: 1024, Seed: 4, DropoutProb: 0.15,
-		VoltNoiseSD: 1e-12, CurrNoiseSD: 1e-12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := m.Measure(constSource(180), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Dropped == 0 {
-		t.Fatal("expected dropped samples at 15% dropout")
-	}
-	if len(tr.Samples)+tr.Dropped != 2048 {
-		t.Errorf("samples %d + dropped %d != 2048", len(tr.Samples), tr.Dropped)
-	}
-	if got := float64(tr.AveragePower()); math.Abs(got-180) > 0.5 {
-		t.Errorf("avg power with dropouts = %v, want ≈180", got)
-	}
-	if got := float64(tr.Energy()); math.Abs(got-360) > 1 {
-		t.Errorf("energy with dropouts = %v, want ≈360 J", got)
-	}
-}
-
-func TestDropoutConfigValidation(t *testing.T) {
-	if _, err := New(GPUChannels(), Config{DropoutProb: -0.1}); err == nil {
-		t.Error("negative dropout accepted")
-	}
-	if _, err := New(GPUChannels(), Config{DropoutProb: 1}); err == nil {
-		t.Error("certain dropout accepted")
-	}
-}
-
-func TestTotalDropoutFails(t *testing.T) {
-	// A very short run with heavy dropout can lose every sample; the
-	// monitor must report a failure instead of a zero-energy trace.
-	m, err := New(GPUChannels(), Config{RateHz: 128, Seed: 11, DropoutProb: 0.99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fails := 0
-	for trial := 0; trial < 50; trial++ {
-		if _, err := m.Measure(constSource(10), 0.001); err != nil {
-			fails++
-		}
-	}
-	if fails == 0 {
-		t.Error("expected total-dropout failures on single-sample runs")
-	}
-}
+// The Fork tests hold EnergyDerived to the contract of a forked noise
+// stream: keyed by labels, reproducible, and independent of the
+// monitor's own stream.
 
 func TestForkReproducibleAndIndependent(t *testing.T) {
 	mon, err := New(GPUChannels(), Config{Seed: 9, RateHz: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := constSource(200)
-	a, err := mon.Fork(1, 2).Measure(src, 0.05)
+	src := rampSource{peak: 200, dur: 0.05}
+	a, err := mon.EnergyDerived([]uint64{1, 2}, src, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mon.Fork(1, 2).Measure(src, 0.05)
+	b, err := mon.EnergyDerived([]uint64{1, 2}, src, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Samples) != len(b.Samples) {
-		t.Fatalf("sample counts differ: %d vs %d", len(a.Samples), len(b.Samples))
+	if a != b {
+		t.Fatalf("equal labels measured %v and %v", a, b)
 	}
-	for i := range a.Samples {
-		for c := range a.Samples[i].Volts {
-			if a.Samples[i].Volts[c] != b.Samples[i].Volts[c] || a.Samples[i].Amps[c] != b.Samples[i].Amps[c] {
-				t.Fatalf("sample %d channel %d: forks with equal labels diverge", i, c)
-			}
-		}
-	}
-	c1, err := mon.Fork(2, 1).Measure(src, 0.05)
+	c, err := mon.EnergyDerived([]uint64{2, 1}, src, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := true
-	for i := range a.Samples {
-		for c := range a.Samples[i].Volts {
-			same = same && a.Samples[i].Volts[c] == c1.Samples[i].Volts[c]
-		}
-	}
-	if same {
-		t.Error("forks with different labels produced identical traces")
+	if a == c {
+		t.Error("different labels produced identical measurements")
 	}
 }
 
 func TestForkDoesNotPerturbParentStream(t *testing.T) {
-	// Two identically seeded monitors; one forks between measurements.
-	// The parents' own traces must stay in lockstep.
+	// Two identically seeded monitors; one takes derived measurements
+	// between its own. The monitors' own measurements must stay in
+	// lockstep.
 	mk := func() *Monitor {
 		m, err := New(CPUChannels(), Config{Seed: 5, RateHz: 512})
 		if err != nil {
@@ -350,48 +277,20 @@ func TestForkDoesNotPerturbParentStream(t *testing.T) {
 	a, b := mk(), mk()
 	src := constSource(120)
 	for i := 0; i < 3; i++ {
-		if _, err := b.Fork(uint64(i)).Measure(src, 0.03); err != nil {
+		if _, err := b.EnergyDerived([]uint64{uint64(i)}, src, 0.03); err != nil {
 			t.Fatal(err)
 		}
-		ta, err := a.Measure(src, 0.03)
+		ea, err := a.Energy(src, 0.03)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, err := b.Measure(src, 0.03)
+		eb, err := b.Energy(src, 0.03)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if float64(ta.Energy()) != float64(tb.Energy()) {
-			t.Fatalf("round %d: forking perturbed the parent's stream", i)
+		if ea != eb {
+			t.Fatalf("round %d: a derived measurement perturbed the monitor's stream", i)
 		}
-	}
-}
-
-func TestForkInheritsCalibration(t *testing.T) {
-	// A fork shares its parent's hidden per-channel gain error: with the
-	// sample noise off, both misread a known constant load by the same
-	// systematic bias, which averaging does not remove.
-	mon, err := New(GPUChannels(), Config{
-		Seed: 77, RateHz: 1024, GainError: 0.05,
-		VoltNoiseSD: 1e-9, CurrNoiseSD: 1e-9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent, err := mon.Measure(constSource(200), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork, err := mon.Fork(42).Measure(constSource(200), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	biased := float64(parent.AveragePower())
-	if math.Abs(biased-200) < 0.5 {
-		t.Skipf("gain draw happened to be tiny (%v); rare but possible", biased)
-	}
-	if got := float64(fork.AveragePower()); math.Abs(got-biased) > 1e-3 {
-		t.Errorf("fork measured %v W, parent %v W: the fork lost the parent's gain error", got, biased)
 	}
 }
 
@@ -402,24 +301,24 @@ func TestConcurrentForksAreRaceFree(t *testing.T) {
 	}
 	src := constSource(250)
 	var wg sync.WaitGroup
-	energies := make([]float64, 16)
+	energies := make([]units.Joules, 16)
 	for i := range energies {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, err := mon.Fork(uint64(i%4)).Measure(src, 0.05)
+			e, err := mon.EnergyDerived([]uint64{uint64(i % 4)}, src, 0.05)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			energies[i] = float64(tr.Energy())
+			energies[i] = e
 		}(i)
 	}
 	wg.Wait()
-	// Forks with equal labels must agree even when raced.
+	// Equal labels must agree even when raced.
 	for i := range energies {
 		if energies[i] != energies[i%4] {
-			t.Errorf("fork %d diverged from its label twin", i)
+			t.Errorf("measurement %d diverged from its label twin", i)
 		}
 	}
 }

@@ -210,18 +210,6 @@ func sign(x float64) int {
 	return 1
 }
 
-// Predict evaluates the fitted model on a single observation row.
-func (r *Result) Predict(row []float64) (float64, error) {
-	if len(row) != len(r.Coef) {
-		return 0, fmt.Errorf("regress: row has %d columns, model has %d", len(row), len(r.Coef))
-	}
-	s := 0.0
-	for i, x := range row {
-		s += x * r.Coef[i]
-	}
-	return s, nil
-}
-
 // TwoSidedTPValue returns the two-sided p-value of a Student-t statistic
 // with dof degrees of freedom: P(|T| >= |t|).
 func TwoSidedTPValue(t float64, dof int) float64 {

@@ -98,25 +98,6 @@ func TestFitErrors(t *testing.T) {
 	}
 }
 
-func TestPredict(t *testing.T) {
-	X := [][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}}
-	y := []float64{1, 3, 5, 7} // y = 1 + 2x
-	r, err := Fit(X, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := r.Predict([]float64{1, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-21) > 1e-9 {
-		t.Errorf("Predict = %v, want 21", p)
-	}
-	if _, err := r.Predict([]float64{1}); err == nil {
-		t.Error("wrong-width predict should fail")
-	}
-}
-
 func TestResidualsOrthogonalToDesign(t *testing.T) {
 	// OLS invariant: residuals are orthogonal to every design column.
 	rng := stats.NewRand(5)

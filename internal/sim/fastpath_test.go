@@ -7,16 +7,14 @@ import (
 	"repro/internal/stats"
 )
 
-// The pooled Run storage, the memoized tuning quality, and the
-// fold-state seed derivation replaced per-repetition allocations in the
-// hot loop. These tests pin the optimized paths bit-identical to the
-// pre-optimization behaviour: same noise streams, same records.
+// The pooled Run storage and the memoized tuning quality replaced
+// per-repetition allocations in the hot loop. These tests pin the
+// optimized paths bit-identical to the pre-optimization behaviour: same
+// noise streams, same records.
 
 func noisyEngine(t *testing.T, seed int64) *Engine {
 	t.Helper()
-	cfg := DefaultConfig(seed)
-	cfg.OutlierProb = 0.05
-	e, err := New(machine.GTX580(), cfg)
+	e, err := New(machine.GTX580(), DefaultConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,30 +77,6 @@ func TestTuningQualityMemoTransparent(t *testing.T) {
 			if got != want || got != cold {
 				t.Errorf("TuningQuality(%+v) = %v, want %v (cold %v)", tn, got, want, cold)
 			}
-		}
-	}
-}
-
-func TestBorrowedStreamMatchesDerived(t *testing.T) {
-	// The pooled source must replay exactly the stream a fresh
-	// DeriveRand yields for the same labels.
-	a := stats.DeriveRand(99, 1, 2, 3)
-	b := stats.BorrowDerived(99, 1, 2, 3)
-	defer b.Release()
-	for i := 0; i < 1000; i++ {
-		if av, bv := a.NormFloat64(), b.NormFloat64(); av != bv {
-			t.Fatalf("draw %d: borrowed stream %v != derived stream %v", i, bv, av)
-		}
-	}
-}
-
-func TestExtendStateMatchesDeriveSeed(t *testing.T) {
-	for i := uint64(0); i < 50; i++ {
-		want := stats.DeriveSeed(7, 11, 5, i)
-		state := stats.DeriveState(7, 11)
-		state = stats.ExtendState(state, 5)
-		if got := int64(stats.ExtendState(state, i)); got != want {
-			t.Fatalf("fold-state seed %d != DeriveSeed %d", got, want)
 		}
 	}
 }

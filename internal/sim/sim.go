@@ -74,13 +74,6 @@ type Config struct {
 	// Ideal disables noise, overhead, and tuning imperfection, making
 	// the simulator realise the analytic model exactly.
 	Ideal bool
-	// OutlierProb is the per-run probability of an interference event
-	// (OS jitter, thermal hiccup) that stretches the run by
-	// OutlierFactor while constant power keeps burning. Default 0.
-	OutlierProb float64
-	// OutlierFactor is the slowdown of an interference event
-	// (default 3 when OutlierProb > 0).
-	OutlierFactor float64
 }
 
 // DefaultConfig returns the standard measurement configuration.
@@ -119,15 +112,6 @@ func New(m *machine.Machine, cfg Config) (*Engine, error) {
 	}
 	if cfg.TimeNoiseSD < 0 || cfg.PowerNoiseSD < 0 || cfg.LaunchOverhead < 0 {
 		return nil, errors.New("sim: negative noise or overhead")
-	}
-	if cfg.OutlierProb < 0 || cfg.OutlierProb >= 1 {
-		return nil, errors.New("sim: outlier probability must be in [0, 1)")
-	}
-	if cfg.OutlierProb > 0 && cfg.OutlierFactor == 0 {
-		cfg.OutlierFactor = 3
-	}
-	if cfg.OutlierProb > 0 && cfg.OutlierFactor <= 1 {
-		return nil, errors.New("sim: outlier factor must exceed 1")
 	}
 	if cfg.TimeNoiseSD == 0 && !cfg.Ideal {
 		cfg.TimeNoiseSD = 0.01
@@ -241,9 +225,6 @@ type Run struct {
 	EnergyConst units.Joules
 	// Throttled reports whether the power cap forced a slowdown.
 	Throttled bool
-	// Outlier reports that an injected interference event stretched
-	// this run.
-	Outlier bool
 	// ripplePeriods is the number of power-waveform ripple cycles.
 	ripplePeriods int
 }
@@ -264,7 +245,8 @@ func (r *Run) PowerAt(t units.Seconds) units.Watts {
 // Run executes the kernel once and returns the measurement record,
 // drawing noise from the engine's own sequential stream. Run is NOT
 // safe for concurrent use — the stream is shared mutable state; parallel
-// callers must use RunWith with a per-task source from DeriveRand.
+// callers must use RunWith with a per-task source derived from Seed
+// (stats.DeriveRand or stats.BorrowDerived).
 func (e *Engine) Run(spec KernelSpec) (*Run, error) {
 	return e.RunWith(e.rng, spec)
 }
@@ -273,20 +255,10 @@ func (e *Engine) Run(spec KernelSpec) (*Run, error) {
 // per-task stream hangs off.
 func (e *Engine) Seed() int64 { return e.cfg.Seed }
 
-// DeriveRand returns an independent noise stream for one unit of work,
-// derived from the engine's seed and the given labels (stream tag,
-// precision, grid index, repetition, ...). Two calls with equal labels
-// return identical streams; calls with different labels return
-// unrelated ones. Derivation does not consume the engine's sequential
-// stream, so sequential callers are unaffected by parallel ones.
-func (e *Engine) DeriveRand(labels ...uint64) *stats.Rand {
-	return stats.DeriveRand(e.cfg.Seed, labels...)
-}
-
 // RunWith is Run with an explicit noise source. It reads only immutable
 // engine state (plus the lock-free tuning-quality memo), so it is safe
-// for concurrent use as long as each goroutine brings its own rng (see
-// DeriveRand).
+// for concurrent use as long as each goroutine brings its own rng,
+// derived from Seed.
 func (e *Engine) RunWith(rng *stats.Rand, spec KernelSpec) (*Run, error) {
 	r := new(Run)
 	if err := e.runInto(rng, spec, r); err != nil {
@@ -349,19 +321,10 @@ func (e *Engine) runInto(rng *stats.Rand, spec KernelSpec, out *Run) error {
 
 	obsT := trueT
 	obsE := trueE
-	outlier := false
 	if !e.cfg.Ideal {
 		obsT = trueT * rng.RelNoise(e.cfg.TimeNoiseSD)
 		obsP := trueE / trueT * rng.RelNoise(e.cfg.PowerNoiseSD)
 		obsE = obsP * obsT
-		if e.cfg.OutlierProb > 0 && rng.Float64() < e.cfg.OutlierProb {
-			// Interference stretches the run; the stall burns constant
-			// power but no extra dynamic energy.
-			outlier = true
-			stretched := obsT * e.cfg.OutlierFactor
-			obsE += float64(e.m.ConstantPower) * (stretched - obsT)
-			obsT = stretched
-		}
 	}
 	*out = Run{
 		Spec:          spec,
@@ -374,7 +337,6 @@ func (e *Engine) runInto(rng *stats.Rand, spec KernelSpec, out *Run) error {
 		EnergyMem:     units.Joules(eMem),
 		EnergyConst:   units.Joules(trueE - eFlops - eMem),
 		Throttled:     throttled,
-		Outlier:       outlier,
 		ripplePeriods: 8,
 	}
 	return nil

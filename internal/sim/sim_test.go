@@ -374,63 +374,6 @@ func TestPropSimRespectsRooflineUpperBounds(t *testing.T) {
 	}
 }
 
-func TestOutlierInjectionAndRobustAggregation(t *testing.T) {
-	m := machine.CoreI7950()
-	e, err := New(m, Config{Seed: 21, TimeNoiseSD: 0.01, PowerNoiseSD: 0.01,
-		OutlierProb: 0.1, OutlierFactor: 4, LaunchOverhead: 5e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := KernelSpec{W: 1e9, Q: 1e8, Precision: machine.Double, Tuning: e.OptimalTuning()}
-	runs, err := e.RunRepeated(spec, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outliers := 0
-	for _, r := range runs {
-		if r.Outlier {
-			outliers++
-			if float64(r.Duration) < 3*float64(r.TrueDuration) {
-				t.Error("outlier run not stretched")
-			}
-			if float64(r.Energy) <= float64(r.TrueEnergy) {
-				t.Error("outlier run should burn extra constant energy")
-			}
-		}
-	}
-	if outliers < 10 || outliers > 60 {
-		t.Fatalf("outliers = %d of 300, expected ≈30", outliers)
-	}
-	// The plain mean carries the outliers' stretch.
-	clean := runs[0].TrueDuration
-	_, _, _, err = Aggregate(nil)
-	if err == nil {
-		t.Error("empty aggregate accepted")
-	}
-	mt, me, mp, err := Aggregate(runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plainErr := stats.RelErr(float64(mt), float64(clean)); plainErr < 0.1 {
-		t.Errorf("plain mean error %v: outliers should stretch the mean time", plainErr)
-	}
-	if me <= 0 || mp <= 0 {
-		t.Error("aggregates must be positive")
-	}
-}
-
-func TestOutlierConfigValidation(t *testing.T) {
-	if _, err := New(machine.GTX580(), Config{OutlierProb: -0.1}); err == nil {
-		t.Error("negative outlier prob accepted")
-	}
-	if _, err := New(machine.GTX580(), Config{OutlierProb: 1}); err == nil {
-		t.Error("certain outlier accepted")
-	}
-	if _, err := New(machine.GTX580(), Config{OutlierProb: 0.1, OutlierFactor: 0.5}); err == nil {
-		t.Error("outlier factor <= 1 accepted")
-	}
-}
-
 func TestEnergyBreakdownSums(t *testing.T) {
 	e := idealEngine(t, machine.GTX580())
 	r, err := e.Run(KernelSpec{W: 1e10, Q: 1e9, Precision: machine.Double})
@@ -490,18 +433,18 @@ func TestRunWithDerivedStreamReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := KernelSpec{W: 1e9, Q: 1e9, Precision: machine.Single}
-	a, err := e.RunWith(e.DeriveRand(1, 2, 3), spec)
+	a, err := e.RunWith(stats.DeriveRand(e.Seed(), 1, 2, 3), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.RunWith(e.DeriveRand(1, 2, 3), spec)
+	b, err := e.RunWith(stats.DeriveRand(e.Seed(), 1, 2, 3), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *a != *b {
 		t.Error("equal derivation labels must reproduce the run exactly")
 	}
-	c, err := e.RunWith(e.DeriveRand(3, 2, 1), spec)
+	c, err := e.RunWith(stats.DeriveRand(e.Seed(), 3, 2, 1), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +476,7 @@ func TestRunWithDoesNotTouchEngineStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.RunWith(b.DeriveRand(uint64(i)), spec); err != nil {
+		if _, err := b.RunWith(stats.DeriveRand(b.Seed(), uint64(i)), spec); err != nil {
 			t.Fatal(err)
 		}
 		rb, err := b.Run(spec)

@@ -250,6 +250,30 @@ func TestDeriveRandStreams(t *testing.T) {
 	}
 }
 
+func TestBorrowedStreamMatchesDerived(t *testing.T) {
+	// The pooled source must replay exactly the stream a fresh
+	// DeriveRand yields for the same labels.
+	a := DeriveRand(99, 1, 2, 3)
+	b := BorrowDerived(99, 1, 2, 3)
+	defer b.Release()
+	for i := 0; i < 1000; i++ {
+		if av, bv := a.NormFloat64(), b.NormFloat64(); av != bv {
+			t.Fatalf("draw %d: borrowed stream %v != derived stream %v", i, bv, av)
+		}
+	}
+}
+
+func TestExtendStateMatchesDeriveSeed(t *testing.T) {
+	for i := uint64(0); i < 50; i++ {
+		want := DeriveSeed(7, 11, 5, i)
+		state := DeriveState(7, 11)
+		state = ExtendState(state, 5)
+		if got := int64(ExtendState(state, i)); got != want {
+			t.Fatalf("fold-state seed %d != DeriveSeed %d", got, want)
+		}
+	}
+}
+
 func TestHashLabelFNVVectors(t *testing.T) {
 	// FNV-1a 64 reference vectors.
 	if got := HashLabel(""); got != 14695981039346656037 {
