@@ -316,15 +316,12 @@ func (h *Hierarchy) writeback(idx int, lineAddr uint64) {
 		h.dramWriteLines++
 		return
 	}
-	hit, evicted, victim := h.levels[idx].access(lineAddr, true, false, h.tick)
+	// A miss write-allocates at this level without a read from below:
+	// a full writeback line overwrites the old contents, so no DRAM
+	// read is charged.
+	_, evicted, victim := h.levels[idx].access(lineAddr, true, false, h.tick)
 	if evicted {
 		h.writeback(idx+1, victim)
-	}
-	if !hit {
-		// Write-allocate at this level; the line's old contents came
-		// from below conceptually, but a full writeback line overwrites
-		// it, so no DRAM read is charged.
-		_ = hit
 	}
 }
 

@@ -222,10 +222,12 @@ func BenchmarkEvaluateBatch32(b *testing.B) {
 	s := New(Config{})
 	b.Cleanup(s.Close)
 	qs := batchColdRequests(256)
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.evaluateBatch(qs[i%len(qs)]); err != nil {
+		if _, err := s.render(sc, qs[i%len(qs)], true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -263,7 +263,7 @@ func TestRenderScratchReuse(t *testing.T) {
 				q    evalBatchRequest
 				want evalBatchResponse
 			}{{first, firstRows}, {second, secondRows}} {
-				got, err := s.render(sc, "evalbatch", c.q.Machine, c.q.Precision, c.q.Model, c.q.Work, c.q.Intensities, true)
+				got, err := s.render(sc, c.q, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -272,7 +272,9 @@ func TestRenderScratchReuse(t *testing.T) {
 					t.Fatal(err)
 				}
 				diffBytes(t, got, want)
-				got, err = s.render(sc, "eval", c.q.Machine, c.q.Precision, c.q.Model, c.q.Work[:1], c.q.Intensities[:1], false)
+				one := c.q
+				one.Work, one.Intensities = one.Work[:1], one.Intensities[:1]
+				got, err = s.render(sc, one, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,8 +15,7 @@ import (
 // renderer as /v1/eval (render.go), so a batch of one returns exactly
 // the /v1/eval result object. The whole batch is content-addressed by
 // one canonical hash, so identical batches cache as one entry and
-// concurrent identical batches coalesce into one evaluation like
-// /v1/campaign.
+// concurrent identical batches coalesce into one evaluation.
 
 // evalBatchRequest is the POST /v1/evalbatch body. Work is optional:
 // omit it for the /v1/eval default of 1e9 flops per point, or provide
@@ -78,10 +77,8 @@ func (s *Server) checkEvalBatch(q *evalBatchRequest) error {
 	return nil
 }
 
-// handleEvalBatch implements POST /v1/evalbatch: cache lookup by one
-// canonical batch hash, then singleflight evaluation — a batch can be
-// thousands of points, so unlike /v1/eval concurrent identical batches
-// coalesce into one computation like campaigns do.
+// handleEvalBatch implements POST /v1/evalbatch, keyed by one canonical
+// hash of the whole batch.
 func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	s.mRequestsEvalbatch.Inc()
 	start := time.Now()
@@ -92,8 +89,8 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	var q evalBatchRequest
 	sc := batchScratchPool.Get().(*batchScratch)
 	// The request's float columns alias sc until the handler returns —
-	// the flight leader runs its evaluation synchronously inside do(),
-	// so nothing retains them past this defer.
+	// a flight leader evaluates synchronously inside serve, on sc, so
+	// nothing retains them past this defer.
 	defer batchScratchPool.Put(sc)
 	bp, err := readBody(r, s.cfg.MaxBodyBytes)
 	if err == nil {
@@ -110,34 +107,8 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	key := hashEvalBatch(q)
-	if body, ok := s.cache.Get(key); ok {
-		s.mCacheHits.Inc()
-		sp.Tag("cache", "hit")
-		writeCached(w, key, "hit", body)
-		return
-	}
-	s.mCacheMisses.Inc()
-
-	body, leader, err := s.flights.do(r.Context(), key, func() ([]byte, error) {
+	s.serve(w, r, sp, hashEvalBatch(q), "eval", func() ([]byte, error) {
 		s.mEvalbatchComputes.Inc()
-		data, err := s.batchEval(q)
-		if err != nil {
-			return nil, err
-		}
-		s.cache.Put(key, data)
-		return data, nil
+		return s.evaluate(sc, q, true)
 	})
-	if err != nil {
-		sp.Tag("error", "eval")
-		s.writeError(w, err)
-		return
-	}
-	source := "miss"
-	if !leader {
-		source = "coalesced"
-		s.mCoalesced.Inc()
-	}
-	sp.Tag("cache", source)
-	writeCached(w, key, source, body)
 }

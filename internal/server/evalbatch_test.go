@@ -3,14 +3,11 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestEvalBatchMatchesEval is the endpoint's ground-truth check: every
@@ -138,83 +135,36 @@ func TestEvalBatchCacheHit(t *testing.T) {
 	}
 }
 
-// TestEvalBatchCoalescing64: 64 concurrent identical batches trigger
-// exactly one evaluation — a gated stub holds the flight open until all
-// requests are in — and every response is byte-identical. Mirrors
-// TestCampaignCoalescing64 for the batch endpoint.
+// TestEvalBatchCoalescing64: 64 concurrent identical requests to
+// either eval endpoint trigger exactly one evaluation — a gated
+// evaluate holds the flight open until all requests are in — and every
+// response is byte-identical. Mirrors TestCampaignCoalescing64.
 func TestEvalBatchCoalescing64(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	var runs atomic.Int64
-	gate := make(chan struct{})
-	real := s.batchEval
-	s.batchEval = func(q evalBatchRequest) ([]byte, error) {
-		runs.Add(1)
-		<-gate
-		return real(q)
-	}
-
-	const req = `{"machine":"gtx580","intensities":[0.25,1,4,16]}`
-	const n = 64
-	bodies := make([]string, n)
-	sources := make([]string, n)
-	var wg sync.WaitGroup
-	var started sync.WaitGroup
-	started.Add(n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			started.Done()
-			resp, err := http.Post(ts.URL+"/v1/evalbatch", "application/json", strings.NewReader(req))
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
+	for _, tc := range []struct{ endpoint, body string }{
+		{"evalbatch", `{"machine":"gtx580","intensities":[0.25,1,4,16]}`},
+		{"eval", `{"machine":"gtx580","intensity":4}`},
+	} {
+		t.Run(tc.endpoint, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			var runs atomic.Int64
+			gate := make(chan struct{})
+			real := s.evaluate
+			s.evaluate = func(sc *batchScratch, q evalBatchRequest, batch bool) ([]byte, error) {
+				runs.Add(1)
+				<-gate
+				return real(sc, q, batch)
 			}
-			defer resp.Body.Close()
-			data, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
+			coalesce64(t, ts.URL+"/v1/"+tc.endpoint, tc.body, gate)
+			if got := runs.Load(); got != 1 {
+				t.Fatalf("%s evaluated %d times for 64 identical requests, want exactly 1", tc.endpoint, got)
 			}
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, data)
-				return
+			if got := s.reg.Counter(tc.endpoint + "_computes_total").Value(); got != 1 {
+				t.Errorf("%s_computes_total = %d, want 1", tc.endpoint, got)
 			}
-			bodies[i] = string(data)
-			sources[i] = resp.Header.Get("X-Cache")
-		}(i)
-	}
-	started.Wait()
-	time.Sleep(50 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("batch evaluated %d times for 64 identical requests, want exactly 1", got)
-	}
-	for i := 1; i < n; i++ {
-		if bodies[i] != bodies[0] {
-			t.Fatalf("response %d differs from response 0", i)
-		}
-	}
-	var miss, coalesced, hit int
-	for _, src := range sources {
-		switch src {
-		case "miss":
-			miss++
-		case "coalesced":
-			coalesced++
-		case "hit":
-			hit++
-		default:
-			t.Errorf("unexpected X-Cache %q", src)
-		}
-	}
-	if miss != 1 {
-		t.Errorf("flight leaders = %d, want exactly 1 (coalesced %d, hit %d)", miss, coalesced, hit)
-	}
-	if got := s.reg.Counter("requests_evalbatch_total").Value(); got != n {
-		t.Errorf("requests_evalbatch_total = %d, want %d", got, n)
+			if got := s.reg.Counter("requests_" + tc.endpoint + "_total").Value(); got != 64 {
+				t.Errorf("requests_%s_total = %d, want 64", tc.endpoint, got)
+			}
+		})
 	}
 }
 

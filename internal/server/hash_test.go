@@ -1,15 +1,10 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/campaign"
 )
@@ -119,121 +114,5 @@ func TestRequestHashPinned(t *testing.T) {
 		if got := w.Header().Get("X-Request-Hash"); got != tc.hash {
 			t.Errorf("%s %s: X-Request-Hash = %s, want %s", tc.path, tc.body, got, tc.hash)
 		}
-	}
-}
-
-func TestFlightGroupCoalesces(t *testing.T) {
-	g := newFlightGroup()
-	var runs atomic.Int64
-	gate := make(chan struct{})
-	const n = 32
-	var wg sync.WaitGroup
-	leaders := make([]bool, n)
-	bodies := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, leader, err := g.do(context.Background(), 99, func() ([]byte, error) {
-				runs.Add(1)
-				<-gate
-				return []byte("shared"), nil
-			})
-			if err != nil {
-				t.Errorf("do: %v", err)
-			}
-			leaders[i] = leader
-			bodies[i] = body
-		}(i)
-	}
-	// Wait until the leader is inside fn, then release.
-	for g.inFlight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-	if runs.Load() != 1 {
-		t.Fatalf("fn ran %d times", runs.Load())
-	}
-	var nLeaders int
-	for i := range leaders {
-		if leaders[i] {
-			nLeaders++
-		}
-		if string(bodies[i]) != "shared" {
-			t.Errorf("waiter %d got %q", i, bodies[i])
-		}
-	}
-	if nLeaders != 1 {
-		t.Errorf("%d leaders, want 1", nLeaders)
-	}
-	if g.inFlight() != 0 {
-		t.Errorf("flight leaked: %d in flight", g.inFlight())
-	}
-}
-
-// TestFlightGroupWaiterCancellation: a waiter abandoning the flight
-// gets its own context error; the flight keeps running and later
-// waiters still get the result.
-func TestFlightGroupWaiterCancellation(t *testing.T) {
-	g := newFlightGroup()
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	var leaderBody []byte
-	var leaderErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		leaderBody, _, leaderErr = g.do(context.Background(), 1, func() ([]byte, error) {
-			close(started)
-			<-gate
-			return []byte("late"), nil
-		})
-	}()
-	<-started
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := g.do(ctx, 1, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled waiter err = %v", err)
-	}
-	close(gate)
-	<-done
-	if leaderErr != nil || string(leaderBody) != "late" {
-		t.Errorf("leader outcome corrupted by waiter cancellation: %q, %v", leaderBody, leaderErr)
-	}
-}
-
-// TestFlightGroupSequentialReruns: after a flight completes, the next
-// request with the same key runs fn again (caching is a separate
-// layer).
-func TestFlightGroupSequentialReruns(t *testing.T) {
-	g := newFlightGroup()
-	var runs int
-	for i := 0; i < 3; i++ {
-		body, leader, err := g.do(context.Background(), 5, func() ([]byte, error) {
-			runs++
-			return []byte("x"), nil
-		})
-		if err != nil || !leader || string(body) != "x" {
-			t.Fatalf("iteration %d: %q %v %v", i, body, leader, err)
-		}
-	}
-	if runs != 3 {
-		t.Errorf("runs = %d, want 3", runs)
-	}
-}
-
-// TestFlightGroupErrorPropagation: a failing flight hands the same
-// error to every waiter and is not retained.
-func TestFlightGroupErrorPropagation(t *testing.T) {
-	g := newFlightGroup()
-	boom := errors.New("boom")
-	_, _, err := g.do(context.Background(), 2, func() ([]byte, error) { return nil, boom })
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v", err)
-	}
-	if g.inFlight() != 0 {
-		t.Error("failed flight leaked")
 	}
 }

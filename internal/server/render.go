@@ -409,21 +409,27 @@ func (sc *batchScratch) finish(t *renderTemplate, n int, batch bool) ([]byte, er
 	return out, nil
 }
 
-// render evaluates and renders one validated request's points on
-// scratch sc; op prefixes evaluation errors.
-func (s *Server) render(sc *batchScratch, op, machineKey, precision, modelName string, w, x []float64, batch bool) ([]byte, error) {
-	prec, err := parsePrecision(precision)
+// render evaluates and renders a validated request's points on scratch
+// sc, whose work and intensities q's columns may alias: the
+// /v1/evalbatch body, or with batch false the /v1/eval body of its one
+// point. It is the server's default evaluate.
+func (s *Server) render(sc *batchScratch, q evalBatchRequest, batch bool) ([]byte, error) {
+	op := "eval"
+	if batch {
+		op = "evalbatch"
+	}
+	prec, err := parsePrecision(q.Precision)
 	if err != nil {
 		return nil, err
 	}
-	e, err := s.entries.get(machineKey, prec, modelName)
+	e, err := s.entries.get(q.Machine, prec, q.Model)
 	if err != nil {
 		return nil, badRequest("%s: %v", op, err)
 	}
-	if err := sc.evaluate(e, w, x); err != nil {
+	if err := sc.evaluate(e, q.Work, q.Intensities); err != nil {
 		return nil, badRequest("%s: %v", op, err)
 	}
-	return sc.finish(&e.renderTemplate, len(x), batch)
+	return sc.finish(&e.renderTemplate, len(q.Intensities), batch)
 }
 
 // evaluatePoint computes the /v1/eval body for a validated request: a
@@ -433,14 +439,6 @@ func (s *Server) evaluatePoint(q evalRequest) ([]byte, error) {
 	defer batchScratchPool.Put(sc)
 	sc.work = append(sc.work[:0], q.Work)
 	sc.intensities = append(sc.intensities[:0], q.Intensity)
-	return s.render(sc, "eval", q.Machine, q.Precision, q.Model, sc.work, sc.intensities, false)
-}
-
-// evaluateBatch computes the /v1/evalbatch body for a validated
-// request. It takes its own scratch: the handler's holds the request's
-// decoded columns.
-func (s *Server) evaluateBatch(q evalBatchRequest) ([]byte, error) {
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
-	return s.render(sc, "evalbatch", q.Machine, q.Precision, q.Model, q.Work, q.Intensities, true)
+	return s.evaluate(sc, evalBatchRequest{Machine: q.Machine, Precision: q.Precision, Model: q.Model,
+		Work: sc.work, Intensities: sc.intensities}, false)
 }

@@ -7,13 +7,15 @@
 // two ways:
 //
 //   - Responses are content-addressable. A canonical request hash
-//     keys an in-memory LRU cache with TTL and size bounds, striped
-//     over 16 locked shards; a cache hit serves the exact bytes a fresh
-//     engine run would produce. The key and the cache are
-//     internal/rescache, the core the fleet simulator shares.
-//   - Concurrent identical requests coalesce. A singleflight group
-//     runs one engine execution per distinct in-flight hash and shares
-//     the bytes with every waiter.
+//     keys one store: an in-memory LRU cache with TTL and size bounds
+//     and the table of in-progress computations, striped together over
+//     16 locked stripes. The key and the cache are internal/rescache,
+//     the core the fleet simulator shares.
+//   - Every POST endpoint answers through one miss path (serve): a
+//     cache hit serves the exact bytes a fresh computation would
+//     produce; concurrent identical misses coalesce into one flight,
+//     whose leader computes and caches the body and whose waiters share
+//     it. Each key is computed once until it is evicted or expires.
 //
 // Engine executions draw workers from one global parallel.Budget shared
 // across requests, so the machine is never oversubscribed: identical
@@ -27,8 +29,8 @@
 //	GET  /v1/machines  the platform catalog with derived balance points
 //	GET  /v1/models    the registered EnergyModels (see docs/MODELS.md)
 //	POST /v1/eval      single roofline/energy model query
-//	POST /v1/evalbatch columnar batch model query (cached, coalesced)
-//	POST /v1/campaign  full tune→sweep→fit campaign (cached, coalesced)
+//	POST /v1/evalbatch columnar batch model query
+//	POST /v1/campaign  full tune→sweep→fit campaign
 //	GET  /metrics      plain-text operational counters
 //
 // The three POST endpoints accept an optional "model" field selecting
@@ -78,7 +80,7 @@ type Config struct {
 	// means one worker per CPU).
 	Workers int
 	// CacheEntries bounds the result cache by entry count. Both bounds
-	// split exactly over the cache's 16 shards.
+	// split exactly over the cache's 16 stripes.
 	CacheEntries int
 	// CacheBytes bounds the result cache by total body bytes.
 	CacheBytes int64
@@ -133,17 +135,17 @@ type engineFunc func(ctx context.Context, cfg campaign.Config, workers int) (*ca
 // Server is the rooflined service state. Create with New; it is safe
 // for concurrent use by the HTTP stack.
 type Server struct {
-	cfg     Config
-	budget  *parallel.Budget
-	cache   *shardedCache
-	flights *flightGroup
-	reg     *metrics.Registry
-	engine  engineFunc
-	// batchEval computes one /v1/evalbatch body; tests substitute a
-	// counting stub to assert coalescing, like engine for campaigns.
-	batchEval func(q evalBatchRequest) ([]byte, error)
-	mux       *http.ServeMux
-	tracer    *trace.Tracer // nil unless cfg.Debug
+	cfg    Config
+	budget *parallel.Budget
+	store  *store
+	reg    *metrics.Registry
+	engine engineFunc
+	// evaluate computes one /v1/eval or /v1/evalbatch body; tests
+	// substitute a gated stub to hold a flight open, like engine for
+	// campaigns.
+	evaluate func(sc *batchScratch, q evalBatchRequest, batch bool) ([]byte, error)
+	mux      *http.ServeMux
+	tracer   *trace.Tracer // nil unless cfg.Debug
 
 	// entries holds the /v1/eval and /v1/evalbatch render templates.
 	entries renderEntries
@@ -199,14 +201,13 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		budget:  parallel.NewBudget(cfg.Workers),
-		cache:   newShardedCache(cacheShards, cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL, nil),
-		flights: newFlightGroup(),
+		store:   newStore(stripes, cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL, nil),
 		reg:     metrics.NewRegistry(),
 		engine:  campaign.RunParallel,
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
-	s.batchEval = s.evaluateBatch
+	s.evaluate = s.render
 	s.mRequestsEval = s.reg.Counter("requests_eval_total")
 	s.mRequestsEvalbatch = s.reg.Counter("requests_evalbatch_total")
 	s.mRequestsCampaign = s.reg.Counter("requests_campaign_total")
@@ -302,12 +303,12 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// writeCached serves a response body produced by the cache/coalescing
-// layer, labelling its provenance in X-Cache (hit, miss, or coalesced)
-// and framing it with Content-Length, so bodies larger than net/http's
-// pre-chunking buffer are not sent chunked. The four header values
-// share one slice and the two computed ones one string: two
-// allocations in all, the header map's keys being canonical already.
+// writeCached serves a response body produced by serve, labelling its
+// provenance in X-Cache (hit, miss, or coalesced) and framing it with
+// Content-Length, so bodies larger than net/http's pre-chunking buffer
+// are not sent chunked. The four header values share one slice and the
+// two computed ones one string: two allocations in all, the header
+// map's keys being canonical already.
 func writeCached(w http.ResponseWriter, key uint64, source string, body []byte) {
 	var buf [16 + 20]byte
 	hashLen := len(appendHash(buf[:0], key))
@@ -413,7 +414,8 @@ func checkEval(q *evalRequest) error {
 	if q.Work == 0 {
 		q.Work = 1e9
 	}
-	for name, v := range map[string]float64{"work": q.Work, "intensity": q.Intensity} {
+	for i, v := range [2]float64{q.Work, q.Intensity} {
+		name := [2]string{"work", "intensity"}[i]
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return badRequest("%s must be finite", name)
 		}
@@ -424,11 +426,9 @@ func checkEval(q *evalRequest) error {
 	return nil
 }
 
-// handleEval implements POST /v1/eval. Eval queries are cheap (pure
-// closed-form model evaluation), so they are cached by canonical hash
-// but not coalesced. The warm path — pooled body read, hand-rolled
-// decode, canonical hash, cache hit under one shard lock — runs with
-// near-zero allocations.
+// handleEval implements POST /v1/eval. The warm path — pooled body
+// read, hand-rolled decode, canonical hash, cache hit under one stripe
+// lock — runs with near-zero allocations.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	s.mRequestsEval.Inc()
 	start := time.Now()
@@ -452,24 +452,13 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	key := hashEval(q)
-	if body, ok := s.cache.Get(key); ok {
-		s.mCacheHits.Inc()
-		sp.Tag("cache", "hit")
-		writeCached(w, key, "hit", body)
-		return
-	}
-	s.mCacheMisses.Inc()
-	body, err := s.evaluatePoint(q)
-	if err != nil {
-		sp.Tag("error", "eval")
-		s.writeError(w, err)
-		return
-	}
-	s.mEvalComputes.Inc()
-	s.cache.Put(key, body)
-	sp.Tag("cache", "miss")
-	writeCached(w, key, "miss", body)
+	s.serve(w, r, sp, hashEval(q), "eval", func() ([]byte, error) {
+		body, err := s.evaluatePoint(q)
+		if err == nil {
+			s.mEvalComputes.Inc()
+		}
+		return body, err
+	})
 }
 
 // checkCampaign validates a campaign request against the engine's own
@@ -488,11 +477,10 @@ func (s *Server) checkCampaign(cfg campaign.Config) error {
 	return nil
 }
 
-// handleCampaign implements POST /v1/campaign: cache lookup by
-// canonical hash, then singleflight execution on a budget-bounded
-// worker pool. The response body is the campaign Result JSON —
-// byte-identical whether it came from the engine, the cache, or a
-// coalesced flight.
+// handleCampaign implements POST /v1/campaign: one engine execution
+// per key on a budget-bounded worker pool. The response body is the
+// campaign Result JSON — byte-identical whether it came from the
+// engine, the cache, or a coalesced flight.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	s.mRequestsCampaign.Inc()
 	start := time.Now()
@@ -511,21 +499,11 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	key := hashCampaign(cfg)
-	if body, ok := s.cache.Get(key); ok {
-		s.mCacheHits.Inc()
-		sp.Tag("cache", "hit")
-		writeCached(w, key, "hit", body)
-		return
-	}
-	s.mCacheMisses.Inc()
-
 	// The flight leader runs the engine under the server's base context
 	// (plus the request timeout), not the leader's request context: the
 	// execution is shared, so one client disconnecting must not cancel
-	// the run for its co-waiters. Waiters stop waiting — without
-	// cancelling the flight — when their own request context ends.
-	body, leader, err := s.flights.do(r.Context(), key, func() ([]byte, error) {
+	// the run for its co-waiters.
+	s.serve(w, r, sp, hashCampaign(cfg), "engine", func() ([]byte, error) {
 		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
 		defer cancel()
 		// The engine context carries the server tracer so campaign,
@@ -547,22 +525,45 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		data = append(data, '\n')
-		s.cache.Put(key, data)
-		return data, nil
+		return append(data, '\n'), nil
 	})
-	if err != nil {
-		sp.Tag("error", "engine")
-		s.writeError(w, err)
+}
+
+// serve is the one miss path of the POST endpoints: it answers a
+// validated request for key with the cached body (X-Cache hit) or with
+// the outcome of key's flight — led by this request, which runs compute
+// (miss), or joined and shared (coalesced). A waiter whose request ends
+// stops waiting without cancelling the flight. errTag labels a failure
+// on the request span sp.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, sp *trace.Span, key uint64, errTag string, compute func() ([]byte, error)) {
+	body, f, lead := s.store.lookup(key)
+	if f == nil {
+		s.mCacheHits.Inc()
+		sp.Tag("cache", "hit")
+		writeCached(w, key, "hit", body)
 		return
 	}
-	source := "miss"
-	if !leader {
-		source = "coalesced"
-		s.mCoalesced.Inc()
+	s.mCacheMisses.Inc()
+	var err error
+	if lead {
+		body, err = compute()
+		s.store.finish(key, f, body, err)
+	} else {
+		body, err = f.wait(r.Context())
 	}
-	sp.Tag("cache", source)
-	writeCached(w, key, source, body)
+	// Each tag is a constant: a string variable passed as any allocates.
+	switch {
+	case err != nil:
+		sp.Tag("error", errTag)
+		s.writeError(w, err)
+	case lead:
+		sp.Tag("cache", "miss")
+		writeCached(w, key, "miss", body)
+	default:
+		s.mCoalesced.Inc()
+		sp.Tag("cache", "coalesced")
+		writeCached(w, key, "coalesced", body)
+	}
 }
 
 // handleMetrics implements GET /metrics. Cache and budget levels are
@@ -570,14 +571,14 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // was rendered.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("requests_metrics_total").Inc()
-	cs := s.cache.Stats()
-	s.reg.Gauge("cache_entries").Set(int64(s.cache.Len()))
-	s.reg.Gauge("cache_bytes").Set(s.cache.SizeBytes())
-	s.reg.Gauge("cache_evictions").Set(int64(cs.Evictions))
-	s.reg.Gauge("cache_expirations").Set(int64(cs.Expirations))
+	st := s.store.stats()
+	s.reg.Gauge("cache_entries").Set(int64(st.entries))
+	s.reg.Gauge("cache_bytes").Set(st.bytes)
+	s.reg.Gauge("cache_evictions").Set(int64(st.Evictions))
+	s.reg.Gauge("cache_expirations").Set(int64(st.Expirations))
 	s.reg.Gauge("workers_budget").Set(int64(s.budget.Cap()))
 	s.reg.Gauge("workers_in_use").Set(int64(s.budget.InUse()))
-	s.reg.Gauge("flights_in_flight").Set(int64(s.flights.inFlight()))
+	s.reg.Gauge("flights_in_flight").Set(int64(st.flights))
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, s.reg.Render())
 }

@@ -162,6 +162,23 @@ func TestEvalRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestEvalValidationOrder: a body with both numbers invalid gets the
+// work error every time — checkEval tests work, then intensity, as
+// checkEvalBatch does — not the error of whichever field a map
+// iteration reached first.
+func TestEvalValidationOrder(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	const body = `{"machine":"gtx580","work":-1,"intensity":-1}`
+	for i := 0; i < 100; i++ {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/eval", strings.NewReader(body)))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "work must be positive") {
+			t.Fatalf("post %d: status %d, body %q; want 400 with the work error", i, w.Code, w.Body.String())
+		}
+	}
+}
+
 // TestEvalRejectsNonFinite covers the programmatic path JSON cannot
 // express: NaN/Inf fields must fail validation, not poison the cache.
 func TestEvalRejectsNonFinite(t *testing.T) {
@@ -249,16 +266,12 @@ func (e *stubEngine) fn(ctx context.Context, cfg campaign.Config, workers int) (
 
 const smallCampaign = `{"machines":["gtx580"],"lo_intensity":0.25,"hi_intensity":16,"points":5,"reps":2,"volume_bytes":1048576,"seed":7}`
 
-// TestCampaignCoalescing64 is the tentpole acceptance test: 64
-// concurrent identical campaign requests trigger exactly one engine
-// execution and every response body is byte-identical. A 65th request
-// after completion is served from the cache, still without touching the
-// engine.
-func TestCampaignCoalescing64(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	eng := &stubEngine{gate: make(chan struct{})}
-	s.engine = eng.fn
-
+// coalesce64 posts body to url from 64 concurrent clients while gate
+// holds the computation, then releases it. It requires exactly one
+// flight leader (X-Cache miss) and byte-identical bodies, and returns
+// the shared body.
+func coalesce64(t *testing.T, url, body string, gate chan struct{}) string {
+	t.Helper()
 	const n = 64
 	bodies := make([]string, n)
 	sources := make([]string, n)
@@ -270,8 +283,7 @@ func TestCampaignCoalescing64(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started.Done()
-			resp, err := http.Post(ts.URL+"/v1/campaign", "application/json",
-				strings.NewReader(smallCampaign))
+			resp, err := http.Post(url, "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return
@@ -290,18 +302,15 @@ func TestCampaignCoalescing64(t *testing.T) {
 			sources[i] = resp.Header.Get("X-Cache")
 		}(i)
 	}
-	// Release the engine only after every client goroutine is launched,
-	// so the flight is guaranteed to still be open when most requests
-	// arrive; any straggler that misses the flight hits the cache —
-	// either way the engine must run exactly once.
+	// Release the computation only after every client goroutine is
+	// launched, so the flight is guaranteed to still be open when most
+	// requests arrive; any straggler that misses the flight hits the
+	// cache — either way the computation must run exactly once.
 	started.Wait()
 	time.Sleep(50 * time.Millisecond)
-	close(eng.gate)
+	close(gate)
 	wg.Wait()
 
-	if got := eng.runs.Load(); got != 1 {
-		t.Fatalf("engine ran %d times for 64 identical requests, want exactly 1", got)
-	}
 	for i := 1; i < n; i++ {
 		if bodies[i] != bodies[0] {
 			t.Fatalf("response %d differs from response 0", i)
@@ -323,13 +332,31 @@ func TestCampaignCoalescing64(t *testing.T) {
 	if miss != 1 {
 		t.Errorf("flight leaders = %d, want exactly 1 (coalesced %d, hit %d)", miss, coalesced, hit)
 	}
+	return bodies[0]
+}
+
+// TestCampaignCoalescing64 is the tentpole acceptance test: 64
+// concurrent identical campaign requests trigger exactly one engine
+// execution and every response body is byte-identical. A 65th request
+// after completion is served from the cache, still without touching the
+// engine.
+func TestCampaignCoalescing64(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	eng := &stubEngine{gate: make(chan struct{})}
+	s.engine = eng.fn
+
+	const n = 64
+	shared := coalesce64(t, ts.URL+"/v1/campaign", smallCampaign, eng.gate)
+	if got := eng.runs.Load(); got != 1 {
+		t.Fatalf("engine ran %d times for 64 identical requests, want exactly 1", got)
+	}
 
 	// Cache-hit path: one more identical request, engine untouched.
 	resp, body := post(t, ts.URL+"/v1/campaign", smallCampaign)
 	if resp.Header.Get("X-Cache") != "hit" {
 		t.Errorf("post-flight X-Cache = %q, want hit", resp.Header.Get("X-Cache"))
 	}
-	if body != bodies[0] {
+	if body != shared {
 		t.Error("cached body differs from flight body")
 	}
 	if got := eng.runs.Load(); got != 1 {
