@@ -78,7 +78,10 @@ type Options struct {
 	// replica + 1). Tracing never affects the report.
 	Tracer *trace.Tracer
 	// Trace overrides the scenario's generated workload with a replayed
-	// request stream (e.g. one loaded via workload.ParseTrace).
+	// request stream (e.g. one loaded via workload.ParseTrace). A closed
+	// trace must give request i to client i % Clients, as Generate does
+	// and ParseTrace checks: the closed loop wakes request i + Clients
+	// when request i completes.
 	Trace *workload.Trace
 	// routeObserver, when set, is invoked with every routing decision
 	// before the request is applied to the chosen replica — the hook
@@ -194,7 +197,7 @@ func (r *replica) pendingWork(now float64) float64 {
 }
 
 // Fleet is the set of replicas one policy run routes over, exposed to
-// Policy implementations for read-only probing.
+// Policy implementations for probing replica state.
 type Fleet struct {
 	reps       []*replica
 	hitLatency float64
@@ -202,6 +205,16 @@ type Fleet struct {
 	// event loop before every Route call so policies can read the
 	// replicas' price tables.
 	kernel int32
+	// holders has one row of words bits per kernel id: bit i of row k
+	// is set while replica i may cache kernel k. complete sets it on
+	// every Put, and estimateInto clears it when its Peek finds the
+	// kernel evicted. Put is the only way into a simulated cache and
+	// the caches have no TTL, so a clear bit proves the kernel absent
+	// and only set bits need a Peek. That assumes a spec's price table
+	// gives distinct kernels distinct keys, which fails only on a
+	// 64-bit EvalKey collision.
+	holders []uint64
+	words   int
 	// estT and estE are scratch columns the energy-aware policy gathers
 	// per-replica (time, energy) estimates into before classifying them
 	// with the batch eq. 10 vocabulary; reused across Route calls so
@@ -227,7 +240,7 @@ type sim struct {
 	closed  bool
 	trace   []workload.Request
 	kernels []int32 // per trace request: its kernel id
-	nextCli []int   // per-client cursor into trace (closed loop)
+	clients int     // closed-loop client count
 
 	events eventQueue
 	free   []*simFlight // finished flights, ready for reuse
@@ -266,12 +279,19 @@ func runPolicy(sc *Scenario, tr *workload.Trace, kernels []int32, prices []*spec
 			flights: map[uint64]*simFlight{},
 		}
 	}
+	words := (len(reps) + 63) / 64
 	s := &sim{
-		fleet:    &Fleet{reps: reps, hitLatency: sc.HitLatency},
+		fleet: &Fleet{
+			reps:       reps,
+			hitLatency: sc.HitLatency,
+			holders:    make([]uint64, len(prices[0].table)*words),
+			words:      words,
+		},
 		policy:   policy,
 		closed:   tr.Closed,
 		trace:    tr.Requests,
 		kernels:  kernels,
+		clients:  tr.Clients,
 		events:   make(eventQueue, 0, tr.Clients+len(reps)),
 		observer: opts.routeObserver,
 		tracer:   opts.Tracer,
@@ -282,10 +302,8 @@ func runPolicy(sc *Scenario, tr *workload.Trace, kernels []int32, prices []*spec
 	if s.closed {
 		// Seed each client's first request; requests i < Clients belong
 		// to client i exactly once under the i%C assignment.
-		s.nextCli = make([]int, tr.Clients)
 		for c := 0; c < tr.Clients; c++ {
 			s.push(tr.Requests[c].Time, evArrival, int32(c))
-			s.nextCli[c] = c + tr.Clients
 		}
 		for len(s.events) > 0 {
 			s.step(s.events.pop())
@@ -326,7 +344,7 @@ func (s *sim) arrive(p pending) {
 		s.now = p.arrival
 	}
 	s.fleet.kernel = p.kernel
-	idx := s.policy.Route(s.now, s.trace[p.idx], s.fleet)
+	idx := s.policy.Route(s.now, &s.trace[p.idx], s.fleet)
 	if s.observer != nil {
 		s.observer(s.now, s.trace[p.idx], idx, s.fleet)
 	}
@@ -409,6 +427,7 @@ func (s *sim) complete(id int) {
 	rep.busyTime += price.svc
 	rep.kernelJ += price.joules
 	rep.cache.Put(price.key, hitBody)
+	s.fleet.holders[int(j.kernel)*s.fleet.words+id/64] |= 1 << (id % 64)
 	s.finish(j, s.now)
 	if f, ok := rep.flights[price.key]; ok {
 		for _, w := range f.waiters {
@@ -438,12 +457,12 @@ func (s *sim) finish(p pending, done float64) {
 	if !s.closed {
 		return
 	}
-	c := s.trace[p.idx].Client
-	i := s.nextCli[c]
+	// Request i belongs to client i % clients (ParseTrace checks it on
+	// replays), so the client's next request is i + clients.
+	i := int(p.idx) + s.clients
 	if i >= len(s.trace) {
 		return
 	}
-	s.nextCli[c] = i + len(s.nextCli)
 	// Time is the think delay for closed traces.
 	s.push(done+s.trace[i].Time, evArrival, int32(i))
 }

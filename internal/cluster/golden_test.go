@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -62,5 +64,39 @@ func TestFleetReportGolden(t *testing.T) {
 	}
 	if !bytes.Equal(want, reports[0]) {
 		t.Fatalf("fleet report drifted from %s\nrun `go test ./internal/cluster/ -run TestFleetReportGolden -update` after reviewing the change\ngot %d bytes, want %d", goldenPath, len(reports[0]), len(want))
+	}
+}
+
+// reportDigests1M are the SHA-256 sums of the cluster_1m and closed_1m
+// reports at the catalog's default seed: the bytes
+// `fleetsim -scenario <name> -json -` prints, and the digests the
+// benchmark harness (bench/fleet.go) checks its default-seed runs
+// against.
+var reportDigests1M = map[string]string{
+	"cluster_1m": "37260780f473bd25bd33727bd3f160627d327917e56bbf25c31d2fdbfea5c7d9",
+	"closed_1m":  "0e2b50a1b439b9c297e6783329289c3261af09292d72767ae1c8ffe191ce9457",
+}
+
+// TestReportDigests1M pins the two benchmark scenarios' full reports
+// byte for byte. The smoke golden's energy-aware cell never evicts;
+// here every cell does (8 caches of 4,096 entries under a 50k-key
+// universe), so an event-loop change that is exact only while caches
+// keep everything fails here and not only in the benchmark.
+func TestReportDigests1M(t *testing.T) {
+	if raceEnabled {
+		t.Skip("two 1M-request scenarios take minutes under the race detector")
+	}
+	for name, want := range reportDigests1M {
+		rep, err := RunScenario(context.Background(), Scenarios()[name], Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		data, err := rep.Marshal()
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", name, err)
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("%s: report SHA-256 %x, want %s", name, sum, want)
+		}
 	}
 }

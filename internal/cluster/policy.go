@@ -30,13 +30,14 @@ func PolicyNames() []string {
 
 // Policy routes one request to a replica index. Route is called from
 // the single-threaded event loop at the request's arrival instant; the
-// fleet argument exposes read-only probes (queue lengths, pending work,
-// cache occupancy) and implementations must not mutate fleet state.
+// fleet argument exposes probes (queue lengths, pending work, cache
+// occupancy) and implementations must not change replica state. req
+// points into the trace and must not be modified.
 type Policy interface {
 	// Name returns the policy's canonical name.
 	Name() string
 	// Route picks the destination replica for req at simulation time now.
-	Route(now float64, req workload.Request, f *Fleet) int
+	Route(now float64, req *workload.Request, f *Fleet) int
 }
 
 // NewPolicy builds the named policy for a fleet of n replicas. The seed
@@ -67,7 +68,7 @@ type roundRobin struct {
 func (p *roundRobin) Name() string { return RoundRobin }
 
 // Route implements Policy.
-func (p *roundRobin) Route(_ float64, _ workload.Request, _ *Fleet) int {
+func (p *roundRobin) Route(_ float64, _ *workload.Request, _ *Fleet) int {
 	r := p.next
 	p.next = (p.next + 1) % p.n
 	return r
@@ -81,7 +82,7 @@ type leastLoaded struct{}
 func (leastLoaded) Name() string { return LeastLoaded }
 
 // Route implements Policy.
-func (leastLoaded) Route(_ float64, _ workload.Request, f *Fleet) int {
+func (leastLoaded) Route(_ float64, _ *workload.Request, f *Fleet) int {
 	best, bestLen := 0, f.reps[0].queueLen()
 	for i := 1; i < len(f.reps); i++ {
 		if l := f.reps[i].queueLen(); l < bestLen {
@@ -100,7 +101,7 @@ type cacheAffinity struct {
 func (p *cacheAffinity) Name() string { return CacheAffinity }
 
 // Route implements Policy.
-func (p *cacheAffinity) Route(_ float64, req workload.Request, _ *Fleet) int {
+func (p *cacheAffinity) Route(_ float64, req *workload.Request, _ *Fleet) int {
 	return p.ring.Lookup(req.Key)
 }
 
@@ -117,9 +118,11 @@ func (energyAware) Name() string { return EnergyAware }
 // only on the first call for a given fleet size. Each replica's
 // estimate reads its price table at f.kernel, where the miss columns
 // hold its own EnergyModel's predictions (ReplicaSpec.Model; analytic
-// by default). Every column equals what the scalar oracle
-// Fleet.estimate (prices_test.go) computes, bit for bit; the lockstep
-// tests pin that on every routing decision.
+// by default). Only replicas whose holder bit is set are probed for a
+// hit; a probe that misses clears the bit (see Fleet.holders). Every
+// column equals what the scalar oracle Fleet.estimate (prices_test.go)
+// computes, bit for bit; the lockstep tests pin that on every routing
+// decision.
 func (f *Fleet) estimateInto(now float64) (t, e []float64) {
 	n := len(f.reps)
 	if cap(f.estT) < n {
@@ -127,11 +130,15 @@ func (f *Fleet) estimateInto(now float64) (t, e []float64) {
 		f.estE = make([]float64, n)
 	}
 	t, e = f.estT[:n], f.estE[:n]
+	held := f.holders[int(f.kernel)*f.words:]
 	for i, rep := range f.reps {
 		p := &rep.prices[f.kernel]
-		if rep.cache.Peek(p.key) {
-			t[i], e[i] = f.hitLatency, rep.params.Pi0*f.hitLatency
-			continue
+		if w, bit := &held[i/64], uint64(1)<<(i%64); *w&bit != 0 {
+			if rep.cache.Peek(p.key) {
+				t[i], e[i] = f.hitLatency, rep.params.Pi0*f.hitLatency
+				continue
+			}
+			*w &^= bit
 		}
 		t[i], e[i] = rep.pendingWork(now)+p.estT, p.estE
 	}
@@ -171,7 +178,7 @@ func routeFromEstimates(t, e []float64) int {
 // Route implements Policy: it gathers every replica's estimate into the
 // fleet's scratch columns and applies the eq. 10 incumbent scan (see
 // routeFromEstimates).
-func (energyAware) Route(now float64, _ workload.Request, f *Fleet) int {
+func (energyAware) Route(now float64, _ *workload.Request, f *Fleet) int {
 	t, e := f.estimateInto(now)
 	return routeFromEstimates(t, e)
 }

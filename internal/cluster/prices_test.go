@@ -37,17 +37,27 @@ func (r *replica) key(req workload.Request) uint64 {
 // multiSpecRequests is the request count the multi-spec fleets run at.
 const multiSpecRequests = 20000
 
-// specFleet is a scenario with the trace it runs on.
+// specFleet is a scenario with the trace it runs on and what its
+// energy-aware run must show to test what the fleet is there for.
 type specFleet struct {
 	sc Scenario
 	tr *workload.Trace
+	// evicts requires some replica cache to evict, so that holder bits
+	// go stale; routesPast63 requires some request to be routed past
+	// replica 63, into the holder bitset's second word.
+	evicts, routesPast63 bool
 }
 
 // multiSpecFleets returns fleets whose replicas differ in spec — and so
 // read different price tables — each with its own trace: hetero_1m,
 // hetero_dvfs, hetero_1m with one i7-950 and one gtx580 routed on a
-// blackbox model, and hetero_1m replaying a trace in which two distinct
-// Keys share one (Work, Intensity) pair.
+// blackbox model, hetero_1m replaying a trace in which two distinct
+// Keys share one (Work, Intensity) pair, hetero_1m with 8-entry caches,
+// and 64 i7-950 replicas followed by 8 gtx580 replicas. The last two
+// are there for the holder bits: the first evicts, so bits go stale,
+// and the second routes past replica 63, into a second bitset word. A
+// tiled hetero fleet would not do for that, as the router never leaves
+// the lowest-index equal replica.
 func multiSpecFleets(t *testing.T) []specFleet {
 	t.Helper()
 	catalog := Scenarios()
@@ -64,8 +74,22 @@ func multiSpecFleets(t *testing.T) []specFleet {
 	replay := hetero
 	replay.Name = "hetero_shared_kernel"
 
+	evicting := hetero
+	evicting.Name = "hetero_evicting"
+	evicting.Replicas = append([]ReplicaSpec(nil), hetero.Replicas...)
+	for i := range evicting.Replicas {
+		evicting.Replicas[i].CacheEntries = 8
+	}
+
+	wide := hetero
+	wide.Name = "hetero_wide"
+	wide.Replicas = i7Replicas(64, 4096)
+	for i := 0; i < 8; i++ {
+		wide.Replicas = append(wide.Replicas, hetero.Replicas[4])
+	}
+
 	var out []specFleet
-	for _, sc := range []Scenario{hetero, dvfs, blackbox, replay} {
+	for _, sc := range []Scenario{hetero, dvfs, blackbox, replay, evicting, wide} {
 		tr, err := workload.Generate(sc.Workload)
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +97,7 @@ func multiSpecFleets(t *testing.T) []specFleet {
 		if sc.Name == replay.Name {
 			shareKernel(t, tr)
 		}
-		out = append(out, specFleet{sc, tr})
+		out = append(out, specFleet{sc: sc, tr: tr, evicts: sc.Name == evicting.Name, routesPast63: sc.Name == wide.Name})
 	}
 	return out
 }
@@ -133,7 +157,12 @@ func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 //     beliefs;
 //  2. on every routing decision of the energy-aware policy, the
 //     estimate columns it routed on equal Fleet.estimate for every
-//     replica.
+//     replica, so a holder bit never hides a hit and never stands in
+//     for a Peek.
+//
+// It also checks that the evicting fleet evicted and that the wide
+// fleet routed past replica 63, without which those fleets test
+// nothing the others do not.
 func TestPriceTablesMatchScalarOracle(t *testing.T) {
 	for _, fl := range multiSpecFleets(t) {
 		sc, tr := fl.sc, fl.tr
@@ -160,12 +189,14 @@ func TestPriceTablesMatchScalarOracle(t *testing.T) {
 		}
 
 		sc.Policies = []string{EnergyAware}
-		decisions := 0
+		decisions, maxChosen := 0, 0
+		var fleet *Fleet
 		opts := Options{
 			Workers: 1,
 			Trace:   tr,
-			routeObserver: func(now float64, req workload.Request, _ int, f *Fleet) {
+			routeObserver: func(now float64, req workload.Request, chosen int, f *Fleet) {
 				decisions++
+				fleet, maxChosen = f, max(maxChosen, chosen)
 				for i := range f.reps {
 					wt, we := f.estimate(now, i, f.reps[i].model, req)
 					if !bitsEqual(f.estT[i], wt) || !bitsEqual(f.estE[i], we) {
@@ -180,6 +211,16 @@ func TestPriceTablesMatchScalarOracle(t *testing.T) {
 		}
 		if decisions != len(tr.Requests) {
 			t.Fatalf("%s: observed %d decisions for %d requests", sc.Name, decisions, len(tr.Requests))
+		}
+		var evictions uint64
+		for _, rep := range fleet.reps {
+			evictions += rep.cache.Stats().Evictions
+		}
+		if fl.evicts && evictions == 0 {
+			t.Fatalf("%s: no replica cache evicted", sc.Name)
+		}
+		if fl.routesPast63 && maxChosen < 64 {
+			t.Fatalf("%s: no request routed past replica 63 (highest %d)", sc.Name, maxChosen)
 		}
 	}
 }

@@ -320,7 +320,11 @@ func (t *Trace) Marshal() ([]byte, error) {
 // ParseTrace strictly decodes a recorded trace and validates the
 // stream invariants every generator guarantees: IDs sequential,
 // times finite and non-negative, open-loop arrivals non-decreasing,
-// closed-loop clients in range, kernels positive and finite.
+// kernels positive and finite. A closed-loop trace must also have no
+// more clients than requests and give request i to client
+// i % Clients, the assignment Generate makes: the cluster simulator's
+// closed loop takes a client's next request to be the one Clients
+// indices on.
 func ParseTrace(data []byte) (*Trace, error) {
 	var t Trace
 	if err := strictjson.Unmarshal(data, &t); err != nil {
@@ -334,6 +338,9 @@ func ParseTrace(data []byte) (*Trace, error) {
 	}
 	if t.Closed && t.Clients < 1 {
 		return nil, errors.New("workload: closed trace needs a client count")
+	}
+	if t.Closed && t.Clients > len(t.Requests) {
+		return nil, errors.New("workload: closed trace has more clients than requests")
 	}
 	prev := 0.0
 	for i := range t.Requests {
@@ -352,8 +359,8 @@ func ParseTrace(data []byte) (*Trace, error) {
 			if r.Client != 0 {
 				return nil, fmt.Errorf("workload: open-loop request %d names client %d", i, r.Client)
 			}
-		} else if r.Client < 0 || r.Client >= t.Clients {
-			return nil, fmt.Errorf("workload: request %d client %d out of range", i, r.Client)
+		} else if want := i % t.Clients; r.Client != want {
+			return nil, fmt.Errorf("workload: closed-loop request %d names client %d, want %d (request i belongs to client i %% clients)", i, r.Client, want)
 		}
 		if !finitePos(r.Work) || !finitePos(r.Intensity) {
 			return nil, fmt.Errorf("workload: request %d has invalid kernel (W=%v, I=%v)", i, r.Work, r.Intensity)

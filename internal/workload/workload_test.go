@@ -321,4 +321,24 @@ func TestParseTraceRejects(t *testing.T) {
 	if _, err := ParseTrace([]byte(`{"spec":{},"requests":[]}`)); err == nil {
 		t.Fatal("ParseTrace accepted an empty stream")
 	}
+
+	// A closed trace must give request i to client i % Clients: the
+	// simulator wakes a client's next request by that rule, so any other
+	// assignment would silently drop requests from the replay.
+	spec.Kind = Closed
+	spec.Clients = 4
+	spec.ThinkSeconds = 0.1
+	if tr, err = Generate(spec); err != nil {
+		t.Fatalf("Generate closed: %v", err)
+	}
+	corrupt("client out of range", func(c *Trace) { c.Requests[5].Client = 4 })
+	corrupt("all requests on client 0", func(c *Trace) {
+		for i := range c.Requests {
+			c.Requests[i].Client = 0
+		}
+	})
+	corrupt("two clients swapped", func(c *Trace) {
+		c.Requests[8].Client, c.Requests[9].Client = c.Requests[9].Client, c.Requests[8].Client
+	})
+	corrupt("more clients than requests", func(c *Trace) { c.Requests = c.Requests[:3] })
 }
