@@ -18,6 +18,9 @@
 // Usage:
 //
 //	campaign [-config file.json] [-out dir] [-powermon] [-seed N] [-reps N] [-workers N] [-trace out.json]
+//
+// -seed, when passed, overrides the config file's seed; without
+// -config the built-in configuration's seed is 42.
 package main
 
 import (
@@ -37,7 +40,7 @@ func main() {
 		configPath = flag.String("config", "", "JSON campaign configuration (default: built-in)")
 		outDir     = flag.String("out", "", "directory for fitted machine JSON files")
 		usePM      = flag.Bool("powermon", false, "measure through the sampled power monitor")
-		seed       = flag.Int64("seed", 42, "noise seed")
+		seed       = flag.Int64("seed", 42, "noise seed (overrides the config file's seed when passed)")
 		reps       = flag.Int("reps", 0, "override repetitions per point")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = one per CPU; any value produces identical output)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON span timeline to this file")
@@ -48,16 +51,17 @@ func main() {
 	if *configPath != "" {
 		data, err := os.ReadFile(*configPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			os.Exit(2)
+			fail(err, 2)
 		}
-		cfg, err = campaign.ParseConfig(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			os.Exit(2)
+		if cfg, err = campaign.ParseConfig(data); err != nil {
+			fail(err, 2)
 		}
 	}
-	cfg.Seed = *seed
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			cfg.Seed = *seed
+		}
+	})
 	cfg.UsePowerMon = cfg.UsePowerMon || *usePM
 	if *reps > 0 {
 		cfg.Reps = *reps
@@ -72,24 +76,20 @@ func main() {
 
 	res, err := campaign.RunParallel(ctx, cfg, *workers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		os.Exit(1)
+		fail(err, 1)
 	}
 	fmt.Print(res.Render())
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			os.Exit(1)
+			fail(err, 1)
 		}
 		if err := tracer.WriteChrome(f); err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			os.Exit(1)
+			fail(err, 1)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			os.Exit(1)
+			fail(err, 1)
 		}
 		// Trace confirmation goes to stderr so stdout stays
 		// byte-identical with an untraced run.
@@ -99,22 +99,30 @@ func main() {
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			os.Exit(1)
+			fail(err, 1)
 		}
 		for _, mr := range res.Machines {
 			data, err := mr.Fitted.ToJSON()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "campaign:", err)
-				os.Exit(1)
+				fail(err, 1)
 			}
 			name := strings.ReplaceAll(mr.Key, "/", "_") + "-fitted.json"
 			path := filepath.Join(*outDir, name)
 			if err := os.WriteFile(path, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "campaign:", err)
-				os.Exit(1)
+				fail(err, 1)
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
 	}
+}
+
+// fail prints err on stderr behind one "campaign:" prefix, which the
+// campaign package's own errors already carry, and exits with code.
+func fail(err error, code int) {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "campaign: ") {
+		msg = "campaign: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
+	os.Exit(code)
 }

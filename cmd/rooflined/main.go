@@ -12,7 +12,7 @@
 // Usage:
 //
 //	rooflined [-addr :8080] [-workers N] [-cache-entries N]
-//	          [-cache-bytes N] [-cache-ttl D] [-timeout D] [-drain D]
+//	          [-cache-bytes N] [-timeout D] [-drain D]
 //	          [-debug] [-trace out.json]
 //
 // -debug turns on the observability surface: per-request span tracing,
@@ -47,7 +47,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "global engine worker budget shared across requests (0 = one per CPU)")
 		cacheEntries = flag.Int("cache-entries", 0, "result cache entry bound (0 = default)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "result cache byte bound (0 = default)")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "result cache residency bound (0 = default)")
 		timeout      = flag.Duration("timeout", 0, "per-request engine execution timeout (0 = default)")
 		drain        = flag.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
 		debug        = flag.Bool("debug", false, "enable /debug/trace, /debug/pprof/, and span tracing")
@@ -59,7 +58,6 @@ func main() {
 		Workers:        *workers,
 		CacheEntries:   *cacheEntries,
 		CacheBytes:     *cacheBytes,
-		CacheTTL:       *cacheTTL,
 		RequestTimeout: *timeout,
 		Debug:          *debug || *traceOut != "",
 	})

@@ -292,18 +292,41 @@ func TestCampaignBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	roofBin := buildCmd(t, dir, "roofline")
-	out = runBin(t, roofBin, "-json", fitted)
-	if !strings.Contains(out, "(fitted)") {
-		t.Errorf("fitted machine not loadable:\n%s", out)
+	if roof := runBin(t, roofBin, "-json", fitted); !strings.Contains(roof, "(fitted)") {
+		t.Errorf("fitted machine not loadable:\n%s", roof)
 	}
 
-	// Bad config rejected.
+	// The config file's seed holds unless -seed is passed.
+	if !strings.Contains(out, "seed 5\n") {
+		t.Errorf("config seed 5 not applied:\n%s", out)
+	}
+	if flagged := runBin(t, bin, "-config", cfgPath, "-seed", "5"); withoutWrote(out) != flagged {
+		t.Errorf("config with seed 5 differs from -seed 5:\n%s\nvs\n%s", out, flagged)
+	}
+
+	// Bad config rejected, behind one "campaign:" prefix.
 	if err := os.WriteFile(cfgPath, []byte(`{"machines":["nope"]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := exec.Command(bin, "-config", cfgPath).CombinedOutput(); err == nil {
-		t.Errorf("bad config accepted:\n%s", out)
+	out2, err := exec.Command(bin, "-config", cfgPath).CombinedOutput()
+	if err == nil {
+		t.Errorf("bad config accepted:\n%s", out2)
 	}
+	if !strings.HasPrefix(string(out2), "campaign: ") || strings.HasPrefix(string(out2), "campaign: campaign:") {
+		t.Errorf("bad config error does not start with one \"campaign:\" prefix:\n%s", out2)
+	}
+}
+
+// withoutWrote drops the "wrote ..." lines the campaign binary prints
+// for its output files, which name the output directory.
+func withoutWrote(stdout string) string {
+	var kept []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if !strings.HasPrefix(line, "wrote ") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
 }
 
 // TestCampaignBinaryWorkerInvariance is the end-to-end acceptance test
@@ -340,16 +363,7 @@ func TestCampaignBinaryWorkerInvariance(t *testing.T) {
 		}
 		// The render itself is identical; only the trailing "wrote ..."
 		// lines name the per-worker-count output directory.
-		stdout = strings.Join(func() []string {
-			var kept []string
-			for _, line := range strings.Split(stdout, "\n") {
-				if !strings.HasPrefix(line, "wrote ") {
-					kept = append(kept, line)
-				}
-			}
-			return kept
-		}(), "\n")
-		return artifact{stdout: stdout, fitted: fitted}
+		return artifact{stdout: withoutWrote(stdout), fitted: fitted}
 	}
 
 	want := run("1")

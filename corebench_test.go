@@ -179,7 +179,7 @@ func benchFMMReplay(b *testing.B) {
 	// include the reference implementation (variant 0) the study's fit
 	// requires.
 	variants := fmm.GenerateVariants()[:24]
-	cfg := fmm.StudyConfig{N: 1024, LeafSize: 64, MaxDepth: 8, Seed: 7, Variants: variants}
+	cfg := fmm.StudyConfig{N: 1024, LeafSize: 64, Seed: 7, Variants: variants}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

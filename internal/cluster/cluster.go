@@ -78,10 +78,11 @@ type Options struct {
 	// replica + 1). Tracing never affects the report.
 	Tracer *trace.Tracer
 	// Trace overrides the scenario's generated workload with a replayed
-	// request stream (e.g. one loaded via workload.ParseTrace). A closed
-	// trace must give request i to client i % Clients, as Generate does
-	// and ParseTrace checks: the closed loop wakes request i + Clients
-	// when request i completes.
+	// request stream (e.g. one loaded via workload.ParseTrace).
+	// RunScenario rejects a trace that fails workload.Trace.Validate: a
+	// closed trace, for one, must give request i to client i % Clients,
+	// as Generate does, because the closed loop wakes request
+	// i + Clients when request i completes.
 	Trace *workload.Trace
 	// routeObserver, when set, is invoked with every routing decision
 	// before the request is applied to the chosen replica — the hook
@@ -94,8 +95,7 @@ type Options struct {
 var hitBody = make([]byte, 256)
 
 // replica is one simulated server: roofline pricing, the production
-// result cache (without a TTL, so it never reads a clock), coalescing
-// bookkeeping, and a FIFO service queue.
+// result cache, coalescing bookkeeping, and a FIFO service queue.
 type replica struct {
 	id      int
 	spec    ReplicaSpec
@@ -209,10 +209,10 @@ type Fleet struct {
 	// is set while replica i may cache kernel k. complete sets it on
 	// every Put, and estimateInto clears it when its Peek finds the
 	// kernel evicted. Put is the only way into a simulated cache and
-	// the caches have no TTL, so a clear bit proves the kernel absent
-	// and only set bits need a Peek. That assumes a spec's price table
-	// gives distinct kernels distinct keys, which fails only on a
-	// 64-bit EvalKey collision.
+	// eviction the only way out, so a clear bit proves the kernel
+	// absent and only set bits need a Peek. That assumes a spec's
+	// price table gives distinct kernels distinct keys, which fails
+	// only on a 64-bit EvalKey collision.
 	holders []uint64
 	words   int
 	// estT and estE are scratch columns the energy-aware policy gathers
@@ -275,7 +275,7 @@ func runPolicy(sc *Scenario, tr *workload.Trace, kernels []int32, prices []*spec
 			params:  prices[i].params,
 			model:   prices[i].model,
 			prices:  prices[i].table,
-			cache:   rescache.New(spec.CacheEntries, spec.CacheBytes, 0, nil),
+			cache:   rescache.New(spec.CacheEntries, spec.CacheBytes),
 			flights: map[uint64]*simFlight{},
 		}
 	}
@@ -479,7 +479,11 @@ func RunScenario(ctx context.Context, sc Scenario, opts Options) (*Report, error
 		return nil, err
 	}
 	tr := opts.Trace
-	if tr == nil {
+	if tr != nil {
+		if err := tr.Validate(); err != nil {
+			return nil, err
+		}
+	} else {
 		var err error
 		tr, err = workload.Generate(sc.Workload)
 		if err != nil {

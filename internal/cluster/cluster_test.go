@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -280,8 +281,8 @@ func TestScenarioCatalogValidates(t *testing.T) {
 	}
 }
 
-// TestRunScenarioRejectsInvalid checks scenario validation surfaces
-// through RunScenario.
+// TestRunScenarioRejectsInvalid checks scenario and replayed-trace
+// validation surfaces through RunScenario.
 func TestRunScenarioRejectsInvalid(t *testing.T) {
 	sc := smokeScenario(t, 100)
 	sc.Replicas[0].Machine = "abacus"
@@ -297,5 +298,41 @@ func TestRunScenarioRejectsInvalid(t *testing.T) {
 	sc.HitLatency = 0
 	if _, err := RunScenario(context.Background(), sc, Options{}); err == nil {
 		t.Fatal("RunScenario accepted a zero hit latency")
+	}
+
+	// A trace handed over in Options is checked as ParseTrace checks a
+	// recorded one, not simulated as it stands.
+	sc = smokeScenario(t, 100)
+	gen, err := workload.Generate(sc.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := func(edit func(*workload.Trace)) *workload.Trace {
+		tr := *gen
+		tr.Requests = append([]workload.Request(nil), gen.Requests...)
+		edit(&tr)
+		return &tr
+	}
+	for _, c := range []struct {
+		name, want string
+		tr         *workload.Trace
+	}{
+		{"closed trace with more clients than requests", "more clients than requests", edited(func(tr *workload.Trace) {
+			tr.Closed, tr.Clients, tr.Requests = true, 4, tr.Requests[:3]
+			for i := range tr.Requests {
+				tr.Requests[i].Client = i
+			}
+		})},
+		{"open trace with decreasing arrivals", "arrival times decrease", edited(func(tr *workload.Trace) {
+			tr.Requests[10].Time, tr.Requests[11].Time = tr.Requests[11].Time, tr.Requests[10].Time
+		})},
+		{"negative work", "invalid kernel", edited(func(tr *workload.Trace) {
+			tr.Requests[5].Work = -1
+		})},
+	} {
+		_, err := RunScenario(context.Background(), sc, Options{Workers: 1, Trace: c.tr})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: RunScenario returned %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }

@@ -40,24 +40,19 @@ import (
 // raceStream tags the powermon noise streams derived per machine.
 const raceStream uint64 = 0x52414345 // "RACE"
 
-// Config controls one DVFS study. Zero fields take defaults.
+// The sweeps' fixed shape.
+const (
+	// sweepWork is the per-kernel flop count of the optimal-frequency
+	// and dispatch sweeps.
+	sweepWork = 1e9
+	// loIntensity and hiIntensity bound the intensity grid in
+	// flop/byte.
+	loIntensity, hiIntensity = 1.0 / 16, 64
+)
+
+// Config controls one DVFS study of every machine in the DVFS catalog.
+// Zero fields take defaults.
 type Config struct {
-	// Machines are the DVFS catalog keys to study (default: the whole
-	// DVFS catalog, sorted). Every machine must carry an operating-point
-	// curve.
-	Machines []string
-	// Work is the per-kernel flop count of the optimal-frequency and
-	// dispatch sweeps (default 1e9).
-	Work float64
-	// RaceWork is the work budget of the race-to-idle scenario, sized so
-	// the simulated powermon trace has enough samples (default 100e9;
-	// 10e9 when Fast).
-	RaceWork float64
-	// LoIntensity and HiIntensity bound the intensity grid in flop/byte
-	// (defaults 1/16 and 64).
-	LoIntensity, HiIntensity float64
-	// Points is the intensity grid size (default 25; 13 when Fast).
-	Points int
 	// Seed roots the powermon measurement noise (default 11).
 	Seed int64
 	// Fast shrinks the grid and the race work budget for test runs.
@@ -69,36 +64,28 @@ type Config struct {
 
 // withDefaults fills zero fields with the documented defaults.
 func (c Config) withDefaults() Config {
-	if len(c.Machines) == 0 {
-		c.Machines = machine.DVFSCatalogKeys()
-	}
-	if c.Work == 0 {
-		c.Work = 1e9
-	}
-	if c.RaceWork == 0 {
-		if c.Fast {
-			c.RaceWork = 10e9
-		} else {
-			c.RaceWork = 100e9
-		}
-	}
-	if c.LoIntensity == 0 {
-		c.LoIntensity = 1.0 / 16
-	}
-	if c.HiIntensity == 0 {
-		c.HiIntensity = 64
-	}
-	if c.Points == 0 {
-		if c.Fast {
-			c.Points = 13
-		} else {
-			c.Points = 25
-		}
-	}
 	if c.Seed == 0 {
 		c.Seed = 11
 	}
 	return c
+}
+
+// points is the intensity grid size: 25, or 13 when Fast.
+func (c Config) points() int {
+	if c.Fast {
+		return 13
+	}
+	return 25
+}
+
+// raceWork is the work budget of the race-to-idle scenario, sized so
+// the simulated powermon trace has enough samples: 100e9 flops, or
+// 10e9 when Fast.
+func (c Config) raceWork() float64 {
+	if c.Fast {
+		return 10e9
+	}
+	return 100e9
 }
 
 // Study is the full report over every scenario.
@@ -112,14 +99,14 @@ type Study struct {
 	// Intensities is the sweep grid in flop/byte.
 	Intensities []float64 `json:"intensities"`
 	// OptFreq holds the optimal-frequency curves, machine-major in
-	// config order, double precision before single.
+	// catalog key order, double precision before single.
 	OptFreq []OptFreqCurve `json:"opt_freq"`
-	// RaceIdle holds the race-vs-pace cases, machine-major in config
-	// order, deep-idle before shallow-idle (double precision,
+	// RaceIdle holds the race-vs-pace cases, machine-major in catalog
+	// key order, deep-idle before shallow-idle (double precision,
 	// compute-bound kernel).
 	RaceIdle []RaceIdleCase `json:"race_idle"`
 	// Dispatch is the heterogeneous dispatch table over the fixed
-	// default platform set (independent of Machines).
+	// default platform set.
 	Dispatch DispatchTable `json:"dispatch"`
 }
 
@@ -129,35 +116,18 @@ type cellResult struct {
 	races          []RaceIdleCase
 }
 
-// Run evaluates every scenario cfg selects. The result is a pure
-// function of cfg minus Workers.
+// Run evaluates every scenario. The result is a pure function of cfg
+// minus Workers.
 func Run(ctx context.Context, cfg Config) (*Study, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Points < 2 {
-		return nil, fmt.Errorf("dvfs: points must be >= 2, got %d", cfg.Points)
-	}
-	if !(cfg.LoIntensity > 0 && cfg.HiIntensity > cfg.LoIntensity) {
-		return nil, fmt.Errorf("dvfs: bad intensity range [%g, %g]", cfg.LoIntensity, cfg.HiIntensity)
-	}
-	if !(cfg.Work > 0) || !(cfg.RaceWork > 0) {
-		return nil, fmt.Errorf("dvfs: work budgets must be positive")
-	}
-	for _, key := range cfg.Machines {
-		m, ok := machine.Find(key)
-		if !ok {
-			return nil, fmt.Errorf("dvfs: unknown machine %q", key)
-		}
-		if len(m.OperatingPoints) == 0 {
-			return nil, fmt.Errorf("dvfs: machine %q has no operating-point curve", key)
-		}
-	}
-	grid := core.LogGrid(cfg.LoIntensity, cfg.HiIntensity, cfg.Points)
-	results, err := parallel.Map(ctx, len(cfg.Machines), cfg.Workers, func(ctx context.Context, i int) (cellResult, error) {
-		key := cfg.Machines[i]
+	keys := machine.DVFSCatalogKeys()
+	grid := core.LogGrid(loIntensity, hiIntensity, cfg.points())
+	results, err := parallel.Map(ctx, len(keys), cfg.Workers, func(ctx context.Context, i int) (cellResult, error) {
+		key := keys[i]
 		m, _ := machine.Find(key)
 		var res cellResult
-		res.double = optFreqCurve(m, key, machine.Double, cfg.Work, grid)
-		res.single = optFreqCurve(m, key, machine.Single, cfg.Work, grid)
+		res.double = optFreqCurve(m, key, machine.Double, sweepWork, grid)
+		res.single = optFreqCurve(m, key, machine.Single, sweepWork, grid)
 		races, err := raceIdleCases(m, key, cfg, stats.DeriveSeed(cfg.Seed, raceStream, uint64(i)))
 		if err != nil {
 			return cellResult{}, fmt.Errorf("dvfs: %s: %v", key, err)
@@ -170,15 +140,15 @@ func Run(ctx context.Context, cfg Config) (*Study, error) {
 	}
 	st := &Study{
 		Seed:        cfg.Seed,
-		Work:        cfg.Work,
-		RaceWork:    cfg.RaceWork,
+		Work:        sweepWork,
+		RaceWork:    cfg.raceWork(),
 		Intensities: grid,
 	}
 	for _, r := range results {
 		st.OptFreq = append(st.OptFreq, r.double, r.single)
 		st.RaceIdle = append(st.RaceIdle, r.races...)
 	}
-	disp, err := dispatchTable(grid, cfg.Work)
+	disp, err := dispatchTable(grid, sweepWork)
 	if err != nil {
 		return nil, err
 	}

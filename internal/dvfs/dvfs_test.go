@@ -224,22 +224,6 @@ func TestDispatchPrefersDownclockAtLowIntensityFullClockAtHigh(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	ctx := context.Background()
-	if _, err := Run(ctx, Config{Machines: []string{"nope"}}); err == nil {
-		t.Fatal("unknown machine accepted")
-	}
-	if _, err := Run(ctx, Config{Machines: []string{"fermi"}}); err == nil {
-		t.Fatal("curveless machine accepted")
-	}
-	if _, err := Run(ctx, Config{Points: 1}); err == nil {
-		t.Fatal("degenerate grid accepted")
-	}
-	if _, err := Run(ctx, Config{LoIntensity: 4, HiIntensity: 2}); err == nil {
-		t.Fatal("inverted intensity range accepted")
-	}
-}
-
 func TestStudyShape(t *testing.T) {
 	st, err := Run(context.Background(), Config{Fast: true})
 	if err != nil {

@@ -184,7 +184,7 @@ func raceIdleCases(m *machine.Machine, key string, cfg Config, seed int64) ([]Ra
 func raceIdleCase(m *machine.Machine, key, scenario string, idleW float64, cfg Config, seed int64) (RaceIdleCase, error) {
 	p := core.FromMachine(m, machine.Double)
 	intensity := 4 * p.BalanceTime()
-	k := core.KernelAt(cfg.RaceWork, intensity)
+	k := core.KernelAt(cfg.raceWork(), intensity)
 	curve := m.OperatingPoints
 	deadline := p.AtOperatingPoint(curve[0]).Time(k)
 
@@ -192,7 +192,7 @@ func raceIdleCase(m *machine.Machine, key, scenario string, idleW float64, cfg C
 		Machine:   key,
 		Scenario:  scenario,
 		Precision: machine.Double.String(),
-		WorkFlops: cfg.RaceWork,
+		WorkFlops: cfg.raceWork(),
 		Intensity: intensity,
 		DeadlineS: deadline,
 		IdleW:     idleW,

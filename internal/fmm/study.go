@@ -3,7 +3,6 @@ package fmm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 
 	"repro/internal/cache"
@@ -13,54 +12,42 @@ import (
 	"repro/internal/trace"
 )
 
+// The study's fixed ground truth. It runs on the GTX 580, as in the
+// paper.
+const (
+	// studyMaxDepth caps the octree depth.
+	studyMaxDepth = 8
+	// noiseSD is the relative energy-measurement noise.
+	noiseSD = 0.015
+	// sharedEnergyPerByte is the ground-truth scratchpad staging cost
+	// in Joules per byte (30 pJ).
+	sharedEnergyPerByte = 30e-12
+	// textureEnergyPerByte is the texture-path cost (90 pJ).
+	textureEnergyPerByte = 90e-12
+)
+
 // StudyConfig parameterises the §V-C energy-estimation study.
 type StudyConfig struct {
-	// Machine is the platform (defaults to the GTX 580, as in the paper).
-	Machine *machine.Machine
 	// N is the number of particles (default 4096).
 	N int
 	// LeafSize is q, the tree split threshold (default 256; the paper
 	// notes q is "typically on the order of hundreds or thousands").
 	LeafSize int
-	// MaxDepth caps the octree depth (default 8).
-	MaxDepth int
 	// Seed drives point generation and measurement noise.
 	Seed int64
 	// Variants is the population to study (default GenerateVariants()).
 	Variants []Variant
-	// NoiseSD is the relative energy-measurement noise (default 0.015).
-	NoiseSD float64
-	// SharedEnergyPerByte is the ground-truth scratchpad staging cost
-	// in Joules per byte (default 30 pJ).
-	SharedEnergyPerByte float64
-	// TextureEnergyPerByte is the texture-path cost (default 90 pJ).
-	TextureEnergyPerByte float64
 }
 
 func (c *StudyConfig) defaults() {
-	if c.Machine == nil {
-		c.Machine = machine.GTX580()
-	}
 	if c.N == 0 {
 		c.N = 4096
 	}
 	if c.LeafSize == 0 {
 		c.LeafSize = 256
 	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 8
-	}
 	if c.Variants == nil {
 		c.Variants = GenerateVariants()
-	}
-	if c.NoiseSD == 0 {
-		c.NoiseSD = 0.015
-	}
-	if c.SharedEnergyPerByte == 0 {
-		c.SharedEnergyPerByte = 30e-12
-	}
-	if c.TextureEnergyPerByte == 0 {
-		c.TextureEnergyPerByte = 90e-12
 	}
 }
 
@@ -142,16 +129,13 @@ func RunStudyCtx(ctx context.Context, cfg StudyConfig) (*StudyResult, error) {
 	ctx, study := trace.Start(ctx, "fmm.study")
 	study.Tag("n", cfg.N).Tag("variants", len(cfg.Variants))
 	defer study.End()
-	if len(cfg.Machine.Caches) == 0 {
-		return nil, fmt.Errorf("fmm: machine %s has no cache hierarchy", cfg.Machine.Name)
-	}
 	if len(cfg.Variants) == 0 {
 		return nil, errors.New("fmm: no variants")
 	}
 
 	pts := UniformPoints(cfg.N, cfg.Seed)
 	_, treeSpan := trace.Start(ctx, "fmm.tree")
-	tree, err := Build(pts, cfg.LeafSize, cfg.MaxDepth)
+	tree, err := Build(pts, cfg.LeafSize, studyMaxDepth)
 	if err != nil {
 		treeSpan.End()
 		return nil, err
@@ -161,25 +145,26 @@ func RunStudyCtx(ctx context.Context, cfg StudyConfig) (*StudyResult, error) {
 	w := Work(pairs)
 	treeSpan.Tag("pairs", pairs).End()
 
-	h, err := cache.FromMachine(cfg.Machine)
+	m := machine.GTX580()
+	h, err := cache.FromMachine(m)
 	if err != nil {
 		return nil, err
 	}
-	params := core.FromMachine(cfg.Machine, machine.Single)
-	peak := cfg.Machine.SP.PeakFlops
+	params := core.FromMachine(m, machine.Single)
+	peak := m.SP.PeakFlops
 	rng := stats.NewRand(cfg.Seed + 1)
 
 	// Ground-truth per-level cache energies from the machine description.
 	levelEnergy := map[string]float64{}
-	for _, cl := range cfg.Machine.Caches {
+	for _, cl := range m.Caches {
 		levelEnergy[cl.Name] = float64(cl.EnergyPerByte)
 	}
 
 	res := &StudyResult{
-		MachineName: cfg.Machine.Name,
+		MachineName: m.Name,
 		Pairs:       pairs,
 		W:           w,
-		TrueCachePJ: float64(cfg.Machine.Caches[0].EnergyPerByte) * 1e12,
+		TrueCachePJ: float64(m.Caches[0].EnergyPerByte) * 1e12,
 	}
 
 	_, replay := trace.Start(ctx, "fmm.cache_replay")
@@ -202,8 +187,8 @@ func RunStudyCtx(ctx context.Context, cfg StudyConfig) (*StudyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		trueE += tr.SharedBytes*cfg.SharedEnergyPerByte + tr.TextureBytes*cfg.TextureEnergyPerByte
-		measured := trueE * rng.RelNoise(cfg.NoiseSD)
+		trueE += tr.SharedBytes*sharedEnergyPerByte + tr.TextureBytes*textureEnergyPerByte
+		measured := trueE * rng.RelNoise(noiseSD)
 
 		// The estimator only sees counters: the paper derives Q from L2
 		// read misses, so eq. 2 uses DRAM read traffic.

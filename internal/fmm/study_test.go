@@ -232,9 +232,6 @@ func TestStudyReproducesSectionVC(t *testing.T) {
 }
 
 func TestStudyErrors(t *testing.T) {
-	if _, err := RunStudy(StudyConfig{Machine: machine.FermiTableII()}); err == nil {
-		t.Error("machine without caches accepted")
-	}
 	noRef := []Variant{{Layout: AoS, Staging: CacheOnly, TargetTile: 2, Unroll: 1, VectorWidth: 1}}
 	if _, err := RunStudy(StudyConfig{Variants: noRef, N: 64, LeafSize: 16}); err == nil {
 		t.Error("population without reference accepted")

@@ -42,6 +42,19 @@ const (
 // Quantity names, in report order.
 var quantityNames = []string{"time", "energy", "power"}
 
+// The held-out scoring grid and the breakdown threshold.
+const (
+	// evalLoIntensity and evalHiIntensity bound the held-out grid in
+	// flop/byte: wider than the training grid, so the scorecard also
+	// probes extrapolation.
+	evalLoIntensity, evalHiIntensity = 0.125, 128
+	// evalWork is the per-point flop count of the held-out grid.
+	evalWork = 1e9
+	// threshold is the relative error above which a grid point counts
+	// toward a breakdown region.
+	threshold = 0.05
+)
+
 // Config controls one scorecard run. Zero fields take defaults.
 type Config struct {
 	// Machines are the catalog keys to score (default: whole catalog,
@@ -50,20 +63,11 @@ type Config struct {
 	// FitPoints and FitReps size the blackbox training campaign
 	// (defaults 9 and 8; see model.FitConfig).
 	FitPoints, FitReps int
-	// EvalLoIntensity and EvalHiIntensity bound the held-out scoring
-	// grid in flop/byte (defaults 0.125 and 128 — wider than the
-	// training grid, so the scorecard also probes extrapolation).
-	EvalLoIntensity, EvalHiIntensity float64
 	// EvalPoints is the held-out grid size (default 17).
 	EvalPoints int
 	// EvalReps is the measurement repetitions per held-out point
 	// (default 5).
 	EvalReps int
-	// EvalWork is the per-point flop count (default 1e9).
-	EvalWork float64
-	// Threshold is the relative error above which a grid point counts
-	// toward a breakdown region (default 0.05).
-	Threshold float64
 	// Seed roots every derived noise stream (default 7).
 	Seed int64
 	// Workers bounds how many (machine, precision) cells are scored
@@ -87,23 +91,11 @@ func (c Config) withDefaults() Config {
 	if c.FitReps == 0 {
 		c.FitReps = 8
 	}
-	if c.EvalLoIntensity == 0 {
-		c.EvalLoIntensity = 0.125
-	}
-	if c.EvalHiIntensity == 0 {
-		c.EvalHiIntensity = 128
-	}
 	if c.EvalPoints == 0 {
 		c.EvalPoints = 17
 	}
 	if c.EvalReps == 0 {
 		c.EvalReps = 5
-	}
-	if c.EvalWork == 0 {
-		c.EvalWork = 1e9
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.05
 	}
 	if c.Seed == 0 {
 		c.Seed = 7
@@ -216,9 +208,6 @@ func Run(ctx context.Context, cfg Config) (*Scorecard, error) {
 	if cfg.EvalPoints < 2 {
 		return nil, fmt.Errorf("scorecard: eval_points must be >= 2, got %d", cfg.EvalPoints)
 	}
-	if !(cfg.EvalLoIntensity > 0 && cfg.EvalHiIntensity > cfg.EvalLoIntensity) {
-		return nil, fmt.Errorf("scorecard: bad eval intensity range [%g, %g]", cfg.EvalLoIntensity, cfg.EvalHiIntensity)
-	}
 	cat := machine.Catalog()
 	var cells []cell
 	for _, key := range cfg.Machines {
@@ -227,7 +216,7 @@ func Run(ctx context.Context, cfg Config) (*Scorecard, error) {
 		}
 		cells = append(cells, cell{key, machine.Double}, cell{key, machine.Single})
 	}
-	grid := core.LogGrid(cfg.EvalLoIntensity, cfg.EvalHiIntensity, cfg.EvalPoints)
+	grid := core.LogGrid(evalLoIntensity, evalHiIntensity, cfg.EvalPoints)
 	cards, err := parallel.Map(ctx, len(cells), cfg.Workers, func(ctx context.Context, i int) (Card, error) {
 		return scoreCell(cfg, cells[i], uint64(i), grid)
 	})
@@ -236,8 +225,8 @@ func Run(ctx context.Context, cfg Config) (*Scorecard, error) {
 	}
 	return &Scorecard{
 		Seed:        cfg.Seed,
-		Threshold:   cfg.Threshold,
-		EvalWork:    cfg.EvalWork,
+		Threshold:   threshold,
+		EvalWork:    evalWork,
 		EvalReps:    cfg.EvalReps,
 		Intensities: grid,
 		Cards:       cards,
@@ -274,7 +263,7 @@ func scoreCell(cfg Config, cl cell, idx uint64, grid []float64) (Card, error) {
 	w := make([]float64, n)
 	q := make([]float64, n)
 	for j := range w {
-		w[j] = cfg.EvalWork
+		w[j] = evalWork
 	}
 	core.QAtInto(q, w, grid)
 	measT := make([]float64, n)
@@ -348,8 +337,8 @@ func scoreCell(cfg Config, cl cell, idx uint64, grid []float64) (Card, error) {
 			qt.Winner = model.BlackboxName
 		}
 		card.Quantities = append(card.Quantities, qt)
-		card.Breakdown = append(card.Breakdown, regions(model.AnalyticName, name, grid, anErr, cfg.Threshold)...)
-		card.Breakdown = append(card.Breakdown, regions(model.BlackboxName, name, grid, bbErr, cfg.Threshold)...)
+		card.Breakdown = append(card.Breakdown, regions(model.AnalyticName, name, grid, anErr)...)
+		card.Breakdown = append(card.Breakdown, regions(model.BlackboxName, name, grid, bbErr)...)
 	}
 	card.Selected = card.Quantity("energy").Winner
 	return card, nil
@@ -374,7 +363,7 @@ func summarise(errs []float64) ErrorStats {
 }
 
 // regions finds the contiguous grid runs where errs exceeds threshold.
-func regions(modelName, quantity string, grid, errs []float64, threshold float64) []Region {
+func regions(modelName, quantity string, grid, errs []float64) []Region {
 	var out []Region
 	for i := 0; i < len(grid); {
 		if errs[i] <= threshold {

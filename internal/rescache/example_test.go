@@ -9,8 +9,8 @@ import (
 // ExampleCache shows the result cache standing alone: a miss, a Put of
 // the computed body, then a hit on the same canonical key.
 func ExampleCache() {
-	// 64 entries, 1 MiB of bodies, no TTL (so the clock is never read).
-	cache := rescache.New(64, 1<<20, 0, nil)
+	// At most 64 entries and 1 MiB of bodies.
+	cache := rescache.New(64, 1<<20)
 
 	// Keys are canonical request hashes: the key POST /v1/eval caches
 	// this request under.

@@ -20,7 +20,6 @@ package rescache
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -71,9 +70,9 @@ func EvalKey(machineKey, precision string, work, intensity float64) uint64 {
 }
 
 // Cache is the content-addressed LRU result cache: bodies keyed by
-// canonical request hash, bounded by entry count and total body bytes,
-// with an optional TTL. Determinism makes the TTL a residency bound,
-// never a staleness bound.
+// canonical request hash, bounded by entry count and total body bytes.
+// A body is a pure function of its key, so it never goes stale: Put is
+// the only way in and eviction the only way out.
 //
 // The entries live in one slab, a []entry whose int32 prev/next links
 // keep the recency order. Slot 0 is the sentinel: its next is the most
@@ -87,8 +86,6 @@ func EvalKey(machineKey, precision string, work, intensity float64) uint64 {
 type Cache struct {
 	maxEntries int
 	maxBytes   int64
-	ttl        time.Duration
-	now        func() time.Time
 	slots      []entry          // slots[0] is the sentinel
 	free       int32            // first free slot, chained through next; 0 when none
 	index      map[uint64]int32 // key → slot
@@ -98,73 +95,50 @@ type Cache struct {
 
 // Stats are a cache's lifetime counters.
 type Stats struct {
-	// Hits counts Get calls that returned a live body.
+	// Hits counts Get calls that returned a body.
 	Hits uint64
-	// Misses counts Get calls that found nothing (or an expired entry).
+	// Misses counts Get calls that found nothing.
 	Misses uint64
 	// Evictions counts entries dropped to satisfy the size bounds.
 	Evictions uint64
-	// Expirations counts entries dropped because their TTL passed.
-	Expirations uint64
 }
 
 // entry is one slab slot: a cached response body and its recency links.
 type entry struct {
 	key        uint64
 	body       []byte
-	expires    time.Time // zero when the cache has no TTL
-	prev, next int32     // slot indices; slot 0 is the sentinel
+	prev, next int32 // slot indices; slot 0 is the sentinel
 }
 
 // New builds a cache holding at most maxEntries bodies and maxBytes
-// total body bytes; entries older than ttl are dropped on access
-// (ttl <= 0 disables expiry, and then now is never read). now is
-// injectable for tests; nil means time.Now.
-func New(maxEntries int, maxBytes int64, ttl time.Duration, now func() time.Time) *Cache {
-	if now == nil {
-		now = time.Now
-	}
+// total body bytes.
+func New(maxEntries int, maxBytes int64) *Cache {
 	return &Cache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
-		ttl:        ttl,
-		now:        now,
 		slots:      make([]entry, 1),
 		index:      map[uint64]int32{},
 	}
 }
 
-// live reports whether e has not expired.
-func (c *Cache) live(e *entry) bool {
-	return c.ttl <= 0 || !c.now().After(e.expires)
-}
-
 // Get returns the cached body for key and marks it most recently used.
-// Expired entries are removed and reported as misses.
 func (c *Cache) Get(key uint64) ([]byte, bool) {
 	i, ok := c.index[key]
 	if !ok {
 		c.stats.Misses++
 		return nil, false
 	}
-	e := &c.slots[i]
-	if !c.live(e) {
-		c.remove(i)
-		c.stats.Expirations++
-		c.stats.Misses++
-		return nil, false
-	}
 	c.touch(i)
 	c.stats.Hits++
-	return e.body, true
+	return c.slots[i].body, true
 }
 
-// Peek reports whether key holds a live entry without touching recency
+// Peek reports whether key holds an entry without touching recency
 // order or the counters — the read a router uses to ask "would this
 // replica hit?" before committing a request.
 func (c *Cache) Peek(key uint64) bool {
-	i, ok := c.index[key]
-	return ok && c.live(&c.slots[i])
+	_, ok := c.index[key]
+	return ok
 }
 
 // Put stores body under key, evicting least-recently-used entries until
@@ -174,11 +148,11 @@ func (c *Cache) Put(key uint64, body []byte) {
 		return
 	}
 	if i, ok := c.index[key]; ok {
-		// Same key means same body: refresh recency and expiry rather
-		// than storing a duplicate.
+		// Same key means same body: refresh recency rather than
+		// storing a duplicate.
 		e := &c.slots[i]
 		c.bytes += int64(len(body)) - int64(len(e.body))
-		e.body, e.expires = body, c.expiry()
+		e.body = body
 		c.touch(i)
 		return
 	}
@@ -189,7 +163,7 @@ func (c *Cache) Put(key uint64, body []byte) {
 		i = int32(len(c.slots))
 		c.slots = append(c.slots, entry{})
 	}
-	c.slots[i] = entry{key: key, body: body, expires: c.expiry()}
+	c.slots[i] = entry{key: key, body: body}
 	c.pushFront(i)
 	c.index[key] = i
 	c.bytes += int64(len(body))
@@ -198,14 +172,6 @@ func (c *Cache) Put(key uint64, body []byte) {
 		c.remove(c.slots[0].prev)
 		c.stats.Evictions++
 	}
-}
-
-// expiry returns the deadline for an entry stored now.
-func (c *Cache) expiry() time.Time {
-	if c.ttl <= 0 {
-		return time.Time{}
-	}
-	return c.now().Add(c.ttl)
 }
 
 // pushFront links slot i in as the most recently used entry.

@@ -4,19 +4,9 @@ import (
 	"bytes"
 	"container/list"
 	"testing"
-	"time"
 
 	"repro/internal/stats"
 )
-
-// fakeClock is an injectable, manually advanced time source.
-type fakeClock struct{ t time.Time }
-
-// now returns the current fake time.
-func (c *fakeClock) now() time.Time { return c.t }
-
-// advance moves the fake clock forward.
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // TestEvalKeyPinned pins the default /v1/eval key to the literal the
 // server reports in X-Request-Hash for the same request.
@@ -27,7 +17,7 @@ func TestEvalKeyPinned(t *testing.T) {
 }
 
 func TestCacheLRUEvictionOrder(t *testing.T) {
-	c := New(3, 1<<20, 0, nil)
+	c := New(3, 1<<20)
 	c.Put(1, []byte("one"))
 	c.Put(2, []byte("two"))
 	c.Put(3, []byte("three"))
@@ -53,7 +43,7 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 }
 
 func TestCacheByteBound(t *testing.T) {
-	c := New(100, 10, 0, nil)
+	c := New(100, 10)
 	c.Put(1, []byte("aaaa")) // 4 bytes
 	c.Put(2, []byte("bbbb")) // 8 total
 	c.Put(3, []byte("cccc")) // 12 total -> evict key 1
@@ -73,53 +63,8 @@ func TestCacheByteBound(t *testing.T) {
 	}
 }
 
-func TestCacheTTLExpiry(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	c := New(10, 1<<20, time.Minute, clk.now)
-	c.Put(1, []byte("body"))
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	clk.advance(59 * time.Second)
-	if _, ok := c.Get(1); !ok {
-		t.Error("entry expired before its TTL")
-	}
-	clk.advance(2 * time.Second) // 61s > 60s TTL
-	if _, ok := c.Get(1); ok {
-		t.Error("entry survived past its TTL")
-	}
-	s := c.Stats()
-	if s.Expirations != 1 {
-		t.Errorf("expirations = %d, want 1", s.Expirations)
-	}
-	if c.Len() != 0 || c.SizeBytes() != 0 {
-		t.Errorf("expired entry not removed: len %d, bytes %d", c.Len(), c.SizeBytes())
-	}
-	// Re-putting the same key refreshes the expiry.
-	c.Put(1, []byte("body"))
-	clk.advance(30 * time.Second)
-	c.Put(1, []byte("body"))
-	clk.advance(45 * time.Second) // 75s after first put, 45s after refresh
-	if _, ok := c.Get(1); !ok {
-		t.Error("refreshed entry expired on the stale deadline")
-	}
-}
-
-// TestCacheNoTTLNeverReadsClock pins that a cache without a TTL never
-// calls now, so a caller without a meaningful clock can pass any.
-func TestCacheNoTTLNeverReadsClock(t *testing.T) {
-	c := New(2, 1<<20, 0, func() time.Time { panic("clock read without a TTL") })
-	c.Put(1, []byte("one"))
-	c.Put(1, []byte("one"))
-	c.Put(2, []byte("two"))
-	c.Put(3, []byte("three"))
-	c.Get(1)
-	c.Get(3)
-	c.Peek(2)
-}
-
 func TestCacheStatsAndDuplicatePut(t *testing.T) {
-	c := New(10, 1<<20, 0, nil)
+	c := New(10, 1<<20)
 	if _, ok := c.Get(7); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -142,10 +87,9 @@ func TestCacheStatsAndDuplicatePut(t *testing.T) {
 }
 
 // TestCachePeek pins Peek's contract: no recency bump, no counter
-// movement, TTL respected — the router-side "would this hit?" probe.
+// movement — the router-side "would this hit?" probe.
 func TestCachePeek(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	c := New(2, 1<<20, time.Minute, clk.now)
+	c := New(2, 1<<20)
 	if c.Peek(1) {
 		t.Error("Peek hit on an empty cache")
 	}
@@ -167,11 +111,6 @@ func TestCachePeek(t *testing.T) {
 	c.Peek(99)
 	if after := c.Stats(); after != before {
 		t.Errorf("Peek moved counters: %+v -> %+v", before, after)
-	}
-	// Peek respects the TTL.
-	clk.advance(2 * time.Minute)
-	if c.Peek(2) {
-		t.Error("Peek hit an expired entry")
 	}
 }
 
@@ -217,11 +156,10 @@ func checkSlab(t *testing.T, c *Cache) {
 // container/list oracle through the same random operation sequences:
 // Put with bodies from empty to longer than the byte bound, over a key
 // universe small enough that refreshes and evictions are common; Get;
-// Peek; and clock advances past the TTL. Bounds include zero- and
-// one-entry caches and byte bounds of a few bytes, and half the trials
-// have a TTL. After every operation the return values, Len, SizeBytes
-// and every Stats counter must agree, and the slab must account for
-// every slot. 200 seeded trials.
+// and Peek. Bounds include zero- and one-entry caches and byte bounds
+// of a few bytes. After every operation the return values, Len,
+// SizeBytes and every Stats counter must agree, and the slab must
+// account for every slot. 200 seeded trials.
 func TestCacheMatchesListOracle(t *testing.T) {
 	pool := make([]byte, 1024)
 	for i := range pool {
@@ -233,18 +171,13 @@ func TestCacheMatchesListOracle(t *testing.T) {
 		r := stats.DeriveRand(int64(trial), stats.HashLabel("rescache-oracle"))
 		maxEntries := entryBounds[r.Intn(len(entryBounds))]
 		maxBytes := byteBounds[r.Intn(len(byteBounds))]
-		var ttl time.Duration
-		if r.Intn(2) == 0 {
-			ttl = time.Duration(1+r.Intn(10)) * time.Second
-		}
-		clk := &fakeClock{t: time.Unix(1000, 0)}
-		c := New(maxEntries, maxBytes, ttl, clk.now)
-		ref := newListCache(maxEntries, maxBytes, ttl, clk.now)
+		c := New(maxEntries, maxBytes)
+		ref := newListCache(maxEntries, maxBytes)
 		keys := 1 + r.Intn(2*maxEntries+4)
 		maxLen := int(min(maxBytes, 200)) + 3
 		for op := 0; op < 2000; op++ {
 			key := uint64(r.Intn(keys))
-			switch n := r.Intn(10); {
+			switch n := r.Intn(9); {
 			case n < 4:
 				off := r.Intn(len(pool) - maxLen)
 				body := pool[off : off+r.Intn(maxLen+1)]
@@ -256,12 +189,10 @@ func TestCacheMatchesListOracle(t *testing.T) {
 				if ok != wantOK || !bytes.Equal(got, want) {
 					t.Fatalf("trial %d op %d: Get(%d) = %q, %v; oracle %q, %v", trial, op, key, got, ok, want, wantOK)
 				}
-			case n < 9:
+			default:
 				if got, want := c.Peek(key), ref.Peek(key); got != want {
 					t.Fatalf("trial %d op %d: Peek(%d) = %v; oracle %v", trial, op, key, got, want)
 				}
-			default:
-				clk.advance(time.Duration(r.Int63n(int64(3 * time.Second))))
 			}
 			if c.Len() != ref.Len() || c.SizeBytes() != ref.SizeBytes() || c.Stats() != ref.Stats() {
 				t.Fatalf("trial %d op %d: len %d, bytes %d, %+v; oracle len %d, bytes %d, %+v",
@@ -274,48 +205,46 @@ func TestCacheMatchesListOracle(t *testing.T) {
 
 // TestCacheWarmAllocatesNothing pins what the slab is for: on a full
 // cache, a Put that evicts, a Get hit that relinks its entry and a Peek
-// each allocate nothing, with and without a TTL. Afterwards the cache
-// must hold exactly the newest keys, so every Put evicted the least
-// recently used one, and the slab must not have grown.
+// each allocate nothing. Afterwards the cache must hold exactly the
+// newest keys, so every Put evicted the least recently used one, and
+// the slab must not have grown.
 func TestCacheWarmAllocatesNothing(t *testing.T) {
 	const n = 64
 	body := make([]byte, 256)
-	for _, ttl := range []time.Duration{0, time.Hour} {
-		c := New(n, 1<<20, ttl, nil)
-		next := uint64(0)
-		put := func() { c.Put(next, body); next++ }
-		for next < n {
-			put()
-		}
-		if a := testing.AllocsPerRun(1000, put); a != 0 {
-			t.Errorf("ttl %v: Put with eviction allocates %v per call", ttl, a)
-		}
-		for k := next - n; k < next; k++ {
-			if !c.Peek(k) {
-				t.Fatalf("ttl %v: key %d of the newest %d was evicted", ttl, k, n)
-			}
-		}
-		// Get the least recently used entry each time, so every hit
-		// relinks.
-		g := uint64(0)
-		get := func() {
-			if _, ok := c.Get(next - n + g%n); !ok {
-				t.Fatalf("ttl %v: Get(%d) missed", ttl, next-n+g%n)
-			}
-			g++
-		}
-		if a := testing.AllocsPerRun(1000, get); a != 0 {
-			t.Errorf("ttl %v: Get hit allocates %v per call", ttl, a)
-		}
-		if a := testing.AllocsPerRun(1000, func() { c.Peek(next - 1) }); a != 0 {
-			t.Errorf("ttl %v: Peek allocates %v per call", ttl, a)
-		}
-		if c.Len() != n || c.Stats().Evictions != next-n {
-			t.Errorf("ttl %v: %d entries and %d evictions after %d Puts, want %d and %d",
-				ttl, c.Len(), c.Stats().Evictions, next, n, next-n)
-		}
-		checkSlab(t, c)
+	c := New(n, 1<<20)
+	next := uint64(0)
+	put := func() { c.Put(next, body); next++ }
+	for next < n {
+		put()
 	}
+	if a := testing.AllocsPerRun(1000, put); a != 0 {
+		t.Errorf("Put with eviction allocates %v per call", a)
+	}
+	for k := next - n; k < next; k++ {
+		if !c.Peek(k) {
+			t.Fatalf("key %d of the newest %d was evicted", k, n)
+		}
+	}
+	// Get the least recently used entry each time, so every hit
+	// relinks.
+	g := uint64(0)
+	get := func() {
+		if _, ok := c.Get(next - n + g%n); !ok {
+			t.Fatalf("Get(%d) missed", next-n+g%n)
+		}
+		g++
+	}
+	if a := testing.AllocsPerRun(1000, get); a != 0 {
+		t.Errorf("Get hit allocates %v per call", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() { c.Peek(next - 1) }); a != 0 {
+		t.Errorf("Peek allocates %v per call", a)
+	}
+	if c.Len() != n || c.Stats().Evictions != next-n {
+		t.Errorf("%d entries and %d evictions after %d Puts, want %d and %d",
+			c.Len(), c.Stats().Evictions, next, n, next-n)
+	}
+	checkSlab(t, c)
 }
 
 // BenchmarkCacheZipf prices one cache-aside step, a Get and on a miss
@@ -338,7 +267,7 @@ func BenchmarkCacheZipf(b *testing.B) {
 			for i := range keys {
 				keys[i] = stats.SplitMix64(uint64(z.Sample(r)))
 			}
-			c := New(size.entries, 1<<30, 0, nil)
+			c := New(size.entries, 1<<30)
 			body := make([]byte, 256)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -354,20 +283,17 @@ func BenchmarkCacheZipf(b *testing.B) {
 
 // listCache is the container/list LRU that the slab Cache replaced,
 // kept as the oracle TestCacheMatchesListOracle holds Cache to. Apart
-// from its names and this paragraph it is the replaced code verbatim.
+// from its names, this paragraph and the TTL both have since dropped,
+// it is the replaced code verbatim.
 //
 // listCache is the content-addressed LRU result cache: bodies keyed by
-// canonical request hash, bounded by entry count and total body bytes,
-// with an optional TTL. Determinism makes the TTL a residency bound,
-// never a staleness bound.
+// canonical request hash, bounded by entry count and total body bytes.
 //
 // A listCache is not safe for concurrent use; callers that share one hold
 // their own lock.
 type listCache struct {
 	maxEntries int
 	maxBytes   int64
-	ttl        time.Duration
-	now        func() time.Time
 	ll         *list.List // front = most recently used
 	index      map[uint64]*list.Element
 	bytes      int64
@@ -376,60 +302,39 @@ type listCache struct {
 
 // listEntry is one cached response body.
 type listEntry struct {
-	key     uint64
-	body    []byte
-	expires time.Time // zero when the cache has no TTL
+	key  uint64
+	body []byte
 }
 
 // newListCache builds a cache holding at most maxEntries bodies and maxBytes
-// total body bytes; entries older than ttl are dropped on access
-// (ttl <= 0 disables expiry, and then now is never read). now is
-// injectable for tests; nil means time.Now.
-func newListCache(maxEntries int, maxBytes int64, ttl time.Duration, now func() time.Time) *listCache {
-	if now == nil {
-		now = time.Now
-	}
+// total body bytes.
+func newListCache(maxEntries int, maxBytes int64) *listCache {
 	return &listCache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
-		ttl:        ttl,
-		now:        now,
 		ll:         list.New(),
 		index:      map[uint64]*list.Element{},
 	}
 }
 
-// live reports whether e has not expired.
-func (c *listCache) live(e *listEntry) bool {
-	return e.expires.IsZero() || !c.now().After(e.expires)
-}
-
 // Get returns the cached body for key and marks it most recently used.
-// Expired entries are removed and reported as misses.
 func (c *listCache) Get(key uint64) ([]byte, bool) {
 	el, ok := c.index[key]
 	if !ok {
 		c.stats.Misses++
 		return nil, false
 	}
-	e := el.Value.(*listEntry)
-	if !c.live(e) {
-		c.remove(el)
-		c.stats.Expirations++
-		c.stats.Misses++
-		return nil, false
-	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
-	return e.body, true
+	return el.Value.(*listEntry).body, true
 }
 
-// Peek reports whether key holds a live listEntry without touching recency
+// Peek reports whether key holds a listEntry without touching recency
 // order or the counters — the read a router uses to ask "would this
 // replica hit?" before committing a request.
 func (c *listCache) Peek(key uint64) bool {
-	el, ok := c.index[key]
-	return ok && c.live(el.Value.(*listEntry))
+	_, ok := c.index[key]
+	return ok
 }
 
 // Put stores body under key, evicting least-recently-used entries until
@@ -439,29 +344,21 @@ func (c *listCache) Put(key uint64, body []byte) {
 		return
 	}
 	if el, ok := c.index[key]; ok {
-		// Same key means same body: refresh recency and expiry rather
-		// than storing a duplicate.
+		// Same key means same body: refresh recency rather than
+		// storing a duplicate.
 		e := el.Value.(*listEntry)
 		c.bytes += int64(len(body)) - int64(len(e.body))
-		e.body, e.expires = body, c.expiry()
+		e.body = body
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.index[key] = c.ll.PushFront(&listEntry{key: key, body: body, expires: c.expiry()})
+	c.index[key] = c.ll.PushFront(&listEntry{key: key, body: body})
 	c.bytes += int64(len(body))
 	// The new listEntry fits both bounds alone, so eviction stops before it.
 	for c.ll.Len() > c.maxEntries || c.bytes > c.maxBytes {
 		c.remove(c.ll.Back())
 		c.stats.Evictions++
 	}
-}
-
-// expiry returns the deadline for an listEntry stored now.
-func (c *listCache) expiry() time.Time {
-	if c.ttl <= 0 {
-		return time.Time{}
-	}
-	return c.now().Add(c.ttl)
 }
 
 // remove unlinks one listEntry.

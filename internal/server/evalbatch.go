@@ -47,8 +47,8 @@ func (s *Server) checkEvalBatch(q *evalBatchRequest) error {
 	if n == 0 {
 		return badRequest("evalbatch: need at least one intensity")
 	}
-	if n > s.cfg.MaxBatchPoints {
-		return badRequest("evalbatch: %d points exceed this server's limit of %d", n, s.cfg.MaxBatchPoints)
+	if n > maxBatchPoints {
+		return badRequest("evalbatch: %d points exceed this server's limit of %d", n, maxBatchPoints)
 	}
 	switch len(q.Work) {
 	case 0:
@@ -92,7 +92,7 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	// a flight leader evaluates synchronously inside serve, on sc, so
 	// nothing retains them past this defer.
 	defer batchScratchPool.Put(sc)
-	bp, err := readBody(r, s.cfg.MaxBodyBytes)
+	bp, err := readBody(r, maxBodyBytes)
 	if err == nil {
 		err = decodeEvalBatchRequest(*bp, &q, sc)
 		releaseBody(bp)

@@ -172,7 +172,8 @@ func TestEvalBatchCoalescing64(t *testing.T) {
 // bodies, unknown machines/precisions, empty and oversized batches,
 // ragged columns, and non-positive points.
 func TestEvalBatchRejectsBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatchPoints: 8})
+	_, ts := newTestServer(t, Config{})
+	oversized := `{"machine":"gtx580","intensities":[1` + strings.Repeat(",1", maxBatchPoints) + `]}`
 	cases := []struct {
 		name, body, wantErr string
 	}{
@@ -183,7 +184,7 @@ func TestEvalBatchRejectsBadRequests(t *testing.T) {
 		{"unknown precision", `{"machine":"gtx580","precision":"half","intensities":[1]}`, "unknown precision"},
 		{"empty batch", `{"machine":"gtx580","intensities":[]}`, "at least one intensity"},
 		{"missing intensities", `{"machine":"gtx580"}`, "at least one intensity"},
-		{"oversized batch", `{"machine":"gtx580","intensities":[1,2,3,4,5,6,7,8,9]}`, "server's limit"},
+		{"oversized batch", oversized, "server's limit"},
 		{"ragged work column", `{"machine":"gtx580","work":[1e9],"intensities":[1,2]}`, "work has 1 entries but intensities has 2"},
 		{"zero intensity", `{"machine":"gtx580","intensities":[1,0]}`, "intensities[1] must be positive"},
 		{"negative work", `{"machine":"gtx580","work":[1e9,-1],"intensities":[1,2]}`, "work[1] must be positive"},

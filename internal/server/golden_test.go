@@ -42,7 +42,7 @@ func fmtFloats(vs []float64) string {
 // at both precisions under the default, explicit-analytic and blackbox
 // models; inputs and outputs on both sides of encoding/json's 1e-6 and
 // 1e21 float-format switches; default and explicit work; batches full
-// of repeated values; and one batch of MaxBatchPoints distinct points,
+// of repeated values; and one batch of maxBatchPoints distinct points,
 // whose floats far outnumber any per-response memo table.
 func goldenBodyCases() []goldenBodyCase {
 	var cases []goldenBodyCase
@@ -112,8 +112,8 @@ func goldenBodyCases() []goldenBodyCase {
 	batch("repeats/work", "fermi", "single", "", []float64{1e9, 1e9, 2e9, 2e9, 1e9}, []float64{8, 8, 8, 8, 64})
 	batch("repeats/blackbox", "future", "double", "blackbox", nil, []float64{2, 2, 2, 512, 512})
 
-	// One full-size batch: MaxBatchPoints distinct points.
-	n := DefaultConfig().MaxBatchPoints
+	// One full-size batch: maxBatchPoints distinct points.
+	n := maxBatchPoints
 	fw, fx := make([]float64, n), make([]float64, n)
 	for i := range fx {
 		fw[i] = 1e9 + float64(i)*7919.5

@@ -7,15 +7,15 @@
 // two ways:
 //
 //   - Responses are content-addressable. A canonical request hash
-//     keys one store: an in-memory LRU cache with TTL and size bounds
-//     and the table of in-progress computations, striped together over
-//     16 locked stripes. The key and the cache are internal/rescache,
+//     keys one store: an in-memory LRU cache with size bounds and the
+//     table of in-progress computations, striped together over 16
+//     locked stripes. The key and the cache are internal/rescache,
 //     the core the fleet simulator shares.
 //   - Every POST endpoint answers through one miss path (serve): a
 //     cache hit serves the exact bytes a fresh computation would
 //     produce; concurrent identical misses coalesce into one flight,
 //     whose leader computes and caches the body and whose waiters share
-//     it. Each key is computed once until it is evicted or expires.
+//     it. Each key is computed once until it is evicted.
 //
 // Engine executions draw workers from one global parallel.Budget shared
 // across requests, so the machine is never oversubscribed: identical
@@ -84,33 +84,15 @@ type Config struct {
 	CacheEntries int
 	// CacheBytes bounds the result cache by total body bytes.
 	CacheBytes int64
-	// CacheTTL bounds how long a cached body stays resident. The cache
-	// is never stale — the engine is deterministic — so the TTL only
-	// bounds memory residency. <= 0 keeps the default.
-	CacheTTL time.Duration
 	// RequestTimeout bounds one engine execution; the run is cancelled
 	// between kernel executions when it expires.
 	RequestTimeout time.Duration
-	// MaxPoints caps a campaign request's intensity grid, rejecting
-	// oversized requests up front (service-level, stricter than the
-	// campaign.Validate allocation guard).
-	MaxPoints int
-	// MaxReps caps a campaign request's repetitions per point.
-	MaxReps int
-	// MaxBatchPoints caps the number of points in one /v1/evalbatch
-	// request.
-	MaxBatchPoints int
-	// MaxBodyBytes caps a request body.
-	MaxBodyBytes int64
 	// Debug enables the observability surface: per-request span tracing
-	// into a bounded ring buffer, GET /debug/trace, the net/http/pprof
-	// handlers under /debug/pprof/, and span_* latency histograms on
-	// GET /metrics. Off by default; when off, tracing costs nothing.
+	// into a bounded ring buffer of trace.DefaultCapacity spans (oldest
+	// dropped first), GET /debug/trace, the net/http/pprof handlers
+	// under /debug/pprof/, and span_* latency histograms on GET
+	// /metrics. Off by default; when off, tracing costs nothing.
 	Debug bool
-	// TraceCapacity bounds the span ring buffer when Debug is set
-	// (<= 0 means trace.DefaultCapacity). Oldest spans are dropped
-	// first; the drop count is reported in the export.
-	TraceCapacity int
 }
 
 // DefaultConfig returns the production defaults.
@@ -119,14 +101,25 @@ func DefaultConfig() Config {
 		Workers:        0, // one per CPU
 		CacheEntries:   256,
 		CacheBytes:     64 << 20,
-		CacheTTL:       15 * time.Minute,
 		RequestTimeout: 2 * time.Minute,
-		MaxPoints:      4096,
-		MaxReps:        4096,
-		MaxBatchPoints: 4096,
-		MaxBodyBytes:   1 << 20,
 	}
 }
+
+// The request limits are fixed: they reject oversized input from
+// outside the program before any work is done.
+const (
+	// maxPoints caps a campaign request's intensity grid
+	// (service-level, stricter than the campaign.Validate allocation
+	// guard).
+	maxPoints = 4096
+	// maxReps caps a campaign request's repetitions per point.
+	maxReps = 4096
+	// maxBatchPoints caps the number of points in one /v1/evalbatch
+	// request.
+	maxBatchPoints = 4096
+	// maxBodyBytes caps a request body.
+	maxBodyBytes = 1 << 20
+)
 
 // engineFunc is the campaign engine the server drives; tests substitute
 // a counting stub to assert coalescing and cache behaviour.
@@ -179,29 +172,14 @@ func New(cfg Config) *Server {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = def.CacheBytes
 	}
-	if cfg.CacheTTL == 0 {
-		cfg.CacheTTL = def.CacheTTL
-	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = def.RequestTimeout
-	}
-	if cfg.MaxPoints == 0 {
-		cfg.MaxPoints = def.MaxPoints
-	}
-	if cfg.MaxReps == 0 {
-		cfg.MaxReps = def.MaxReps
-	}
-	if cfg.MaxBatchPoints == 0 {
-		cfg.MaxBatchPoints = def.MaxBatchPoints
-	}
-	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = def.MaxBodyBytes
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
 		budget:  parallel.NewBudget(cfg.Workers),
-		store:   newStore(stripes, cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL, nil),
+		store:   newStore(stripes, cfg.CacheEntries, cfg.CacheBytes),
 		reg:     metrics.NewRegistry(),
 		engine:  campaign.RunParallel,
 		baseCtx: ctx,
@@ -222,7 +200,6 @@ func New(cfg Config) *Server {
 	s.mLatCampaign = s.reg.Latency("latency_campaign")
 	if cfg.Debug {
 		s.tracer = trace.New(trace.Config{
-			Capacity: cfg.TraceCapacity,
 			Observer: func(name string, d time.Duration) {
 				s.reg.Latency("span_" + strings.ReplaceAll(name, ".", "_")).Observe(d)
 			},
@@ -437,7 +414,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	defer sp.End()
 
 	var q evalRequest
-	bp, err := readBody(r, s.cfg.MaxBodyBytes)
+	bp, err := readBody(r, maxBodyBytes)
 	if err == nil {
 		err = decodeEvalRequest(*bp, &q)
 		releaseBody(bp)
@@ -468,11 +445,11 @@ func (s *Server) checkCampaign(cfg campaign.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return badRequest("%v", err)
 	}
-	if cfg.Points > s.cfg.MaxPoints {
-		return badRequest("campaign: %d grid points exceed this server's limit of %d", cfg.Points, s.cfg.MaxPoints)
+	if cfg.Points > maxPoints {
+		return badRequest("campaign: %d grid points exceed this server's limit of %d", cfg.Points, maxPoints)
 	}
-	if cfg.Reps > s.cfg.MaxReps {
-		return badRequest("campaign: %d reps exceed this server's limit of %d", cfg.Reps, s.cfg.MaxReps)
+	if cfg.Reps > maxReps {
+		return badRequest("campaign: %d reps exceed this server's limit of %d", cfg.Reps, maxReps)
 	}
 	return nil
 }
@@ -489,7 +466,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	defer sp.End()
 
 	var cfg campaign.Config
-	if err := decodeBody(r, s.cfg.MaxBodyBytes, &cfg); err != nil {
+	if err := decodeBody(r, &cfg); err != nil {
 		sp.Tag("error", "bad_body")
 		s.writeError(w, err)
 		return
@@ -575,7 +552,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("cache_entries").Set(int64(st.entries))
 	s.reg.Gauge("cache_bytes").Set(st.bytes)
 	s.reg.Gauge("cache_evictions").Set(int64(st.Evictions))
-	s.reg.Gauge("cache_expirations").Set(int64(st.Expirations))
 	s.reg.Gauge("workers_budget").Set(int64(s.budget.Cap()))
 	s.reg.Gauge("workers_in_use").Set(int64(s.budget.InUse()))
 	s.reg.Gauge("flights_in_flight").Set(int64(st.flights))
@@ -603,9 +579,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeBody strictly decodes one JSON value from the request body,
-// rejecting unknown fields, trailing garbage, and bodies over maxBytes.
-func decodeBody(r *http.Request, maxBytes int64, v any) error {
-	bp, err := readBody(r, maxBytes)
+// rejecting unknown fields, trailing garbage, and bodies over
+// maxBodyBytes.
+func decodeBody(r *http.Request, v any) error {
+	bp, err := readBody(r, maxBodyBytes)
 	if err == nil {
 		err = strictjson.Unmarshal(*bp, v)
 		releaseBody(bp)

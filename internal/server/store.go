@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/rescache"
 )
@@ -22,7 +21,7 @@ import (
 // retires the flight. No request can fall between the two — miss the
 // cache before the leader's put, then miss the flight after its
 // retirement — so a key is computed exactly once until its entry is
-// evicted or expires.
+// evicted.
 
 // stripes is the number of independently locked stripes the store
 // spreads keys over (power of two). The canonical hash's low bits pick
@@ -51,7 +50,7 @@ type flight struct {
 // store stripes a rescache.Cache and a flight map over n stripes.
 // Relative to one big rescache.Cache:
 //
-//   - Lookup, storage, TTL, and stats are exact per stripe, so a
+//   - Lookup, storage and stats are exact per stripe, so a
 //     one-stripe store caches exactly as the bare cache does (the
 //     differential tests pin this).
 //   - The global bounds split exactly across stripes: each gets
@@ -67,13 +66,12 @@ type store struct {
 }
 
 // newStore builds a store of n stripes (a power of two) whose caches
-// together hold at most maxEntries bodies and maxBytes body bytes. ttl
-// and now behave as in rescache.New.
-func newStore(n, maxEntries int, maxBytes int64, ttl time.Duration, now func() time.Time) *store {
+// together hold at most maxEntries bodies and maxBytes body bytes.
+func newStore(n, maxEntries int, maxBytes int64) *store {
 	st := &store{stripes: make([]stripe, n), mask: uint64(n - 1)}
 	for i := range st.stripes {
 		sp := &st.stripes[i]
-		sp.c = rescache.New(int(share(int64(maxEntries), n, i)), share(maxBytes, n, i), ttl, now)
+		sp.c = rescache.New(int(share(int64(maxEntries), n, i)), share(maxBytes, n, i))
 		sp.flights = map[uint64]*flight{}
 	}
 	return st
@@ -166,7 +164,6 @@ func (st *store) stats() storeStats {
 		t.Hits += s.Hits
 		t.Misses += s.Misses
 		t.Evictions += s.Evictions
-		t.Expirations += s.Expirations
 		t.entries += sp.c.Len()
 		t.bytes += sp.c.SizeBytes()
 		t.flights += len(sp.flights)

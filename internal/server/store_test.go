@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/rescache"
 )
@@ -22,13 +21,6 @@ import (
 // flight is not cached, and a waiter can give up without cancelling the
 // flight. These tests pin both, then hammer a real Server under -race
 // with exact counter assertions.
-
-// shardTestClock is a hand-advanced clock for TTL differential tests.
-type shardTestClock struct{ t time.Time }
-
-func (c *shardTestClock) now() time.Time { return c.t }
-
-func (c *shardTestClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // splitmixNext is a tiny deterministic PRNG for op sequences (the repo
 // convention: no math/rand in differential tests, the sequence is part
@@ -62,22 +54,19 @@ func put(st *store, key uint64, body []byte) {
 }
 
 // TestShardedCacheSingleShardMatchesFlat drives an identical randomized
-// op sequence — puts, gets, peeks, refreshes, TTL expiry via a shared
-// fake clock — through a one-stripe store and a bare rescache.Cache and
-// requires byte-exact results and identical lifetime counters at every
-// step.
+// op sequence — puts, gets, peeks, refreshes — through a one-stripe
+// store and a bare rescache.Cache and requires byte-exact results and
+// identical lifetime counters at every step.
 func TestShardedCacheSingleShardMatchesFlat(t *testing.T) {
-	clk := &shardTestClock{t: time.Unix(1700000000, 0)}
 	const maxEntries, maxBytes = 8, 256
-	ttl := 10 * time.Second
-	flat := rescache.New(maxEntries, maxBytes, ttl, clk.now)
-	sharded := newStore(1, maxEntries, maxBytes, ttl, clk.now)
+	flat := rescache.New(maxEntries, maxBytes)
+	sharded := newStore(1, maxEntries, maxBytes)
 
 	seed := uint64(42)
 	for step := 0; step < 4000; step++ {
 		r := splitmixNext(&seed)
 		key := r % 16
-		switch (r >> 32) % 5 {
+		switch (r >> 32) % 4 {
 		case 0, 1: // Put (duplicates refresh)
 			body := []byte(fmt.Sprintf("body-%d-%d", key, r%3))
 			flat.Put(key, body)
@@ -92,9 +81,6 @@ func TestShardedCacheSingleShardMatchesFlat(t *testing.T) {
 			if fp, sp := flat.Peek(key), sharded.stripeFor(key).c.Peek(key); fp != sp {
 				t.Fatalf("step %d: Peek(%d) = %v flat vs %v sharded", step, key, fp, sp)
 			}
-		case 4: // advance the clock, occasionally past the TTL
-			d := time.Duration(r%4) * 3 * time.Second
-			clk.advance(d)
 		}
 		ss := sharded.stats()
 		if flat.Len() != ss.entries || flat.SizeBytes() != ss.bytes {
@@ -105,7 +91,7 @@ func TestShardedCacheSingleShardMatchesFlat(t *testing.T) {
 			t.Fatalf("step %d: stats diverge: flat %+v vs sharded %+v", step, fs, ss)
 		}
 	}
-	if s := flat.Stats(); s.Hits == 0 || s.Misses == 0 || s.Evictions == 0 || s.Expirations == 0 {
+	if s := flat.Stats(); s.Hits == 0 || s.Misses == 0 || s.Evictions == 0 {
 		t.Fatalf("op sequence failed to exercise all counters: %+v", s)
 	}
 }
@@ -116,7 +102,7 @@ func TestShardedCacheSingleShardMatchesFlat(t *testing.T) {
 // belongs to a retrievable entry, and evictions are counted.
 func TestShardedCacheAggregateBounds(t *testing.T) {
 	const shards, maxEntries, maxBytes = 8, 64, int64(4096)
-	sc := newStore(shards, maxEntries, maxBytes, 0, nil)
+	sc := newStore(shards, maxEntries, maxBytes)
 	body := make([]byte, 32)
 	var keys []uint64
 	seed := uint64(7)
@@ -163,7 +149,7 @@ func TestShardedCacheExactBounds(t *testing.T) {
 		t.Errorf("-cache-entries 4 holds %d entries after 1000 distinct misses, want 1..4", n)
 	}
 
-	sc := newStore(stripes, 1<<20, 8, 0, nil)
+	sc := newStore(stripes, 1<<20, 8)
 	seed := uint64(3)
 	for i := 0; i < 1000; i++ {
 		put(sc, splitmixNext(&seed), []byte{1})
@@ -178,7 +164,7 @@ func TestShardedCacheExactBounds(t *testing.T) {
 // as a waiter: the bare rescache.Cache and the flight maps are not safe
 // for concurrent use, so every access goes through a stripe lock.
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := newStore(stripes, 16, 1<<20, time.Hour, nil)
+	c := newStore(stripes, 16, 1<<20)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -215,7 +201,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 // is cached as the flight retires, the next lookup is a hit, not a
 // re-run.
 func TestStoreCoalesces(t *testing.T) {
-	st := newStore(stripes, 16, 1<<20, 0, nil)
+	st := newStore(stripes, 16, 1<<20)
 	_, f, lead := st.lookup(99)
 	if !lead {
 		t.Fatal("the first lookup of a fresh key did not lead its flight")
@@ -266,7 +252,7 @@ func TestStoreCoalesces(t *testing.T) {
 // is computed again. A finished flight left in the table would instead
 // be joined by the next lookup, and its waiter would never be woken.
 func TestFlightGroupSequentialReruns(t *testing.T) {
-	st := newStore(stripes, 0, 1<<20, 0, nil)
+	st := newStore(stripes, 0, 1<<20)
 	for i := 0; i < 3; i++ {
 		body, f, lead := st.lookup(5)
 		if f == nil || !lead {
@@ -284,7 +270,7 @@ func TestFlightGroupSequentialReruns(t *testing.T) {
 // own context error; the flight stays open, and a later waiter still
 // gets the leader's body.
 func TestStoreWaiterCancellation(t *testing.T) {
-	st := newStore(stripes, 16, 1<<20, 0, nil)
+	st := newStore(stripes, 16, 1<<20)
 	_, f, _ := st.lookup(1)
 	_, g, _ := st.lookup(1)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -304,7 +290,7 @@ func TestStoreWaiterCancellation(t *testing.T) {
 // TestStoreErrorPropagation: a failing flight hands the same error to
 // every waiter and is not cached, so the next lookup leads again.
 func TestStoreErrorPropagation(t *testing.T) {
-	st := newStore(stripes, 16, 1<<20, 0, nil)
+	st := newStore(stripes, 16, 1<<20)
 	boom := errors.New("boom")
 	_, f, _ := st.lookup(2)
 	_, g, _ := st.lookup(2)
@@ -409,7 +395,7 @@ func TestEachKeyComputedOnce(t *testing.T) {
 // Striping must be invisible to everything but lock contention.
 func TestShardedServerMatchesSingleLockServer(t *testing.T) {
 	single := New(Config{})
-	single.store = newStore(1, single.cfg.CacheEntries, single.cfg.CacheBytes, single.cfg.CacheTTL, nil)
+	single.store = newStore(1, single.cfg.CacheEntries, single.cfg.CacheBytes)
 	sharded := New(Config{})
 	t.Cleanup(single.Close)
 	t.Cleanup(sharded.Close)
@@ -513,8 +499,8 @@ func TestShardedServerContentionExactCounters(t *testing.T) {
 	if cs.Hits != hits || cs.Misses != misses {
 		t.Fatalf("cache-internal counters %+v disagree with handler counters (hits %d, misses %d)", cs, hits, misses)
 	}
-	if cs.Evictions != 0 || cs.Expirations != 0 {
-		t.Fatalf("no-eviction universe evicted or expired: %+v", cs)
+	if cs.Evictions != 0 {
+		t.Fatalf("no-eviction universe evicted: %+v", cs)
 	}
 	if got := cs.entries; got != uniqueKeys {
 		t.Fatalf("cache holds %d entries, want exactly %d distinct request keys", got, uniqueKeys)

@@ -317,54 +317,62 @@ func (t *Trace) Marshal() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// ParseTrace strictly decodes a recorded trace and validates the
-// stream invariants every generator guarantees: IDs sequential,
-// times finite and non-negative, open-loop arrivals non-decreasing,
-// kernels positive and finite. A closed-loop trace must also have no
-// more clients than requests and give request i to client
-// i % Clients, the assignment Generate makes: the cluster simulator's
-// closed loop takes a client's next request to be the one Clients
-// indices on.
+// ParseTrace strictly decodes a recorded trace and validates it (see
+// Validate).
 func ParseTrace(data []byte) (*Trace, error) {
 	var t Trace
 	if err := strictjson.Unmarshal(data, &t); err != nil {
 		return nil, fmt.Errorf("workload: bad trace: %v", err)
 	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return &t, nil
+}
+
+// Validate checks the stream invariants every generator guarantees:
+// IDs sequential, times finite and non-negative, open-loop arrivals
+// non-decreasing, kernels positive and finite. A closed-loop trace must
+// also have no more clients than requests and give request i to client
+// i % Clients, the assignment Generate makes: the cluster simulator's
+// closed loop takes a client's next request to be the one Clients
+// indices on.
+func (t *Trace) Validate() error {
 	if len(t.Requests) == 0 {
-		return nil, errors.New("workload: trace has no requests")
+		return errors.New("workload: trace has no requests")
 	}
 	if len(t.Requests) > MaxRequests {
-		return nil, fmt.Errorf("workload: trace exceeds %d requests", MaxRequests)
+		return fmt.Errorf("workload: trace exceeds %d requests", MaxRequests)
 	}
 	if t.Closed && t.Clients < 1 {
-		return nil, errors.New("workload: closed trace needs a client count")
+		return errors.New("workload: closed trace needs a client count")
 	}
 	if t.Closed && t.Clients > len(t.Requests) {
-		return nil, errors.New("workload: closed trace has more clients than requests")
+		return errors.New("workload: closed trace has more clients than requests")
 	}
 	prev := 0.0
 	for i := range t.Requests {
 		r := &t.Requests[i]
 		if r.ID != i {
-			return nil, fmt.Errorf("workload: request %d carries ID %d", i, r.ID)
+			return fmt.Errorf("workload: request %d carries ID %d", i, r.ID)
 		}
 		if math.IsNaN(r.Time) || math.IsInf(r.Time, 0) || r.Time < 0 {
-			return nil, fmt.Errorf("workload: request %d has invalid time %v", i, r.Time)
+			return fmt.Errorf("workload: request %d has invalid time %v", i, r.Time)
 		}
 		if !t.Closed {
 			if r.Time < prev {
-				return nil, fmt.Errorf("workload: arrival times decrease at request %d", i)
+				return fmt.Errorf("workload: arrival times decrease at request %d", i)
 			}
 			prev = r.Time
 			if r.Client != 0 {
-				return nil, fmt.Errorf("workload: open-loop request %d names client %d", i, r.Client)
+				return fmt.Errorf("workload: open-loop request %d names client %d", i, r.Client)
 			}
 		} else if want := i % t.Clients; r.Client != want {
-			return nil, fmt.Errorf("workload: closed-loop request %d names client %d, want %d (request i belongs to client i %% clients)", i, r.Client, want)
+			return fmt.Errorf("workload: closed-loop request %d names client %d, want %d (request i belongs to client i %% clients)", i, r.Client, want)
 		}
 		if !finitePos(r.Work) || !finitePos(r.Intensity) {
-			return nil, fmt.Errorf("workload: request %d has invalid kernel (W=%v, I=%v)", i, r.Work, r.Intensity)
+			return fmt.Errorf("workload: request %d has invalid kernel (W=%v, I=%v)", i, r.Work, r.Intensity)
 		}
 	}
-	return &t, nil
+	return nil
 }
