@@ -19,8 +19,10 @@
 //
 //	campaign [-config file.json] [-out dir] [-powermon] [-seed N] [-reps N] [-workers N] [-trace out.json]
 //
-// -seed, when passed, overrides the config file's seed; without
-// -config the built-in configuration's seed is 42.
+// -seed, -reps and -powermon, when passed, override the config's seed,
+// reps and use_powermon; without -config the built-in configuration's
+// seed is 42. The merged configuration is validated before the run, so
+// a bad override exits 2 like a bad config file.
 package main
 
 import (
@@ -39,9 +41,9 @@ func main() {
 	var (
 		configPath = flag.String("config", "", "JSON campaign configuration (default: built-in)")
 		outDir     = flag.String("out", "", "directory for fitted machine JSON files")
-		usePM      = flag.Bool("powermon", false, "measure through the sampled power monitor")
+		usePM      = flag.Bool("powermon", false, "measure through the sampled power monitor (overrides the config's use_powermon when passed)")
 		seed       = flag.Int64("seed", 42, "noise seed (overrides the config file's seed when passed)")
-		reps       = flag.Int("reps", 0, "override repetitions per point")
+		reps       = flag.Int("reps", 0, "repetitions per point (overrides the config's reps when passed)")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = one per CPU; any value produces identical output)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON span timeline to this file")
 	)
@@ -58,13 +60,17 @@ func main() {
 		}
 	}
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
+		switch f.Name {
+		case "seed":
 			cfg.Seed = *seed
+		case "reps":
+			cfg.Reps = *reps
+		case "powermon":
+			cfg.UsePowerMon = *usePM
 		}
 	})
-	cfg.UsePowerMon = cfg.UsePowerMon || *usePM
-	if *reps > 0 {
-		cfg.Reps = *reps
+	if err := cfg.Validate(); err != nil {
+		fail(err, 2)
 	}
 
 	ctx := context.Background()

@@ -3,6 +3,7 @@ package energyroofline
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +13,9 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/workload"
 )
 
 // buildCmd compiles one command into dir and returns the binary path.
@@ -302,6 +306,28 @@ func TestCampaignBinary(t *testing.T) {
 	}
 	if flagged := runBin(t, bin, "-config", cfgPath, "-seed", "5"); withoutWrote(out) != flagged {
 		t.Errorf("config with seed 5 differs from -seed 5:\n%s\nvs\n%s", out, flagged)
+	}
+
+	// So do its use_powermon and reps: -powermon=false switches the
+	// monitor off, and a non-positive -reps fails the merged config's
+	// validation instead of being dropped.
+	pmPath := filepath.Join(dir, "pm.json")
+	pmCfg := strings.Replace(cfg, `"seed":5}`, `"seed":5,"use_powermon":true}`, 1)
+	if err := os.WriteFile(pmPath, []byte(pmCfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if runBin(t, bin, "-config", pmPath) == withoutWrote(out) {
+		t.Fatal("use_powermon did not change the campaign output")
+	}
+	if off := runBin(t, bin, "-config", pmPath, "-powermon=false"); off != withoutWrote(out) {
+		t.Errorf("-powermon=false did not switch off the config's use_powermon:\n%s\nvs\n%s", off, out)
+	}
+	for _, reps := range []string{"-3", "0"} {
+		msg, err := exec.Command(bin, "-config", cfgPath, "-reps", reps).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), "campaign: reps must be >= 1") {
+			t.Errorf("-reps %s: exit %v, output:\n%s\nwant exit 2 with \"campaign: reps must be >= 1\"", reps, err, msg)
+		}
 	}
 
 	// Bad config rejected, behind one "campaign:" prefix.
@@ -632,6 +658,56 @@ func TestFleetsimBinary(t *testing.T) {
 	}
 	if out, err := exec.Command(bin, "-replay", "/dev/null").CombinedOutput(); err == nil {
 		t.Errorf("empty replay file accepted:\n%s", out)
+	}
+
+	// A marshalled trace replays to the generated run's report.
+	writeTrace := func(name string, spec workload.Spec) (path string, data []byte) {
+		t.Helper()
+		tr, err := workload.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, err = tr.Marshal(); err != nil {
+			t.Fatal(err)
+		}
+		path = filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path, data
+	}
+	smoke := cluster.Scenarios()["smoke"].Workload
+	smokePath, smokeData := writeTrace("smoke-trace.json", smoke)
+	if generated, replayed := runBin(t, bin, "-scenario", "smoke"), runBin(t, bin, "-scenario", "smoke", "-replay", smokePath); replayed != generated {
+		t.Errorf("replayed smoke trace printed a different report:\n%s\nvs generated:\n%s", replayed, generated)
+	}
+
+	// The file's ids and clients are checked on the wire, as rows no
+	// longer store them: one edited "id" or "client" exits 2.
+	closed := smoke
+	closed.Kind, closed.Clients, closed.ThinkSeconds, closed.Requests = workload.Closed, 4, 0.5, 200
+	closedPath, closedData := writeTrace("closed-trace.json", closed)
+	runBin(t, bin, "-scenario", "smoke", "-replay", closedPath)
+	for _, c := range []struct {
+		name, from, to, want string
+		data                 []byte
+	}{
+		{"id", `"id": 5,`, `"id": 6,`, "request 5 carries ID 6", smokeData},
+		{"client", "\"client\": 1\n", "\"client\": 2\n", "closed-loop request 1 names client 2", closedData},
+	} {
+		edited := strings.Replace(string(c.data), c.from, c.to, 1)
+		if edited == string(c.data) {
+			t.Fatalf("%s edit found no %q to change", c.name, c.from)
+		}
+		path := filepath.Join(dir, "edited-"+c.name+".json")
+		if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := exec.Command(bin, "-scenario", "smoke", "-replay", path).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), c.want) {
+			t.Errorf("replay with an edited %s: exit %v, output:\n%s\nwant exit 2 with %q", c.name, err, msg, c.want)
+		}
 	}
 }
 

@@ -80,9 +80,9 @@ type Options struct {
 	// Trace overrides the scenario's generated workload with a replayed
 	// request stream (e.g. one loaded via workload.ParseTrace).
 	// RunScenario rejects a trace that fails workload.Trace.Validate: a
-	// closed trace, for one, must give request i to client i % Clients,
-	// as Generate does, because the closed loop wakes request
-	// i + Clients when request i completes.
+	// closed trace, for one, needs no more clients than requests. Request
+	// i of a closed trace is on client i % Clients by construction, so
+	// the closed loop wakes request i + Clients when request i completes.
 	Trace *workload.Trace
 	// routeObserver, when set, is invoked with every routing decision
 	// before the request is applied to the chosen replica — the hook
@@ -457,8 +457,9 @@ func (s *sim) finish(p pending, done float64) {
 	if !s.closed {
 		return
 	}
-	// Request i belongs to client i % clients (ParseTrace checks it on
-	// replays), so the client's next request is i + clients.
+	// Request i belongs to client i % clients (a row stores no client,
+	// and ParseTrace rejects a file that names another), so the client's
+	// next request is i + clients.
 	i := int(p.idx) + s.clients
 	if i >= len(s.trace) {
 		return

@@ -319,9 +319,6 @@ func TestRunScenarioRejectsInvalid(t *testing.T) {
 	}{
 		{"closed trace with more clients than requests", "more clients than requests", edited(func(tr *workload.Trace) {
 			tr.Closed, tr.Clients, tr.Requests = true, 4, tr.Requests[:3]
-			for i := range tr.Requests {
-				tr.Requests[i].Client = i
-			}
 		})},
 		{"open trace with decreasing arrivals", "arrival times decrease", edited(func(tr *workload.Trace) {
 			tr.Requests[10].Time, tr.Requests[11].Time = tr.Requests[11].Time, tr.Requests[10].Time

@@ -228,17 +228,25 @@ func (r *Rand) Exp(rate float64) float64 {
 // exponent s ≥ 0 (s = 0 degenerates to the uniform distribution), which
 // is what synthetic content-popularity workloads need: real request
 // skews cluster around s ≈ 0.6–1.3, straddling math/rand's s > 1
-// requirement. Sampling costs one uniform draw and a binary search; a
-// Zipf is immutable after construction and safe for concurrent use with
+// requirement. Sampling costs one uniform draw and an indexed search
+// (a guide table, Chen & Asau 1974): the draw's 1/n bucket names the
+// first rank that can answer it, and the walk from there takes at most
+// one step in expectation for any n and s. The result is exactly the
+// rank a binary search of the CDF returns for the same draw. A Zipf is
+// immutable after construction and safe for concurrent use with
 // per-goroutine Rands.
 type Zipf struct {
-	cum []float64 // cum[i] = P(rank <= i), cum[n-1] = 1
+	cum   []float64 // cum[i] = P(rank <= i), cum[n-1] = 1
+	guide []int32   // guide[j] = the first rank i with cum[i] >= j/n
 }
 
 // NewZipf builds the sampler for a universe of n ranks and exponent s.
 func NewZipf(n int, s float64) (*Zipf, error) {
 	if n < 1 {
 		return nil, errors.New("stats: zipf universe must be non-empty")
+	}
+	if n > math.MaxInt32 {
+		return nil, errors.New("stats: zipf universe exceeds 2^31-1 ranks")
 	}
 	if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 		return nil, errors.New("stats: zipf exponent must be finite and non-negative")
@@ -253,23 +261,46 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 		cum[i] /= total
 	}
 	cum[n-1] = 1 // exact upper bound despite rounding
-	return &Zipf{cum: cum}, nil
+	return indexCDF(cum), nil
+}
+
+// indexCDF builds the sampler over cum, a non-decreasing CDF whose last
+// entry is 1, by filling in its guide table.
+func indexCDF(cum []float64) *Zipf {
+	n := len(cum)
+	guide := make([]int32, n)
+	i := 0
+	for j := range guide {
+		for cum[i] < float64(j)/float64(n) {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return &Zipf{cum: cum, guide: guide}
 }
 
 // N returns the universe size.
 func (z *Zipf) N() int { return len(z.cum) }
 
 // Sample draws one rank using r's stream.
-func (z *Zipf) Sample(r *Rand) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (z *Zipf) Sample(r *Rand) int { return z.rank(r.Float64()) }
+
+// rank returns the smallest i with cum[i] >= u, for u in [0, 1]. It
+// starts at the guide entry of u's 1/n bucket, steps back while the
+// rank below also covers u (which only rounding in u·n or j/n can
+// require), then forward while cum[i] < u.
+func (z *Zipf) rank(u float64) int {
+	n := len(z.cum)
+	j := int(u * float64(n))
+	if j >= n {
+		j = n - 1
 	}
-	return lo
+	i := int(z.guide[j])
+	for i > 0 && z.cum[i-1] >= u {
+		i--
+	}
+	for z.cum[i] < u {
+		i++
+	}
+	return i
 }

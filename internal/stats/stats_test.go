@@ -368,3 +368,120 @@ func TestZipfSampler(t *testing.T) {
 		}
 	}
 }
+
+// bisect is the oracle for Zipf.rank: the binary search of the CDF that
+// Sample ran before the guide table, returning the smallest i with
+// cum[i] >= u.
+func (z *Zipf) bisect(u float64) int {
+	lo, hi := 0, len(z.cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if z.cum[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// checkRankAtEdges compares the guide table with the oracle at u and
+// at every CDF edge next to u's answer: cum[i] itself and the float on
+// either side of it, for the answer and its neighbours. Draws lie in
+// [0, 1), so probes above 1 are skipped.
+func checkRankAtEdges(t *testing.T, z *Zipf, u float64) {
+	t.Helper()
+	probe := func(u float64) {
+		if u < 0 || u > 1 {
+			return
+		}
+		if got, want := z.rank(u), z.bisect(u); got != want {
+			t.Fatalf("n=%d: rank(%v) = %d, binary search %d", z.N(), u, got, want)
+		}
+	}
+	probe(u)
+	i := z.bisect(u)
+	for k := max(i-1, 0); k <= min(i+1, z.N()-1); k++ {
+		c := z.cum[k]
+		probe(math.Nextafter(c, math.Inf(-1)))
+		probe(c)
+		probe(math.Nextafter(c, math.Inf(1)))
+	}
+}
+
+// TestZipfGuideMatchesBisection probes every CDF edge of five samplers,
+// from one rank to cluster_1m's 50k, and a 100k-draw stream of each:
+// the guide table must return the binary search's rank every time, so
+// that no Zipf stream moved when it replaced the search.
+func TestZipfGuideMatchesBisection(t *testing.T) {
+	for _, c := range []struct {
+		n int
+		s float64
+	}{{1, 1.1}, {500, 1.1}, {50000, 1.1}, {4096, 0}, {4096, 2.5}} {
+		z, err := NewZipf(c.n, c.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRankAtEdges(t, z, 0)
+		for _, edge := range z.cum {
+			checkRankAtEdges(t, z, edge)
+		}
+		a, b := NewRand(int64(c.n)), NewRand(int64(c.n))
+		for k := 0; k < 100000; k++ {
+			if got, want := z.Sample(a), z.bisect(b.Float64()); got != want {
+				t.Fatalf("n=%d s=%v: draw %d sampled rank %d, binary search %d", c.n, c.s, k, got, want)
+			}
+		}
+	}
+}
+
+// TestZipfRankStepsBack covers the one case where the guide entry
+// starts past the answer: u·n rounds up to an integer j while u < j/n,
+// so the bucket's guide entry is the first rank with cum >= j/n > u. A
+// CDF with cum[0] = u puts the answer at rank 0 and the guide at 1.
+func TestZipfRankStepsBack(t *testing.T) {
+	cases := 0
+	for n := 2; n <= 64; n++ {
+		for j := 1; j < n; j++ {
+			u := math.Nextafter(float64(j)/float64(n), 0)
+			if int(u*float64(n)) != j {
+				continue
+			}
+			cum := make([]float64, n)
+			for i := range cum {
+				cum[i] = 1
+			}
+			cum[0] = u
+			z := indexCDF(cum)
+			if z.guide[j] == 0 {
+				t.Fatalf("n=%d: guide[%d] starts at the answer; the case is not exercised", n, j)
+			}
+			if got := z.rank(u); got != 0 || z.bisect(u) != 0 {
+				t.Fatalf("n=%d: rank(%v) = %d, binary search %d, want 0", n, u, got, z.bisect(u))
+			}
+			cases++
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no universe up to 64 ranks has a draw that rounds up into the next bucket")
+	}
+}
+
+// FuzzZipfSample is the differential check behind the guide table: for
+// any universe up to 2^16 ranks, any exponent in [0, 8] and any 53-bit
+// draw, Zipf.rank returns the binary search's rank, at the draw and at
+// the CDF edges around its answer. Large exponents make the tail of
+// cum round to runs of equal values, where the answer is the first
+// rank of a run.
+func FuzzZipfSample(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n uint32, s float64, bits uint64) {
+		if s = math.Abs(s); s > 8 {
+			s = math.Mod(s, 8)
+		}
+		z, err := NewZipf(int(n%(1<<16))+1, s)
+		if err != nil {
+			return // NaN or infinite s
+		}
+		checkRankAtEdges(t, z, float64(bits>>11)/(1<<53))
+	})
+}

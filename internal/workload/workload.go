@@ -41,10 +41,11 @@ const (
 	Closed = "closed"
 )
 
-// Request is one unit of synthetic traffic.
+// Request is one unit of synthetic traffic: 32 bytes, holding only
+// what varies per request. Its ID is its index in Trace.Requests, and
+// in a closed-loop trace request i is issued by client i mod
+// Trace.Clients; the replay format spells both out (see Marshal).
 type Request struct {
-	// ID is the request's global sequence number in generation order.
-	ID int `json:"id"`
 	// Time is the absolute arrival time in seconds for open-loop kinds
 	// (non-decreasing across the trace); for closed-loop traces it is
 	// the issuing client's think delay before this request, counted
@@ -60,8 +61,6 @@ type Request struct {
 	// Intensity is the kernel's operational intensity I in flops/byte,
 	// derived from Key.
 	Intensity float64 `json:"intensity"`
-	// Client is the issuing client for closed-loop traces (0 otherwise).
-	Client int `json:"client,omitempty"`
 }
 
 // Spec describes one reproducible traffic pattern. The zero value is
@@ -117,8 +116,8 @@ func DefaultSpec() Spec {
 	}
 }
 
-// MaxRequests bounds Spec.Requests: an allocation guard (a trace entry
-// is ~56 bytes, so the bound caps a trace at ~235 MB), not a semantic
+// MaxRequests bounds Spec.Requests: an allocation guard (a trace row
+// is 32 bytes, so the bound caps a trace at 128 MiB), not a semantic
 // limit.
 const MaxRequests = 4 << 20
 
@@ -178,7 +177,7 @@ func (s Spec) Validate() error {
 }
 
 // Trace is a generated (or replayed) request stream plus its
-// provenance. Requests are in ID order; for open-loop kinds arrival
+// provenance. A request's ID is its index; for open-loop kinds arrival
 // times are non-decreasing.
 type Trace struct {
 	// Spec is the generating spec (zero for hand-built traces).
@@ -292,25 +291,73 @@ func Generate(spec Spec) (*Trace, error) {
 				think = arrivals.Exp(1 / mean)
 			}
 			tr.Requests[i].Time = think
-			tr.Requests[i].Client = i % spec.Clients
 		}
 	}
 
-	// Content identity and kernel shape, identical across kinds.
+	// Content identity and kernel shape, identical across kinds. Both
+	// are pure functions of (seed, rank), so a rank's are derived on its
+	// first draw and copied on every later one: slot[rank] is 1 + the
+	// rank's index in drawn, or 0 until it is drawn.
+	type keyKernel struct {
+		key             uint64
+		work, intensity float64
+	}
+	slot := make([]int32, spec.Keys)
+	drawn := make([]keyKernel, 0, min(spec.Keys, spec.Requests))
 	for i := range tr.Requests {
-		r := &tr.Requests[i]
-		r.ID = i
 		rank := zipf.Sample(popularity)
-		r.Key = keyFor(spec.Seed, rank)
-		r.Work, r.Intensity = kernelFor(r.Key, spec.WorkFlops, spec.LoIntensity, spec.HiIntensity)
+		k := slot[rank]
+		if k == 0 {
+			key := keyFor(spec.Seed, rank)
+			work, intensity := kernelFor(key, spec.WorkFlops, spec.LoIntensity, spec.HiIntensity)
+			drawn = append(drawn, keyKernel{key, work, intensity})
+			k = int32(len(drawn))
+			slot[rank] = k
+		}
+		d, r := &drawn[k-1], &tr.Requests[i]
+		r.Key, r.Work, r.Intensity = d.key, d.work, d.intensity
 	}
 	return tr, nil
 }
 
+// wireTrace is a Trace as the replay format spells it: each row also
+// carries the id and client that follow from its position in memory.
+// Its Requests shadows the embedded Trace's, so the JSON fields keep
+// the order spec, closed, clients, requests.
+type wireTrace struct {
+	Trace
+	Requests []wireRequest `json:"requests"`
+}
+
+// wireRequest is one replay row: id, then the Request's fields, then
+// the client, which is omitted when 0.
+type wireRequest struct {
+	ID int `json:"id"`
+	Request
+	Client int `json:"client,omitempty"`
+}
+
+// client returns the client that issues request i: i mod Clients in a
+// closed-loop trace, 0 in an open-loop one.
+func (t *Trace) client(i int) int {
+	if !t.Closed || t.Clients < 1 {
+		return 0
+	}
+	return i % t.Clients
+}
+
 // Marshal renders the trace as deterministic JSON — the on-disk replay
-// format. ParseTrace(Marshal(t)) reproduces t exactly.
+// format, with every row's id and client written out. ParseTrace(
+// Marshal(t)) reproduces t exactly.
 func (t *Trace) Marshal() ([]byte, error) {
-	data, err := json.MarshalIndent(t, "", " ")
+	w := wireTrace{Trace: Trace{Spec: t.Spec, Closed: t.Closed, Clients: t.Clients}}
+	if t.Requests != nil {
+		w.Requests = make([]wireRequest, len(t.Requests))
+	}
+	for i, r := range t.Requests {
+		w.Requests[i] = wireRequest{ID: i, Request: r, Client: t.client(i)}
+	}
+	data, err := json.MarshalIndent(&w, "", " ")
 	if err != nil {
 		return nil, err
 	}
@@ -318,25 +365,43 @@ func (t *Trace) Marshal() ([]byte, error) {
 }
 
 // ParseTrace strictly decodes a recorded trace and validates it (see
-// Validate).
+// Validate). The file must also number its rows 0, 1, 2, … and name
+// each row's client as Marshal does, client i mod clients in a
+// closed-loop trace and none in an open-loop one: the cluster
+// simulator's closed loop takes a client's next request to be the one
+// Clients indices on.
 func ParseTrace(data []byte) (*Trace, error) {
-	var t Trace
-	if err := strictjson.Unmarshal(data, &t); err != nil {
+	var w wireTrace
+	if err := strictjson.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("workload: bad trace: %v", err)
+	}
+	t := w.Trace // a copy, so the wire rows do not outlive the parse
+	t.Requests = make([]Request, len(w.Requests))
+	for i, r := range w.Requests {
+		t.Requests[i] = r.Request
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
+	}
+	for i, r := range w.Requests {
+		if r.ID != i {
+			return nil, fmt.Errorf("workload: request %d carries ID %d", i, r.ID)
+		}
+		if want := t.client(i); r.Client != want {
+			if !t.Closed {
+				return nil, fmt.Errorf("workload: open-loop request %d names client %d", i, r.Client)
+			}
+			return nil, fmt.Errorf("workload: closed-loop request %d names client %d, want %d (request i belongs to client i %% clients)", i, r.Client, want)
+		}
 	}
 	return &t, nil
 }
 
 // Validate checks the stream invariants every generator guarantees:
-// IDs sequential, times finite and non-negative, open-loop arrivals
-// non-decreasing, kernels positive and finite. A closed-loop trace must
-// also have no more clients than requests and give request i to client
-// i % Clients, the assignment Generate makes: the cluster simulator's
-// closed loop takes a client's next request to be the one Clients
-// indices on.
+// times finite and non-negative, open-loop arrivals non-decreasing,
+// kernels positive and finite, and, in a closed-loop trace, between one
+// client and as many clients as requests. A request's ID and client are
+// not stored, so they cannot contradict its position.
 func (t *Trace) Validate() error {
 	if len(t.Requests) == 0 {
 		return errors.New("workload: trace has no requests")
@@ -353,9 +418,6 @@ func (t *Trace) Validate() error {
 	prev := 0.0
 	for i := range t.Requests {
 		r := &t.Requests[i]
-		if r.ID != i {
-			return fmt.Errorf("workload: request %d carries ID %d", i, r.ID)
-		}
 		if math.IsNaN(r.Time) || math.IsInf(r.Time, 0) || r.Time < 0 {
 			return fmt.Errorf("workload: request %d has invalid time %v", i, r.Time)
 		}
@@ -364,11 +426,6 @@ func (t *Trace) Validate() error {
 				return fmt.Errorf("workload: arrival times decrease at request %d", i)
 			}
 			prev = r.Time
-			if r.Client != 0 {
-				return fmt.Errorf("workload: open-loop request %d names client %d", i, r.Client)
-			}
-		} else if want := i % t.Clients; r.Client != want {
-			return fmt.Errorf("workload: closed-loop request %d names client %d, want %d (request i belongs to client i %% clients)", i, r.Client, want)
 		}
 		if !finitePos(r.Work) || !finitePos(r.Intensity) {
 			return fmt.Errorf("workload: request %d has invalid kernel (W=%v, I=%v)", i, r.Work, r.Intensity)

@@ -2,9 +2,18 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/stats"
 )
 
 // TestGenerateDeterminism pins the package's core contract: a Spec is a
@@ -47,15 +56,15 @@ func TestPoissonArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
+	if tr.Closed || tr.Clients != 0 {
+		t.Fatalf("open-loop trace metadata: Closed=%v Clients=%d", tr.Closed, tr.Clients)
+	}
 	prev := 0.0
 	for i, r := range tr.Requests {
 		if r.Time < prev {
 			t.Fatalf("arrival %d decreases: %v < %v", i, r.Time, prev)
 		}
 		prev = r.Time
-		if r.Client != 0 {
-			t.Fatalf("open-loop request %d names client %d", i, r.Client)
-		}
 	}
 	last := tr.Requests[len(tr.Requests)-1].Time
 	want := float64(spec.Requests) / spec.Rate
@@ -97,8 +106,9 @@ func TestMMPPArrivals(t *testing.T) {
 	}
 }
 
-// TestClosedLoop checks think-time semantics: clients cycle round-robin,
-// delays are non-negative, and the empirical mean matches the spec.
+// TestClosedLoop checks think-time semantics: delays are non-negative
+// and the empirical mean matches the spec. Clients cycle round-robin by
+// construction; TestTraceWireDigests pins the clients a file names.
 func TestClosedLoop(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Kind = Closed
@@ -114,9 +124,6 @@ func TestClosedLoop(t *testing.T) {
 	}
 	sum := 0.0
 	for i, r := range tr.Requests {
-		if r.Client != i%spec.Clients {
-			t.Fatalf("request %d on client %d, want %d", i, r.Client, i%spec.Clients)
-		}
 		if r.Time < 0 {
 			t.Fatalf("request %d has negative think %v", i, r.Time)
 		}
@@ -167,23 +174,29 @@ func TestKeyKernelBinding(t *testing.T) {
 	}
 }
 
+// roundTripSpec is DefaultSpec at 2,000 requests, with the kind's own
+// fields set for MMPP and Closed.
+func roundTripSpec(kind string) Spec {
+	spec := DefaultSpec()
+	spec.Kind = kind
+	spec.Requests = 2000
+	if kind == MMPP {
+		spec.BurstRate = 800
+		spec.CalmDwell = 3
+		spec.BurstDwell = 0.5
+	}
+	if kind == Closed {
+		spec.Clients = 8
+		spec.ThinkSeconds = 0.2
+	}
+	return spec
+}
+
 // TestTraceRoundTrip pins the replay format: ParseTrace(Marshal(t))
 // reproduces the trace exactly, and re-marshalling is byte-stable.
 func TestTraceRoundTrip(t *testing.T) {
 	for _, kind := range []string{Poisson, MMPP, Closed} {
-		spec := DefaultSpec()
-		spec.Kind = kind
-		spec.Requests = 2000
-		if kind == MMPP {
-			spec.BurstRate = 800
-			spec.CalmDwell = 3
-			spec.BurstDwell = 0.5
-		}
-		if kind == Closed {
-			spec.Clients = 8
-			spec.ThinkSeconds = 0.2
-		}
-		tr, err := Generate(spec)
+		tr, err := Generate(roundTripSpec(kind))
 		if err != nil {
 			t.Fatalf("%s: Generate: %v", kind, err)
 		}
@@ -204,6 +217,94 @@ func TestTraceRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(data, again) {
 			t.Fatalf("%s: re-marshal not byte-stable", kind)
+		}
+	}
+}
+
+// TestTraceWireDigests pins the replay bytes across commits, where the
+// round trip above only compares a trace with itself: the SHA-256 and
+// size of each kind's Marshal output, ids and clients included, as
+// written when rows still stored them.
+func TestTraceWireDigests(t *testing.T) {
+	for _, c := range []struct {
+		kind, sha256 string
+		size         int
+	}{
+		{Poisson, "eac1e63b09e8af57db962c7bdfd43e4f5c5f5473acac92e52f622e10eb00276e", 300776},
+		{MMPP, "74fd3677daff372c72d0f736f02ff9e8707426308a7ab3e0c7542a8050e791ea", 300344},
+		{Closed, "91df64a0b19057e35f5d4a14a4a7cd310442d4dc6389e8183422dfcb42e8f0cc", 331485},
+	} {
+		tr, err := Generate(roundTripSpec(c.kind))
+		if err != nil {
+			t.Fatalf("%s: Generate: %v", c.kind, err)
+		}
+		data, err := tr.Marshal()
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", c.kind, err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != c.sha256 || len(data) != c.size {
+			t.Errorf("%s: Marshal wrote %d B with SHA-256 %s, want %d B with %s", c.kind, len(data), got, c.size, c.sha256)
+		}
+	}
+}
+
+// TestRequestRowSize pins a row at 32 bytes: time, key, work and
+// intensity. A 1M-request trace is 32 MiB of rows; an ID and a client
+// field would make it 48.
+func TestRequestRowSize(t *testing.T) {
+	if size := unsafe.Sizeof(Request{}); size != 32 {
+		t.Fatalf("a Request is %d bytes, want 32", size)
+	}
+}
+
+// perRequestKernels is Generate's content loop as it ran before ranks
+// were cached: one Zipf draw, one key derivation and one kernel
+// derivation per request, written into reqs.
+func perRequestKernels(spec Spec, reqs []Request) error {
+	zipf, err := stats.NewZipf(spec.Keys, spec.ZipfS)
+	if err != nil {
+		return err
+	}
+	popularity := stats.DeriveRand(spec.Seed, labelKeys)
+	for i := range reqs {
+		r := &reqs[i]
+		rank := zipf.Sample(popularity)
+		r.Key = keyFor(spec.Seed, rank)
+		r.Work, r.Intensity = kernelFor(r.Key, spec.WorkFlops, spec.LoIntensity, spec.HiIntensity)
+	}
+	return nil
+}
+
+// TestGenerateMatchesPerRequestOracle holds the per-rank derivation to
+// the per-request loop, row for row: every kind over a universe smaller
+// than the trace (1,000 keys, 2,000 requests), a universe larger than
+// it, and the uniform s = 0 that bench's batch_cold inputs draw with.
+func TestGenerateMatchesPerRequestOracle(t *testing.T) {
+	var cases []Spec
+	for _, kind := range []string{Poisson, MMPP, Closed} {
+		cases = append(cases, roundTripSpec(kind))
+	}
+	wide := DefaultSpec()
+	wide.Requests, wide.Keys = 3000, 50000
+	uniform := DefaultSpec()
+	uniform.Requests, uniform.Keys, uniform.ZipfS = 4096, 1<<16, 0
+	cases = append(cases, wide, uniform)
+	for _, spec := range cases {
+		name := fmt.Sprintf("%s/keys=%d/s=%v", spec.Kind, spec.Keys, spec.ZipfS)
+		tr, err := Generate(spec)
+		if err != nil {
+			t.Fatalf("%s: Generate: %v", name, err)
+		}
+		want := make([]Request, len(tr.Requests))
+		for i, r := range tr.Requests {
+			want[i].Time = r.Time
+		}
+		if err := perRequestKernels(spec, want); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(tr.Requests, want) {
+			t.Errorf("%s: Generate's rows differ from the per-request derivation", name)
 		}
 	}
 }
@@ -292,7 +393,10 @@ func TestParseTraceRejectsTrailingData(t *testing.T) {
 	}
 }
 
-// TestParseTraceRejects checks the stream-invariant validation.
+// TestParseTraceRejects checks the stream-invariant validation. Faults
+// in what a row holds (time, kernel) and in the trace's shape are made
+// in memory and marshalled; faults in what only the file holds (a row's
+// id or client) are made in the decoded wire rows and re-encoded.
 func TestParseTraceRejects(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Requests = 50
@@ -312,11 +416,28 @@ func TestParseTraceRejects(t *testing.T) {
 			t.Errorf("%s: ParseTrace accepted a corrupt trace", name)
 		}
 	}
-	corrupt("bad id", func(c *Trace) { c.Requests[3].ID = 99 })
+	corruptWire := func(name, want string, mut func(*wireTrace)) {
+		data, err := tr.Marshal()
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", name, err)
+		}
+		var w wireTrace
+		if err := json.Unmarshal(data, &w); err != nil {
+			t.Fatalf("%s: decoding the wire rows: %v", name, err)
+		}
+		mut(&w)
+		if data, err = json.MarshalIndent(&w, "", " "); err != nil {
+			t.Fatalf("%s: re-encoding: %v", name, err)
+		}
+		if _, err := ParseTrace(data); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ParseTrace returned %v, want an error containing %q", name, err, want)
+		}
+	}
+	corruptWire("bad id", "carries ID 99", func(w *wireTrace) { w.Requests[3].ID = 99 })
 	corrupt("decreasing time", func(c *Trace) { c.Requests[10].Time = c.Requests[9].Time - 1 })
 	corrupt("negative time", func(c *Trace) { c.Requests[0].Time = -0.5 })
 	corrupt("zero work", func(c *Trace) { c.Requests[7].Work = 0 })
-	corrupt("client on open loop", func(c *Trace) { c.Requests[5].Client = 2 })
+	corruptWire("client on open loop", "open-loop request 5 names client 2", func(w *wireTrace) { w.Requests[5].Client = 2 })
 	corrupt("no requests", func(c *Trace) { c.Requests = nil })
 	if _, err := ParseTrace([]byte(`{"spec":{},"requests":[]}`)); err == nil {
 		t.Fatal("ParseTrace accepted an empty stream")
@@ -331,14 +452,15 @@ func TestParseTraceRejects(t *testing.T) {
 	if tr, err = Generate(spec); err != nil {
 		t.Fatalf("Generate closed: %v", err)
 	}
-	corrupt("client out of range", func(c *Trace) { c.Requests[5].Client = 4 })
-	corrupt("all requests on client 0", func(c *Trace) {
-		for i := range c.Requests {
-			c.Requests[i].Client = 0
+	const wrongClient = "request i belongs to client i % clients"
+	corruptWire("client out of range", wrongClient, func(w *wireTrace) { w.Requests[5].Client = 4 })
+	corruptWire("all requests on client 0", wrongClient, func(w *wireTrace) {
+		for i := range w.Requests {
+			w.Requests[i].Client = 0
 		}
 	})
-	corrupt("two clients swapped", func(c *Trace) {
-		c.Requests[8].Client, c.Requests[9].Client = c.Requests[9].Client, c.Requests[8].Client
+	corruptWire("two clients swapped", wrongClient, func(w *wireTrace) {
+		w.Requests[8].Client, w.Requests[9].Client = w.Requests[9].Client, w.Requests[8].Client
 	})
 	corrupt("more clients than requests", func(c *Trace) { c.Requests = c.Requests[:3] })
 }
