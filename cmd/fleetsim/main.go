@@ -41,10 +41,18 @@ func main() {
 	jsonOut := flag.String("json", "", "write the JSON report to this path ('-' for stdout)")
 	traceOut := flag.String("trace", "", "write Chrome trace_event JSON of virtual replica.serve spans to this path")
 	replay := flag.String("replay", "", "replay a workload trace (JSON from internal/workload) instead of generating the scenario's own")
-	requests := flag.Int("requests", 0, "override every scenario's request count (0 = scenario default)")
+	requests := flag.Int("requests", 0, "override every scenario's request count (0 = scenario default; a replayed trace keeps its own)")
 	replicas := flag.Int("replicas", 0, "override every scenario's replica count by truncating/tiling its fleet (0 = scenario default)")
 	pinMaxFreq := flag.Bool("pin-max-freq", false, "clear every replica's DVFS operating point (run the same fleet at base clock)")
 	flag.Parse()
+	switch {
+	case *requests < 0:
+		fatalf("-requests must be >= 0, got %d", *requests)
+	case *replicas < 0:
+		fatalf("-replicas must be >= 0, got %d", *replicas)
+	case *requests > 0 && *replay != "":
+		fatalf("-requests cannot resize a replayed trace, which runs all of its requests")
+	}
 
 	catalog := cluster.Scenarios()
 	if *scenarioFlag == "list" {

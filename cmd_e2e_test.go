@@ -682,6 +682,26 @@ func TestFleetsimBinary(t *testing.T) {
 		t.Errorf("replayed smoke trace printed a different report:\n%s\nvs generated:\n%s", replayed, generated)
 	}
 
+	// A flag the run would ignore or misread exits 2 with one
+	// "fleetsim:" line: -requests on a replay, which runs every row of
+	// the file, and a negative -requests or -replicas.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scenario", "smoke", "-replay", smokePath, "-requests", "500"}, "-requests cannot resize a replayed trace"},
+		{[]string{"-scenario", "smoke", "-requests", "-5"}, "-requests must be >= 0"},
+		{[]string{"-scenario", "smoke", "-replicas", "-2"}, "-replicas must be >= 0"},
+	} {
+		msg, err := exec.Command(bin, c.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.HasPrefix(string(msg), "fleetsim: ") || strings.Count(string(msg), "\n") != 1 ||
+			!strings.Contains(string(msg), c.want) {
+			t.Errorf("fleetsim %v: exit %v, output:\n%s\nwant exit 2 with one fleetsim: line naming %q", c.args, err, msg, c.want)
+		}
+	}
+
 	// The file's ids and clients are checked on the wire, as rows no
 	// longer store them: one edited "id" or "client" exits 2.
 	closed := smoke

@@ -24,25 +24,63 @@ type kernelIndex struct {
 	work, intensity []float64
 }
 
-// indexKernels assigns one id per distinct (Work, Intensity) bit pair.
-// It keys on the kernel's bits rather than Request.Key, so a replayed
-// trace whose keys and kernels disagree still prices exactly as the
-// scalar path would.
+// indexKernels assigns one id per distinct (Work, Intensity) bit pair,
+// in first-appearance order. It keys on the kernel's bits rather than
+// Request.Key, so a replayed trace whose keys and kernels disagree
+// still prices exactly as the scalar path would.
+//
+// The index is an append-only open-addressed table of id+1, with 0
+// marking an empty bucket, probed linearly from a hash of the bit pair.
+// A probe compares the pair against ix.work and ix.intensity, so the
+// index is exact. The table is at most half full: it doubles when a new
+// kernel would pass that.
 func indexKernels(reqs []workload.Request) kernelIndex {
 	ix := kernelIndex{ids: make([]int32, len(reqs))}
-	seen := make(map[[2]uint64]int32)
+	log2 := uint(3)
+	table := ix.table(log2)
 	for i, r := range reqs {
-		bits := [2]uint64{math.Float64bits(r.Work), math.Float64bits(r.Intensity)}
-		id, ok := seen[bits]
-		if !ok {
+		w, in := math.Float64bits(r.Work), math.Float64bits(r.Intensity)
+		mask := len(table) - 1
+		b := kernelHome(w, in, log2)
+		id := table[b] - 1
+		for id >= 0 && (math.Float64bits(ix.work[id]) != w || math.Float64bits(ix.intensity[id]) != in) {
+			b = (b + 1) & mask
+			id = table[b] - 1
+		}
+		if id < 0 {
 			id = int32(len(ix.work))
-			seen[bits] = id
 			ix.work = append(ix.work, r.Work)
 			ix.intensity = append(ix.intensity, r.Intensity)
+			table[b] = id + 1
+			if 2*len(ix.work) > len(table) {
+				log2++
+				table = ix.table(log2)
+			}
 		}
 		ix.ids[i] = id
 	}
 	return ix
+}
+
+// table returns an index of ix's kernels with 2^log2 buckets.
+func (ix *kernelIndex) table(log2 uint) []int32 {
+	t := make([]int32, 1<<log2)
+	for id, w := range ix.work {
+		b := kernelHome(math.Float64bits(w), math.Float64bits(ix.intensity[id]), log2)
+		for t[b] != 0 {
+			b = (b + 1) & (len(t) - 1)
+		}
+		t[b] = int32(id) + 1
+	}
+	return t
+}
+
+// kernelHome returns the home bucket of a kernel's (Work, Intensity)
+// bits in a table of 2^log2 buckets: the top bits of a Fibonacci hash
+// that folds in both words.
+func kernelHome(w, in uint64, log2 uint) int {
+	const fib = 0x9E3779B97F4A7C15
+	return int((w*fib ^ in) * fib >> (64 - log2))
 }
 
 // kernelPrice is what one replica spec's pricing says about one kernel.

@@ -3,11 +3,13 @@ package cluster
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/rescache"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -142,6 +144,95 @@ func shareKernel(t *testing.T, tr *workload.Trace) {
 	if a == b || ids[a] != ids[b] || len(ix.work) != len(counts)-1 {
 		t.Fatalf("keys %#x and %#x got kernel ids %d and %d; %d kernels for %d keys",
 			a, b, ids[a], ids[b], len(ix.work), len(counts))
+	}
+}
+
+// indexKernelsMap is the map-keyed indexKernels that the open-addressed
+// table replaced, kept as the oracle TestKernelIndexMatchesMapOracle
+// holds it to. Apart from its name and this paragraph, it is the
+// replaced code verbatim.
+//
+// indexKernels assigns one id per distinct (Work, Intensity) bit pair.
+// It keys on the kernel's bits rather than Request.Key, so a replayed
+// trace whose keys and kernels disagree still prices exactly as the
+// scalar path would.
+func indexKernelsMap(reqs []workload.Request) kernelIndex {
+	ix := kernelIndex{ids: make([]int32, len(reqs))}
+	seen := make(map[[2]uint64]int32)
+	for i, r := range reqs {
+		bits := [2]uint64{math.Float64bits(r.Work), math.Float64bits(r.Intensity)}
+		id, ok := seen[bits]
+		if !ok {
+			id = int32(len(ix.work))
+			seen[bits] = id
+			ix.work = append(ix.work, r.Work)
+			ix.intensity = append(ix.intensity, r.Intensity)
+		}
+		ix.ids[i] = id
+	}
+	return ix
+}
+
+// TestKernelIndexMatchesMapOracle holds indexKernels to the map-keyed
+// oracle: the same id for every request and the same kernel columns,
+// bit for bit, on cluster_1m's trace, on the replay trace in which two
+// keys share one (Work, Intensity), and on a synthetic trace of more
+// than 2^15 distinct kernels, each first in order and then drawn with
+// repeats, whose table doubles from 8 to 131,072 buckets. The synthetic
+// kernels share Work or Intensity words in long runs and include -0,
+// +Inf and NaN payloads, which only a comparison of bits tells apart.
+func TestKernelIndexMatchesMapOracle(t *testing.T) {
+	traces := map[string][]workload.Request{}
+	if !raceEnabled {
+		tr, err := workload.Generate(Scenarios()["cluster_1m"].Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces["cluster_1m"] = tr.Requests
+	}
+	for _, fl := range multiSpecFleets(t) {
+		if fl.sc.Name == "hetero_shared_kernel" {
+			traces[fl.sc.Name] = fl.tr.Requests
+		}
+	}
+	specials := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.NaN(), math.Float64frombits(0x7ff8000000000001)}
+	r := stats.NewRand(27)
+	const distinct = 40000
+	var synthetic []workload.Request
+	for i := 0; i < 3*distinct; i++ {
+		k := r.Intn(distinct)
+		if i < distinct {
+			k = i // every kernel appears, the first ones in order
+		}
+		w, in := float64(k/200+1), float64(k%200)/8
+		if k%97 == 0 {
+			w = specials[k/97%len(specials)]
+		}
+		if k%89 == 0 {
+			in = specials[k/89%len(specials)]
+		}
+		synthetic = append(synthetic, workload.Request{Key: uint64(k), Work: w, Intensity: in})
+	}
+	traces["synthetic"] = synthetic
+
+	for name, reqs := range traces {
+		got, want := indexKernels(reqs), indexKernelsMap(reqs)
+		if !slices.Equal(got.ids, want.ids) {
+			t.Errorf("%s: kernel ids differ from the map oracle's", name)
+		}
+		if len(got.work) != len(want.work) || len(got.intensity) != len(want.intensity) {
+			t.Fatalf("%s: %d kernels, oracle %d", name, len(got.work), len(want.work))
+		}
+		for id := range want.work {
+			if !bitsEqual(got.work[id], want.work[id]) || !bitsEqual(got.intensity[id], want.intensity[id]) {
+				t.Fatalf("%s: kernel %d is (%v, %v), oracle (%v, %v)", name, id, got.work[id], got.intensity[id], want.work[id], want.intensity[id])
+			}
+		}
+		t.Logf("%s: %d requests, %d kernels", name, len(reqs), len(got.work))
+	}
+	// More than 2^15 kernels double the table from 8 buckets to 2^17.
+	if n := len(indexKernelsMap(synthetic).work); n <= 1<<15 {
+		t.Fatalf("synthetic trace has %d distinct kernels, too few to double the table 14 times", n)
 	}
 }
 

@@ -20,6 +20,7 @@ package rescache
 
 import (
 	"math"
+	"math/rand"
 
 	"repro/internal/stats"
 )
@@ -77,18 +78,30 @@ func EvalKey(machineKey, precision string, work, intensity float64) uint64 {
 // The entries live in one slab, a []entry whose int32 prev/next links
 // keep the recency order. Slot 0 is the sentinel: its next is the most
 // recently used entry and its prev the least. Freed slots are chained
-// through next and reused, and the index maps a key to its slot, so it
-// holds no pointers. Once the slab has grown to its bound (maxEntries+2
-// slots), Get, Peek and Put allocate nothing.
+// through next and reused.
+//
+// The index is an open-addressed table of slot numbers, probed
+// linearly from a key's home bucket; 0, the sentinel's slot, marks an
+// empty bucket. A bucket holds no key: a probe compares the key stored
+// in the slot it names. The table is at most half full and doubles
+// when an insert would pass that, and a removal shifts the rest of its
+// probe run back, so no tombstones build up. The home bucket mixes in a
+// seed drawn per cache, so a client cannot choose request keys that
+// pile into one run. Hits, misses and the eviction order do not depend
+// on the seed. Once the slab and the table have grown to the entry
+// bound (maxEntries+1 slots), Get, Peek and Put allocate nothing.
 //
 // A Cache is not safe for concurrent use; callers that share one hold
 // their own lock.
 type Cache struct {
 	maxEntries int
 	maxBytes   int64
-	slots      []entry          // slots[0] is the sentinel
-	free       int32            // first free slot, chained through next; 0 when none
-	index      map[uint64]int32 // key → slot
+	slots      []entry // slots[0] is the sentinel
+	free       int32   // first free slot, chained through next; 0 when none
+	table      []int32 // key index: a slot per bucket, 0 when empty
+	shift      uint    // 64 - log2(len(table))
+	seed       uint64
+	n          int // live entries
 	bytes      int64
 	stats      Stats
 }
@@ -117,14 +130,32 @@ func New(maxEntries int, maxBytes int64) *Cache {
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		slots:      make([]entry, 1),
-		index:      map[uint64]int32{},
+		table:      make([]int32, 1<<3),
+		shift:      64 - 3,
+		seed:       rand.Uint64(),
+	}
+}
+
+// home returns key's home bucket: the top bits of a Fibonacci hash of
+// the seeded key.
+func (c *Cache) home(key uint64) int {
+	return int((key ^ c.seed) * 0x9E3779B97F4A7C15 >> c.shift)
+}
+
+// lookup returns the slot holding key, or 0 when none does.
+func (c *Cache) lookup(key uint64) int32 {
+	mask := len(c.table) - 1
+	for b := c.home(key); ; b = (b + 1) & mask {
+		if i := c.table[b]; i == 0 || c.slots[i].key == key {
+			return i
+		}
 	}
 }
 
 // Get returns the cached body for key and marks it most recently used.
 func (c *Cache) Get(key uint64) ([]byte, bool) {
-	i, ok := c.index[key]
-	if !ok {
+	i := c.lookup(key)
+	if i == 0 {
 		c.stats.Misses++
 		return nil, false
 	}
@@ -136,10 +167,7 @@ func (c *Cache) Get(key uint64) ([]byte, bool) {
 // Peek reports whether key holds an entry without touching recency
 // order or the counters — the read a router uses to ask "would this
 // replica hit?" before committing a request.
-func (c *Cache) Peek(key uint64) bool {
-	_, ok := c.index[key]
-	return ok
-}
+func (c *Cache) Peek(key uint64) bool { return c.lookup(key) != 0 }
 
 // Put stores body under key, evicting least-recently-used entries until
 // both bounds hold. A body larger than the byte bound is not cached.
@@ -147,7 +175,7 @@ func (c *Cache) Put(key uint64, body []byte) {
 	if c.maxEntries <= 0 || int64(len(body)) > c.maxBytes {
 		return
 	}
-	if i, ok := c.index[key]; ok {
+	if i := c.lookup(key); i != 0 {
 		// Same key means same body: refresh recency rather than
 		// storing a duplicate.
 		e := &c.slots[i]
@@ -155,6 +183,14 @@ func (c *Cache) Put(key uint64, body []byte) {
 		e.body = body
 		c.touch(i)
 		return
+	}
+	// Make room first, so the table never holds more than maxEntries
+	// keys. The new entry fits both bounds alone, so eviction stops
+	// before the cache is empty, and it evicts what inserting first
+	// would have.
+	for c.n >= c.maxEntries || c.bytes+int64(len(body)) > c.maxBytes {
+		c.remove(c.slots[0].prev)
+		c.stats.Evictions++
 	}
 	i := c.free
 	if i != 0 {
@@ -165,13 +201,54 @@ func (c *Cache) Put(key uint64, body []byte) {
 	}
 	c.slots[i] = entry{key: key, body: body}
 	c.pushFront(i)
-	c.index[key] = i
 	c.bytes += int64(len(body))
-	// The new entry fits both bounds alone, so eviction stops before it.
-	for len(c.index) > c.maxEntries || c.bytes > c.maxBytes {
-		c.remove(c.slots[0].prev)
-		c.stats.Evictions++
+	if c.n++; c.n > len(c.table)/2 {
+		c.grow()
 	}
+	c.index(i)
+}
+
+// index files slot i in the first empty bucket of its key's probe run.
+func (c *Cache) index(i int32) {
+	mask := len(c.table) - 1
+	b := c.home(c.slots[i].key)
+	for c.table[b] != 0 {
+		b = (b + 1) & mask
+	}
+	c.table[b] = i
+}
+
+// grow doubles the table and files every live slot again.
+func (c *Cache) grow() {
+	old := c.table
+	c.table = make([]int32, 2*len(old))
+	c.shift--
+	for _, i := range old {
+		if i != 0 {
+			c.index(i)
+		}
+	}
+}
+
+// unindex empties slot i's bucket, then walks the rest of the probe
+// run, moving back each slot whose home bucket does not lie between
+// the hole and its bucket, so that every key stays reachable from its
+// home without passing an empty bucket.
+func (c *Cache) unindex(i int32) {
+	mask := len(c.table) - 1
+	hole := c.home(c.slots[i].key)
+	for c.table[hole] != i {
+		hole = (hole + 1) & mask
+	}
+	for b := (hole + 1) & mask; c.table[b] != 0; b = (b + 1) & mask {
+		// The slot in b may fill the hole when its home is no nearer
+		// b, going forward, than the hole is.
+		if j := c.table[b]; (b-c.home(c.slots[j].key))&mask >= (b-hole)&mask {
+			c.table[hole] = j
+			hole = b
+		}
+	}
+	c.table[hole] = 0
 }
 
 // pushFront links slot i in as the most recently used entry.
@@ -201,15 +278,16 @@ func (c *Cache) touch(i int32) {
 // the collector take the body.
 func (c *Cache) remove(i int32) {
 	c.unlink(i)
+	c.unindex(i)
+	c.n--
 	e := &c.slots[i]
-	delete(c.index, e.key)
 	c.bytes -= int64(len(e.body))
 	*e = entry{next: c.free}
 	c.free = i
 }
 
 // Len returns the number of entries.
-func (c *Cache) Len() int { return len(c.index) }
+func (c *Cache) Len() int { return c.n }
 
 // SizeBytes returns the total cached body bytes.
 func (c *Cache) SizeBytes() int64 { return c.bytes }

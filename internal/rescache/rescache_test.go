@@ -3,6 +3,7 @@ package rescache
 import (
 	"bytes"
 	"container/list"
+	"math/bits"
 	"testing"
 
 	"repro/internal/stats"
@@ -114,22 +115,28 @@ func TestCachePeek(t *testing.T) {
 	}
 }
 
-// checkSlab verifies the slab's bookkeeping: the recency list runs
-// through exactly the indexed slots with consistent back links, the
+// checkSlab verifies the slab's bookkeeping and its index. The recency
+// list runs through exactly Len() slots with consistent back links; the
 // free chain holds every other slot but the sentinel, each of them
-// zeroed, and the slab has not outgrown maxEntries+2 slots. A slot
-// that leaks fails the count.
+// zeroed; and the slab has not outgrown maxEntries+1 slots. A slot that
+// leaks fails the count. In the table, exactly Len() buckets are
+// non-empty, at most half of them, no slot is filed twice, and a probe
+// from each live key's home bucket reaches the key's slot before an
+// empty bucket or another slot with that key.
 func checkSlab(t *testing.T, c *Cache) {
 	t.Helper()
 	live, last := 0, int32(0)
 	for i := c.slots[0].next; i != 0; last, i = i, c.slots[i].next {
-		if live++; live > len(c.index) {
-			t.Fatalf("recency list longer than the index's %d entries", len(c.index))
+		if live++; live > c.Len() {
+			t.Fatalf("recency list longer than Len's %d entries", c.Len())
 		}
-		if e := c.slots[i]; e.prev != last {
+		e := c.slots[i]
+		if e.prev != last {
 			t.Fatalf("slot %d: prev %d, want %d", i, e.prev, last)
-		} else if j, ok := c.index[e.key]; !ok || j != i {
-			t.Fatalf("slot %d holds key %#x, which the index maps to %d (present %v)", i, e.key, j, ok)
+		}
+		if j := probe(c, e.key); j != i {
+			t.Fatalf("slot %d holds key %#x, which a probe from its home bucket %d resolves to slot %d",
+				i, e.key, home(c, e.key), j)
 		}
 	}
 	if c.slots[0].prev != last {
@@ -144,12 +151,59 @@ func checkSlab(t *testing.T, c *Cache) {
 			t.Fatalf("free slot %d not zeroed: %+v", i, e)
 		}
 	}
-	if live != len(c.index) || 1+live+free != len(c.slots) {
-		t.Fatalf("%d slots: %d linked + %d free + the sentinel, with %d indexed", len(c.slots), live, free, len(c.index))
+	if live != c.Len() || 1+live+free != len(c.slots) {
+		t.Fatalf("%d slots: %d linked + %d free + the sentinel, with Len %d", len(c.slots), live, free, c.Len())
 	}
-	if len(c.slots) > c.maxEntries+2 {
+	if len(c.slots) > c.maxEntries+1 {
 		t.Fatalf("%d slots for a %d-entry bound", len(c.slots), c.maxEntries)
 	}
+	filed := make(map[int32]int, c.Len())
+	for b, i := range c.table {
+		if i == 0 {
+			continue
+		}
+		if prev, dup := filed[i]; dup {
+			t.Fatalf("slot %d filed in buckets %d and %d", i, prev, b)
+		}
+		filed[i] = b
+	}
+	if len(filed) != c.Len() || 2*len(filed) > len(c.table) {
+		t.Fatalf("%d of %d buckets filled, with Len %d", len(filed), len(c.table), c.Len())
+	}
+}
+
+// fibMul is the multiplier of the index's Fibonacci hash, and fibInv
+// its inverse modulo 2^64, so that a test can build the key that
+// hashes to any chosen value.
+const (
+	fibMul = 0x9E3779B97F4A7C15
+	fibInv = 0xF1DE83E19937733D
+)
+
+// home recomputes key's home bucket from the hash's definition.
+func home(c *Cache, key uint64) int {
+	return int((key ^ c.seed) * fibMul >> (64 - bits.Len(uint(len(c.table))-1)))
+}
+
+// probe walks the table from key's home bucket and returns the first
+// slot holding key, or 0 at an empty bucket.
+func probe(c *Cache, key uint64) int32 {
+	for b, n := home(c, key), 0; n < len(c.table); b, n = (b+1)%len(c.table), n+1 {
+		if i := c.table[b]; i == 0 || c.slots[i].key == key {
+			return i
+		}
+	}
+	return 0
+}
+
+// collidingKey returns key j of a universe built against c's seed. Its
+// hash has one of four top-7-bit prefixes, so at every table size up to
+// 128 buckets the keys share four home buckets: the last bucket, the
+// first, and two adjacent ones in the middle. Runs from the last
+// bucket wrap the table end into the run of the first.
+func collidingKey(c *Cache, j int) uint64 {
+	prefix := [...]uint64{127, 0, 63, 64}[j%4]
+	return (prefix<<57|uint64(j/4+1))*fibInv ^ c.seed
 }
 
 // TestCacheMatchesListOracle drives the slab Cache and the
@@ -158,8 +212,11 @@ func checkSlab(t *testing.T, c *Cache) {
 // universe small enough that refreshes and evictions are common; Get;
 // and Peek. Bounds include zero- and one-entry caches and byte bounds
 // of a few bytes. After every operation the return values, Len,
-// SizeBytes and every Stats counter must agree, and the slab must
-// account for every slot. 200 seeded trials.
+// SizeBytes and every Stats counter must agree, and the slab and its
+// index must account for every slot. 200 seeded trials run over small
+// integer keys and 200 over collidingKey's universe, whose probe runs
+// must wrap the table end and whose evictions must delete from the
+// middle of a run, or the trials test nothing the others do not.
 func TestCacheMatchesListOracle(t *testing.T) {
 	pool := make([]byte, 1024)
 	for i := range pool {
@@ -167,22 +224,43 @@ func TestCacheMatchesListOracle(t *testing.T) {
 	}
 	entryBounds := []int{0, 1, 2, 3, 8, 64}
 	byteBounds := []int64{0, 1, 5, 16, 100, 1 << 20}
-	for trial := 0; trial < 200; trial++ {
+	if m, inv := uint64(fibMul), uint64(fibInv); m*inv != 1 {
+		t.Fatalf("%#x is not the inverse of %#x", inv, m)
+	}
+	if c := New(64, 1<<20); home(c, collidingKey(c, 0)) != len(c.table)-1 || home(c, collidingKey(c, 1)) != 0 {
+		t.Fatal("collidingKey does not build keys homed at the table's ends")
+	}
+	wraps, midRunDeletes := 0, 0
+	for trial := 0; trial < 400; trial++ {
 		r := stats.DeriveRand(int64(trial), stats.HashLabel("rescache-oracle"))
 		maxEntries := entryBounds[r.Intn(len(entryBounds))]
 		maxBytes := byteBounds[r.Intn(len(byteBounds))]
 		c := New(maxEntries, maxBytes)
 		ref := newListCache(maxEntries, maxBytes)
-		keys := 1 + r.Intn(2*maxEntries+4)
+		colliding := trial >= 200
+		keys := make([]uint64, 1+r.Intn(2*maxEntries+4))
+		for j := range keys {
+			keys[j] = uint64(j)
+			if colliding {
+				keys[j] = collidingKey(c, j)
+			}
+		}
 		maxLen := int(min(maxBytes, 200)) + 3
 		for op := 0; op < 2000; op++ {
-			key := uint64(r.Intn(keys))
+			key := keys[r.Intn(len(keys))]
 			switch n := r.Intn(9); {
 			case n < 4:
 				off := r.Intn(len(pool) - maxLen)
 				body := pool[off : off+r.Intn(maxLen+1)]
+				// Would evicting the least recently used entry leave a
+				// hole inside its probe run?
+				lru, evictions := c.slots[0].prev, c.Stats().Evictions
+				midRun := lru != 0 && c.table[(bucketOf(c, lru)+1)%len(c.table)] != 0
 				c.Put(key, body)
 				ref.Put(key, body)
+				if colliding && midRun && c.Stats().Evictions > evictions {
+					midRunDeletes++
+				}
 			case n < 7:
 				got, ok := c.Get(key)
 				want, wantOK := ref.Get(key)
@@ -199,8 +277,74 @@ func TestCacheMatchesListOracle(t *testing.T) {
 					trial, op, c.Len(), c.SizeBytes(), c.Stats(), ref.Len(), ref.SizeBytes(), ref.Stats())
 			}
 			checkSlab(t, c)
+			// A run wraps when bucket 0 holds a key homed elsewhere.
+			if i := c.table[0]; colliding && i != 0 && home(c, c.slots[i].key) != 0 {
+				wraps++
+			}
 		}
 	}
+	if wraps == 0 || midRunDeletes == 0 {
+		t.Fatalf("colliding universes: %d operations left a wrapped run, %d evictions deleted mid-run; want both > 0", wraps, midRunDeletes)
+	}
+}
+
+// bucketOf returns the bucket slot i is filed in.
+func bucketOf(c *Cache, i int32) int {
+	b := home(c, c.slots[i].key)
+	for c.table[b] != i {
+		b = (b + 1) % len(c.table)
+	}
+	return b
+}
+
+// FuzzCacheOps decodes bytes into Put, Get and Peek calls on a Cache
+// and the list oracle, over a 16-key universe built against the cache's
+// seed: 12 collidingKey keys, which share four home buckets, and 4
+// whose hashes spread. entries bounds the cache at 0–16 entries and
+// bound picks a byte bound. Each pair of op bytes is one call: the
+// first picks the call (mod 3) and a body length (div 3), the second
+// the key. After every call the results, Len, SizeBytes and Stats must
+// agree, and checkSlab must pass.
+func FuzzCacheOps(f *testing.F) {
+	pool := make([]byte, 86)
+	f.Fuzz(func(t *testing.T, entries, bound uint8, ops []byte) {
+		maxEntries := int(entries % 17)
+		maxBytes := []int64{0, 1, 5, 16, 100, 1 << 20}[bound%6]
+		c := New(maxEntries, maxBytes)
+		ref := newListCache(maxEntries, maxBytes)
+		var keys [16]uint64
+		for j := range keys {
+			if j < 12 {
+				keys[j] = collidingKey(c, j)
+			} else {
+				keys[j] = stats.SplitMix64(uint64(j))*fibInv ^ c.seed
+			}
+		}
+		for ; len(ops) >= 2; ops = ops[2:] {
+			key := keys[ops[1]%16]
+			switch ops[0] % 3 {
+			case 0:
+				body := pool[:ops[0]/3]
+				c.Put(key, body)
+				ref.Put(key, body)
+			case 1:
+				got, ok := c.Get(key)
+				want, wantOK := ref.Get(key)
+				if ok != wantOK || !bytes.Equal(got, want) {
+					t.Fatalf("Get(%#x) = %q, %v; oracle %q, %v", key, got, ok, want, wantOK)
+				}
+			default:
+				if got, want := c.Peek(key), ref.Peek(key); got != want {
+					t.Fatalf("Peek(%#x) = %v; oracle %v", key, got, want)
+				}
+			}
+			if c.Len() != ref.Len() || c.SizeBytes() != ref.SizeBytes() || c.Stats() != ref.Stats() {
+				t.Fatalf("len %d, bytes %d, %+v; oracle len %d, bytes %d, %+v",
+					c.Len(), c.SizeBytes(), c.Stats(), ref.Len(), ref.SizeBytes(), ref.Stats())
+			}
+			checkSlab(t, c)
+		}
+	})
 }
 
 // TestCacheWarmAllocatesNothing pins what the slab is for: on a full
