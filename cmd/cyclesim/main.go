@@ -42,11 +42,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cyclesim: unknown core %q\n", *coreKey)
 		os.Exit(2)
 	}
-	prec := machine.Single
-	if *precStr == "double" {
-		prec = machine.Double
-	} else if *precStr != "single" {
-		fmt.Fprintf(os.Stderr, "cyclesim: unknown precision %q\n", *precStr)
+	prec, err := machine.ParsePrecision(*precStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cyclesim:", err)
 		os.Exit(2)
 	}
 	prog, err := microbench.GenerateFMAMix(*fmas, *loads, *elements, prec)

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	experiments [-run id[,id...]] [-seed N] [-fast] [-workers N] [-list]
-//	            [-svg dir] [-png dir] [-md file] [-json file] [-trace out.json]
+//	            [-svg dir] [-md file] [-json file] [-trace out.json]
 //
 // With no -run, every experiment runs in paper order. -trace records a
 // span per experiment (plus per-rep sweep spans) and writes a Chrome
@@ -31,7 +31,6 @@ func main() {
 		seed     = flag.Int64("seed", exp.DefaultSeed, "measurement noise seed")
 		fast     = flag.Bool("fast", false, "reduced repetitions and sizes")
 		svgDir   = flag.String("svg", "", "directory to write figure SVGs into")
-		pngDir   = flag.String("png", "", "directory to write figure PNGs into")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		mdPath   = flag.String("md", "", "also write a markdown report (EXPERIMENTS.md style) to this path")
 		jsonPath = flag.String("json", "", "also write a machine-readable comparison artifact to this path")
@@ -47,7 +46,7 @@ func main() {
 		return
 	}
 
-	cfg := exp.Config{Seed: *seed, Fast: *fast, SVGDir: *svgDir, PNGDir: *pngDir}
+	cfg := exp.Config{Seed: *seed, Fast: *fast, SVGDir: *svgDir}
 	if *traceOut != "" {
 		cfg.Trace = trace.New(trace.Config{})
 	}

@@ -7,7 +7,8 @@
 // Usage:
 //
 //	roofline [-machine gtx580|i7-950|fermi] [-json file] [-prec single|double]
-//	         [-lo I] [-hi I] [-points N] [-chart] [-intensity I]
+//	         [-lo I] [-hi I] [-points N] [-chart] [-svgfile file] [-intensity I]
+//	roofline -compare [-prec single|double]
 package main
 
 import (
@@ -31,30 +32,24 @@ func main() {
 		points     = flag.Int("points", 13, "table rows")
 		showChart  = flag.Bool("chart", false, "render ASCII charts")
 		svgFile    = flag.String("svgfile", "", "write the roofline/arch-line chart as SVG to this path")
-		pngFile    = flag.String("pngfile", "", "write the chart as PNG to this path")
 		atI        = flag.Float64("intensity", 0, "analyse one kernel intensity in detail")
 		compare    = flag.Bool("compare", false, "compare every catalog machine side by side and exit")
 	)
 	flag.Parse()
 
+	prec, err := machine.ParsePrecision(*precStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "roofline:", err)
+		os.Exit(2)
+	}
 	if *compare {
-		compareMachines(*precStr)
+		compareMachines(prec)
 		return
 	}
 
 	m, err := loadMachine(*machineKey, *jsonPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "roofline:", err)
-		os.Exit(2)
-	}
-	var prec machine.Precision
-	switch *precStr {
-	case "single":
-		prec = machine.Single
-	case "double":
-		prec = machine.Double
-	default:
-		fmt.Fprintf(os.Stderr, "roofline: unknown precision %q\n", *precStr)
 		os.Exit(2)
 	}
 	p := core.FromMachine(m, prec)
@@ -88,7 +83,7 @@ func main() {
 			p.PowerLine(i))
 	}
 
-	if *showChart || *svgFile != "" || *pngFile != "" {
+	if *showChart || *svgFile != "" {
 		roof := make([]float64, len(grid))
 		arch := make([]float64, len(grid))
 		for i, x := range grid {
@@ -128,28 +123,10 @@ func main() {
 			}
 			fmt.Printf("wrote %s\n", *svgFile)
 		}
-		if *pngFile != "" {
-			f, err := os.Create(*pngFile)
-			if err == nil {
-				err = c.RenderPNG(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "roofline:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *pngFile)
-		}
 	}
 }
 
-func compareMachines(precStr string) {
-	prec := machine.Double
-	if precStr == "single" {
-		prec = machine.Single
-	}
+func compareMachines(prec machine.Precision) {
 	keys := []string{"fermi", "gtx580", "i7-950", "future"}
 	fmt.Printf("catalog comparison (%v precision):\n", prec)
 	fmt.Printf("%-10s %12s %10s %8s %10s %12s %14s %14s\n",

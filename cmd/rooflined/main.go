@@ -53,6 +53,16 @@ func main() {
 		traceOut     = flag.String("trace", "", "write the span buffer as Chrome trace JSON to this file at shutdown (implies -debug)")
 	)
 	flag.Parse()
+	// server.New reads 0 as "use the default"; a negative bound or
+	// timeout has no meaning (a negative timeout fails every campaign).
+	switch {
+	case *cacheEntries < 0:
+		fatalf("-cache-entries must be >= 0, got %d", *cacheEntries)
+	case *cacheBytes < 0:
+		fatalf("-cache-bytes must be >= 0, got %d", *cacheBytes)
+	case *timeout < 0:
+		fatalf("-timeout must be >= 0, got %v", *timeout)
+	}
 
 	srv := server.New(server.Config{
 		Workers:        *workers,
@@ -101,6 +111,12 @@ func main() {
 		}
 	}
 	fmt.Println("rooflined: shutdown complete")
+}
+
+// fatalf prints one error line and exits 2 (usage errors).
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rooflined: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // writeTrace dumps the server's span ring buffer as Chrome trace JSON.

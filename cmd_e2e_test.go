@@ -2,6 +2,7 @@ package energyroofline
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/workload"
@@ -213,13 +215,9 @@ func TestRooflineBinary(t *testing.T) {
 
 	// Chart file emission.
 	svgPath := filepath.Join(dir, "chart.svg")
-	pngPath := filepath.Join(dir, "chart.png")
-	runBin(t, bin, "-machine", "fermi", "-svgfile", svgPath, "-pngfile", pngPath)
+	runBin(t, bin, "-machine", "fermi", "-svgfile", svgPath)
 	if data, err := os.ReadFile(svgPath); err != nil || !strings.Contains(string(data), "<svg") {
 		t.Errorf("svg file bad: %v", err)
-	}
-	if data, err := os.ReadFile(pngPath); err != nil || len(data) < 8 || string(data[1:4]) != "PNG" {
-		t.Errorf("png file bad: %v", err)
 	}
 
 	// JSON round trip: dump a machine, load it back.
@@ -243,6 +241,9 @@ func TestRooflineBinary(t *testing.T) {
 	}
 	if out, err := exec.Command(bin, "-prec", "half").CombinedOutput(); err == nil {
 		t.Errorf("unknown precision accepted:\n%s", out)
+	}
+	if out, err := exec.Command(bin, "-compare", "-prec", "half").CombinedOutput(); err == nil {
+		t.Errorf("unknown precision accepted by -compare:\n%s", out)
 	}
 }
 
@@ -416,6 +417,24 @@ func TestRooflinedBinary(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := buildCmd(t, dir, "rooflined")
+
+	// A negative cache bound or timeout exits 2 with one "rooflined:"
+	// line instead of serving; the deadline ends a server that starts.
+	for _, c := range []struct{ flag, value, want string }{
+		{"-cache-entries", "-1", "-cache-entries must be >= 0"},
+		{"-cache-bytes", "-1", "-cache-bytes must be >= 0"},
+		{"-timeout", "-1s", "-timeout must be >= 0"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		msg, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", c.flag, c.value).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.HasPrefix(string(msg), "rooflined: ") || strings.Count(string(msg), "\n") != 1 ||
+			!strings.Contains(string(msg), c.want) {
+			t.Errorf("rooflined %s %s: exit %v, output:\n%s\nwant exit 2 with one rooflined: line naming %q", c.flag, c.value, err, msg, c.want)
+		}
+	}
 
 	tracePath := filepath.Join(dir, "server-trace.json")
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-drain", "10s", "-debug", "-trace", tracePath)

@@ -12,16 +12,15 @@ import (
 
 // TestCommittedArtifactsFresh re-runs the whole experiment registry at
 // the default seed and requires the committed artifacts to be what that
-// run writes: every figures/*.svg byte for byte, figures/comparisons.json,
-// and the EXPERIMENTS.md body after its preamble. PNGs are checked by
-// name only, since their zlib stream may change between Go releases.
+// run writes: every file in figures/ (the SVGs and comparisons.json)
+// byte for byte, and the EXPERIMENTS.md body after its preamble.
 // Regenerate everything with
 //
-//	go run ./cmd/experiments -svg figures -png figures -json figures/comparisons.json -md EXPERIMENTS.md
+//	go run ./cmd/experiments -svg figures -json figures/comparisons.json -md EXPERIMENTS.md
 func TestCommittedArtifactsFresh(t *testing.T) {
 	root := mustModuleRoot(t)
 	fresh := t.TempDir()
-	cfg := exp.Config{Seed: exp.DefaultSeed, SVGDir: fresh, PNGDir: fresh}
+	cfg := exp.Config{Seed: exp.DefaultSeed, SVGDir: fresh}
 	reports, err := exp.RunAll(context.Background(), exp.All(), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +44,6 @@ func TestCommittedArtifactsFresh(t *testing.T) {
 			continue
 		}
 		delete(committedNames, name)
-		if filepath.Ext(name) == ".png" {
-			continue
-		}
 		committed, err := os.ReadFile(filepath.Join(committedDir, name))
 		if err != nil {
 			t.Fatal(err)

@@ -141,14 +141,9 @@ func resolveSpec(i int, spec ReplicaSpec) (core.Params, model.EnergyModel, error
 	if !ok {
 		return core.Params{}, nil, fmt.Errorf("cluster: replica %d names unknown machine %q", i, spec.Machine)
 	}
-	var prec machine.Precision
-	switch spec.Precision {
-	case "", "double":
-		prec = machine.Double
-	case "single":
-		prec = machine.Single
-	default:
-		return core.Params{}, nil, fmt.Errorf("cluster: replica %d has unknown precision %q", i, spec.Precision)
+	prec, err := machine.ParsePrecision(spec.Precision)
+	if err != nil {
+		return core.Params{}, nil, fmt.Errorf("cluster: replica %d: %w", i, err)
 	}
 	params := core.FromMachine(m, prec)
 	switch {

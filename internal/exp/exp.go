@@ -2,7 +2,7 @@
 // table and figure of the paper's evaluation, and per ablation,
 // extension and study built on it, each returning a report with
 // paper-reported versus reproduced values and a rendered text (and
-// optional SVG/PNG) artifact. cmd/experiments is its only front end.
+// optional SVG) artifact. cmd/experiments is its only front end.
 //
 // The registry, in paper order:
 //
@@ -70,8 +70,6 @@ type Config struct {
 	Fast bool
 	// SVGDir, when set, receives one SVG per figure experiment.
 	SVGDir string
-	// PNGDir, when set, receives one PNG per figure experiment.
-	PNGDir string
 	// Trace, when non-nil, records spans for the sweeps inside each
 	// experiment. Tracing never touches the noise streams, so reports
 	// are identical with or without it.
@@ -254,36 +252,18 @@ func IDs() []string {
 	return ids
 }
 
-// writeSVG renders the chart into cfg.SVGDir (and, when configured,
-// cfg.PNGDir) — the figure-emission hook every chart experiment calls.
+// writeSVG renders the chart into cfg.SVGDir, when set — the
+// figure-emission hook every chart experiment calls.
 func writeSVG(cfg Config, name string, c *chart.Chart) error {
-	if cfg.SVGDir != "" {
-		svg, err := c.RenderSVG()
-		if err != nil {
-			return err
-		}
-		if err := os.MkdirAll(cfg.SVGDir, 0o755); err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(cfg.SVGDir, name+".svg"), []byte(svg), 0o644); err != nil {
-			return err
-		}
+	if cfg.SVGDir == "" {
+		return nil
 	}
-	if cfg.PNGDir != "" {
-		if err := os.MkdirAll(cfg.PNGDir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(cfg.PNGDir, name+".png"))
-		if err != nil {
-			return err
-		}
-		if err := c.RenderPNG(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	svg, err := c.RenderSVG()
+	if err != nil {
+		return err
 	}
-	return nil
+	if err := os.MkdirAll(cfg.SVGDir, 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(cfg.SVGDir, name+".svg"), []byte(svg), 0o644)
 }

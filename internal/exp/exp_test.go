@@ -143,18 +143,3 @@ func TestDeterministicReports(t *testing.T) {
 		t.Error("model-only experiment must be deterministic")
 	}
 }
-
-func TestFig2aPNGOutput(t *testing.T) {
-	dir := t.TempDir()
-	e, _ := ByID("fig2a")
-	if _, err := e.Run(Config{Seed: 1, Fast: true, PNGDir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "fig2a.png"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) < 8 || string(data[1:4]) != "PNG" {
-		t.Error("PNG magic missing")
-	}
-}

@@ -42,6 +42,19 @@ func (p Precision) String() string {
 	}
 }
 
+// ParsePrecision maps a name String returns back to its Precision.
+// The empty string means Double, the default of every surface that
+// takes a precision by name.
+func ParsePrecision(name string) (Precision, error) {
+	switch name {
+	case "single":
+		return Single, nil
+	case "double", "":
+		return Double, nil
+	}
+	return Double, fmt.Errorf("unknown precision %q (want \"single\" or \"double\")", name)
+}
+
 // WordSize returns the size in bytes of one floating-point word.
 func (p Precision) WordSize() int {
 	if p == Double {

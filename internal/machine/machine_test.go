@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -115,6 +116,20 @@ func TestPrecisionHelpers(t *testing.T) {
 	}
 	if !strings.Contains(Precision(9).String(), "9") {
 		t.Error("unknown precision string")
+	}
+}
+
+func TestParsePrecision(t *testing.T) {
+	for name, want := range map[string]Precision{"single": Single, "double": Double, "": Double} {
+		if got, err := ParsePrecision(name); err != nil || got != want {
+			t.Errorf("ParsePrecision(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"half", "Single", " double"} {
+		_, err := ParsePrecision(name)
+		if want := fmt.Sprintf(`unknown precision %q (want "single" or "double")`, name); err == nil || err.Error() != want {
+			t.Errorf("ParsePrecision(%q) error = %v; want %s", name, err, want)
+		}
 	}
 }
 

@@ -115,10 +115,7 @@ func Fit(cfg FitConfig) (*Blackbox, error) {
 	if !ok {
 		return nil, fmt.Errorf("model: unknown machine %q", cfg.Machine)
 	}
-	prec, err := parsePrecision(cfg.Precision)
-	if err != nil {
-		return nil, err
-	}
+	prec, _ := machine.ParsePrecision(cfg.Precision) // Validate accepted it
 	grid := core.LogGrid(cfg.LoIntensity, cfg.HiIntensity, cfg.Points)
 	var points []microbench.Point
 	for vi, vol := range cfg.Volumes {

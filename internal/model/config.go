@@ -103,8 +103,8 @@ func (c FitConfig) Validate() error {
 	if c.Machine == "" {
 		return fmt.Errorf("model: fit config needs a machine")
 	}
-	if _, err := parsePrecision(c.Precision); err != nil {
-		return err
+	if _, err := machine.ParsePrecision(c.Precision); err != nil {
+		return fmt.Errorf("model: %w", err)
 	}
 	if !(c.LoIntensity > 0) || math.IsInf(c.LoIntensity, 0) {
 		return fmt.Errorf("model: lo_intensity must be positive and finite, got %g", c.LoIntensity)
@@ -134,16 +134,4 @@ func (c FitConfig) Validate() error {
 		return fmt.Errorf("model: volumes must include at least two distinct sizes (equal volumes leave the time intercept unidentified)")
 	}
 	return nil
-}
-
-// parsePrecision maps the wire names to machine.Precision; the empty
-// string means double, matching the rest of the repo's surfaces.
-func parsePrecision(name string) (machine.Precision, error) {
-	switch name {
-	case "", "double":
-		return machine.Double, nil
-	case "single":
-		return machine.Single, nil
-	}
-	return machine.Double, fmt.Errorf("model: unknown precision %q (want \"single\" or \"double\")", name)
 }

@@ -215,6 +215,47 @@ func BenchmarkServerEvalBatch32Cold(b *testing.B) {
 	postCold(b, s, "/v1/evalbatch", batch32ColdBodies())
 }
 
+// BenchmarkRequestDecode measures the decode stage alone, through the
+// hand-rolled decoder and through stdlibDecode, the json.Decoder
+// pipeline it replaced and is fuzzed against, on the bodies the cold
+// benchmarks post: the measurement decode.go is kept on.
+func BenchmarkRequestDecode(b *testing.B) {
+	eval := coldBodies(`{"machine":"gtx580","precision":"double","work":1e9,"intensity":%g}`, 1)
+	batch32 := batch32ColdBodies()
+	sc := &batchScratch{}
+	for _, c := range []struct {
+		name   string
+		bodies [][]byte
+		decode func([]byte) error
+	}{
+		{"eval/decoder", eval, func(body []byte) error {
+			var q evalRequest
+			return decodeEvalRequest(body, &q)
+		}},
+		{"eval/stdlib", eval, func(body []byte) error {
+			var q evalRequest
+			return stdlibDecode(body, &q)
+		}},
+		{"batch32/decoder", batch32, func(body []byte) error {
+			var q evalBatchRequest
+			return decodeEvalBatchRequest(body, &q, sc)
+		}},
+		{"batch32/stdlib", batch32, func(body []byte) error {
+			var q evalBatchRequest
+			return stdlibDecode(body, &q)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.decode(c.bodies[i%len(c.bodies)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEvaluateBatch32 measures the evaluate-and-render stage alone
 // on batch_cold-shaped batches: columnar model evaluation plus the
 // response body, no HTTP, decode, hash or cache.

@@ -41,6 +41,13 @@ import (
 // request decodes without copying any string. /v1/campaign keeps the
 // stdlib decoder: campaign.Config is a deep struct and that endpoint's
 // cost is the engine run, not the parse.
+//
+// The decoder is kept because it pays: BenchmarkRequestDecode puts it
+// at ~0.3 µs and 0 allocations per eval body against ~2 µs and 10 for
+// stdlibDecode, and handlers decoding through strictjson instead
+// failed the allocation pins and lost every alternated bench pair on
+// eval_zipf and batch_cold (docs/PERFORMANCE.md, "Fast paths that
+// stay, and why").
 
 // bodyBufPool recycles request-body read buffers.
 var bodyBufPool = sync.Pool{New: func() any {

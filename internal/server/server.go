@@ -366,15 +366,14 @@ type evalRequest struct {
 	Model string `json:"model,omitempty"`
 }
 
-// parsePrecision maps the wire precision names.
+// parsePrecision maps the wire precision names; an unknown one is a
+// 400 carrying machine.ParsePrecision's text.
 func parsePrecision(s string) (machine.Precision, error) {
-	switch s {
-	case "single":
-		return machine.Single, nil
-	case "double", "":
-		return machine.Double, nil
+	p, err := machine.ParsePrecision(s)
+	if err != nil {
+		return 0, badRequest("%v", err)
 	}
-	return 0, badRequest("unknown precision %q (want \"single\" or \"double\")", s)
+	return p, nil
 }
 
 // checkEval validates an eval request, filling defaults in place.
