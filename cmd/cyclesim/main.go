@@ -31,6 +31,10 @@ func main() {
 		sweep    = flag.Bool("sweep", false, "sweep the window size and exit")
 	)
 	flag.Parse()
+	if *window < 0 {
+		fmt.Fprintf(os.Stderr, "cyclesim: -window must be >= 0 (0 = core default), got %d\n", *window)
+		os.Exit(2)
+	}
 
 	var cfg pipeline.Config
 	switch *coreKey {

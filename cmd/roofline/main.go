@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/chart"
@@ -38,6 +39,9 @@ func main() {
 	flag.Parse()
 
 	prec, err := machine.ParsePrecision(*precStr)
+	if err == nil {
+		err = checkFlags(*lo, *hi, *points, *atI)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "roofline:", err)
 		os.Exit(2)
@@ -69,10 +73,6 @@ func main() {
 	}
 
 	grid := core.LogGrid(*lo, *hi, *points)
-	if grid == nil {
-		fmt.Fprintln(os.Stderr, "roofline: bad intensity range")
-		os.Exit(2)
-	}
 	fmt.Printf("%12s %14s %14s %12s %12s %12s\n",
 		"I (fl/B)", "speed frac", "GFLOP/s", "eff frac", "GFLOP/J", "power (W)")
 	for _, i := range grid {
@@ -124,6 +124,29 @@ func main() {
 			fmt.Printf("wrote %s\n", *svgFile)
 		}
 	}
+}
+
+// checkFlags rejects, before anything prints, the flag values a run
+// would misread: a non-finite float, a negative -intensity (0 means
+// off), or an intensity range core.LogGrid cannot span.
+func checkFlags(lo, hi float64, points int, atI float64) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-lo", lo}, {"-hi", hi}, {"-intensity", atI}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s must be finite, got %g", f.name, f.v)
+		}
+	}
+	switch {
+	case atI < 0:
+		return fmt.Errorf("-intensity must be positive (0 = no single-kernel analysis), got %g", atI)
+	case lo <= 0 || hi <= lo:
+		return fmt.Errorf("bad intensity range: need 0 < -lo < -hi, got -lo %g -hi %g", lo, hi)
+	case points < 2:
+		return fmt.Errorf("-points must be >= 2, got %d", points)
+	}
+	return nil
 }
 
 func compareMachines(prec machine.Precision) {

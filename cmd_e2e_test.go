@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -48,6 +49,24 @@ func runBin(t *testing.T, bin string, args ...string) string {
 		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
 	}
 	return string(out)
+}
+
+// runUsageError runs bin with args and checks the usage-error contract:
+// exit 2, nothing on stdout, and one stderr line starting "name: " that
+// contains want.
+func runUsageError(t *testing.T, bin, want string, args ...string) {
+	t.Helper()
+	var stdout, stderr strings.Builder
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	msg := stderr.String()
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout.Len() != 0 ||
+		!strings.HasPrefix(msg, filepath.Base(bin)+": ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, want) {
+		t.Errorf("%s %v: exit %v, stdout %d bytes, stderr:\n%s\nwant exit 2, no stdout and one %s: line naming %q",
+			filepath.Base(bin), args, err, stdout.Len(), msg, filepath.Base(bin), want)
+	}
 }
 
 func TestExperimentsBinary(t *testing.T) {
@@ -245,6 +264,30 @@ func TestRooflineBinary(t *testing.T) {
 	if out, err := exec.Command(bin, "-compare", "-prec", "half").CombinedOutput(); err == nil {
 		t.Errorf("unknown precision accepted by -compare:\n%s", out)
 	}
+
+	// Every flag is checked before anything prints, so a bad value
+	// leaves stdout empty rather than holding a table or a summary.
+	runUsageError(t, bin, "-intensity", "-intensity", "-4")
+	runUsageError(t, bin, "-lo must be finite", "-lo", "NaN")
+	runUsageError(t, bin, "intensity range", "-lo", "0")
+
+	// The machine file is decoded strictly, so a misspelt power_cap is
+	// an error and not an uncapped machine, and the cap must exceed π0
+	// (122 W on the GTX 580), below which capped times go negative.
+	for _, c := range []struct{ name, from, to, want string }{
+		{"misspelt-cap", `"power_cap"`, `"powercap"`, `unknown field "powercap"`},
+		{"cap-below-pi0", `"power_cap": 295`, `"power_cap": 100`, "not above constant power"},
+	} {
+		edited := strings.Replace(string(data), c.from, c.to, 1)
+		if edited == string(data) {
+			t.Fatalf("%s: no %s in the machine JSON", c.name, c.from)
+		}
+		path := filepath.Join(dir, c.name+".json")
+		if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runUsageError(t, bin, c.want, "-json", path, "-intensity", "8")
+	}
 }
 
 func TestCyclesimBinary(t *testing.T) {
@@ -268,6 +311,8 @@ func TestCyclesimBinary(t *testing.T) {
 	if out, err := exec.Command(bin, "-prec", "half").CombinedOutput(); err == nil {
 		t.Errorf("unknown precision accepted:\n%s", out)
 	}
+	// A negative window is a usage error, not the core default.
+	runUsageError(t, bin, "-window", "-window", "-2")
 }
 
 func TestCampaignBinary(t *testing.T) {
@@ -649,6 +694,41 @@ func TestFleetsimBinary(t *testing.T) {
 		if ev.Name != "replica.serve" || ev.Phase != "X" || ev.Dur <= 0 {
 			t.Fatalf("bad trace event: %+v", ev)
 		}
+	}
+
+	// The whole catalog's trace fits the ring: every span is written,
+	// none dropped, and the scenario tag tells apart the six scenarios
+	// that share the policy × replica lanes.
+	allPath := filepath.Join(dir, "all-trace.json")
+	out = runBin(t, bin, "-scenario", "all", "-requests", "20000", "-trace", allPath)
+	var all struct {
+		TraceEvents []struct {
+			Args struct {
+				Scenario string `json:"scenario"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+		Dropped uint64 `json:"dropped"`
+	}
+	if data, err = os.ReadFile(allPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &all); err != nil {
+		t.Fatalf("trace JSON: %v", err)
+	}
+	if want := fmt.Sprintf("fleetsim: wrote %d spans (0 dropped) to %s\n", len(all.TraceEvents), allPath); all.Dropped != 0 || !strings.Contains(out, want) {
+		t.Errorf("-scenario all trace: %d spans, %d dropped; output lacks %q:\n%s", len(all.TraceEvents), all.Dropped, want, out)
+	}
+	tagged := map[string]int{}
+	for _, ev := range all.TraceEvents {
+		tagged[ev.Args.Scenario]++
+	}
+	for _, name := range cluster.ScenarioNames() {
+		if tagged[name] == 0 {
+			t.Errorf("no replica.serve span tagged scenario %q (tags: %v)", name, tagged)
+		}
+	}
+	if len(tagged) != len(cluster.ScenarioNames()) {
+		t.Errorf("spans carry scenario tags %v, want exactly the catalog's %v", tagged, cluster.ScenarioNames())
 	}
 
 	// Worker-count determinism at the binary level: the JSON report is

@@ -23,13 +23,18 @@ func goList(t *testing.T, args ...string) []string {
 // shared result cache: the fleet simulator links the cache core
 // (internal/rescache) but not the HTTP server, anything only the server
 // needs, or the benchmark gate's file format, and the core is a leaf
-// over internal/stats that takes no lock.
+// over internal/stats that takes no lock. The simulator prices with
+// the closed forms of internal/core, so it links neither the model
+// registry nor the measurement stack behind the blackbox fit.
 func TestFleetsimDependencies(t *testing.T) {
 	deps := map[string]bool{}
 	for _, p := range goList(t, "-deps", "./cmd/fleetsim") {
 		deps[p] = true
 	}
-	for _, banned := range []string{"repro/internal/server", "repro/internal/campaign", "repro/internal/metrics", "repro/internal/benchfile", "net/http"} {
+	for _, banned := range []string{
+		"repro/internal/server", "repro/internal/campaign", "repro/internal/metrics", "repro/internal/benchfile", "net/http",
+		"repro/internal/model", "repro/internal/sim", "repro/internal/microbench",
+	} {
 		if deps[banned] {
 			t.Errorf("cmd/fleetsim links %s", banned)
 		}

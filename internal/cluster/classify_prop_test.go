@@ -53,7 +53,7 @@ func auditEnergyAware(t *testing.T, label string, sc Scenario, tr *workload.Trac
 			}
 			ts, es = ts[:n], es[:n]
 			for i := 0; i < n; i++ {
-				ts[i], es[i] = f.estimate(now, i, f.reps[i].model, req)
+				ts[i], es[i] = f.estimate(now, i, req)
 			}
 
 			// Scalar reference scan, classifier inlined.

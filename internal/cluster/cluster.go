@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/parallel"
 	"repro/internal/rescache"
 	"repro/internal/stats"
@@ -31,42 +30,36 @@ import (
 	"repro/internal/workload"
 )
 
-// ReplicaSpec describes one simulated replica.
+// ReplicaSpec describes one simulated replica. Every replica serves
+// double precision, and its result cache holds at most CacheEntries
+// bodies and 64 MiB.
 type ReplicaSpec struct {
 	// Machine names a catalog machine ("fermi", "gtx580", "i7-950",
 	// "future") whose roofline parameters price this replica's kernels.
-	Machine string `json:"machine"`
-	// Precision selects the operand width ("single" or "double";
-	// empty means double).
-	Precision string `json:"precision,omitempty"`
+	Machine string
 	// CacheEntries bounds the replica's result cache in entries.
-	CacheEntries int `json:"cache_entries"`
-	// CacheBytes bounds the replica's result cache in body bytes.
-	CacheBytes int64 `json:"cache_bytes"`
-	// Model names the EnergyModel the energy-aware router prices this
-	// replica's misses with ("analytic" or "blackbox"; empty means
-	// analytic, which routes byte-identically to the pre-interface
-	// simulator). Service times and served-energy accounting always
-	// use the analytic closed forms — the replica's simulated hardware
-	// is the roofline; Model only changes the router's beliefs.
-	Model string `json:"model,omitempty"`
+	CacheEntries int
 	// OperatingPoint pins the replica to one named point of its
 	// machine's DVFS curve (the machine must come from the DVFS
 	// catalog). Service times, served energy, idle power, and the
 	// router's pricing all use the pinned parameters. Empty means full
-	// clock. Requires the analytic model: a blackbox fitted at base
-	// clock has no beliefs about other operating points.
-	OperatingPoint string `json:"operating_point,omitempty"`
+	// clock.
+	OperatingPoint string
 }
 
-// precisionName returns the precision string the production server
-// keys requests with (empty means double).
-func (spec ReplicaSpec) precisionName() string {
-	if spec.Precision == "" {
-		return "double"
-	}
-	return spec.Precision
-}
+// replicaPrecision is the operand width every replica serves and keys
+// its requests with: double, the production server's default.
+const replicaPrecision = machine.Double
+
+// replicaCacheBytes bounds every replica's result cache in body bytes.
+// With 256-byte bodies (hitBody) it never binds before CacheEntries
+// does: 64 MiB holds 262,144 of them.
+const replicaCacheBytes = 64 << 20
+
+// hitLatency is the simulated seconds a cache hit takes end to end:
+// 500µs, small against the ~20ms an i7-950 needs for a 1-gigaflop
+// kernel.
+const hitLatency = 500e-6
 
 // Options parameterise RunScenario.
 type Options struct {
@@ -75,7 +68,9 @@ type Options struct {
 	Workers int
 	// Tracer, when non-nil, receives per-replica "replica.serve" spans
 	// stamped with virtual timestamps (Track = policy*trackStride +
-	// replica + 1). Tracing never affects the report.
+	// replica + 1) and tagged with the scenario, policy, replica and
+	// machine; every scenario shares the same lanes, so the scenario
+	// tag tells them apart. Tracing never affects the report.
 	Tracer *trace.Tracer
 	// Trace overrides the scenario's generated workload with a replayed
 	// request stream (e.g. one loaded via workload.ParseTrace).
@@ -100,8 +95,7 @@ type replica struct {
 	id      int
 	spec    ReplicaSpec
 	params  core.Params
-	model   model.EnergyModel // prices router estimates; analytic unless spec.Model overrides
-	prices  []kernelPrice     // the spec's price table, indexed by kernel id
+	prices  []kernelPrice // the spec's price table, indexed by kernel id
 	cache   *rescache.Cache
 	flights map[uint64]*simFlight // in-progress engine runs by key
 
@@ -135,40 +129,22 @@ type pending struct {
 }
 
 // resolveSpec returns the roofline parameters replica i's spec serves
-// at and the EnergyModel its router estimates price with.
-func resolveSpec(i int, spec ReplicaSpec) (core.Params, model.EnergyModel, error) {
+// and is priced at. It looks the machine up with machine.Find, so
+// DVFS-catalog-only machines (the multi-SM family) work too.
+func resolveSpec(i int, spec ReplicaSpec) (core.Params, error) {
 	m, ok := machine.Find(spec.Machine)
 	if !ok {
-		return core.Params{}, nil, fmt.Errorf("cluster: replica %d names unknown machine %q", i, spec.Machine)
+		return core.Params{}, fmt.Errorf("cluster: replica %d names unknown machine %q", i, spec.Machine)
 	}
-	prec, err := machine.ParsePrecision(spec.Precision)
-	if err != nil {
-		return core.Params{}, nil, fmt.Errorf("cluster: replica %d: %w", i, err)
+	params := core.FromMachine(m, replicaPrecision)
+	if spec.OperatingPoint == "" {
+		return params, nil
 	}
-	params := core.FromMachine(m, prec)
-	switch {
-	case spec.OperatingPoint != "":
-		op, found := m.Point(spec.OperatingPoint)
-		if !found {
-			return core.Params{}, nil, fmt.Errorf("cluster: replica %d: machine %q has no operating point %q", i, spec.Machine, spec.OperatingPoint)
-		}
-		if spec.Model != "" && spec.Model != model.AnalyticName {
-			return core.Params{}, nil, fmt.Errorf("cluster: replica %d: model %q cannot price operating point %q; a model fitted at base clock has no beliefs about other points", i, spec.Model, spec.OperatingPoint)
-		}
-		params = params.AtOperatingPoint(op)
-		return params, model.NewAnalytic(params), nil
-	case spec.Model == "" || spec.Model == model.AnalyticName:
-		// Built directly from the resolved machine so DVFS-catalog-only
-		// machines (the multi-SM family) work; identical parameters to
-		// model.For for base catalog keys.
-		return params, model.NewAnalytic(params), nil
-	default:
-		em, err := model.For(spec.Model, spec.Machine, prec)
-		if err != nil {
-			return core.Params{}, nil, fmt.Errorf("cluster: replica %d: %w", i, err)
-		}
-		return params, em, nil
+	op, found := m.Point(spec.OperatingPoint)
+	if !found {
+		return core.Params{}, fmt.Errorf("cluster: replica %d: machine %q has no operating point %q", i, spec.Machine, spec.OperatingPoint)
 	}
+	return params.AtOperatingPoint(op), nil
 }
 
 // queueLen counts requests in service or queued (coalesced waiters
@@ -194,8 +170,7 @@ func (r *replica) pendingWork(now float64) float64 {
 // Fleet is the set of replicas one policy run routes over, exposed to
 // Policy implementations for probing replica state.
 type Fleet struct {
-	reps       []*replica
-	hitLatency float64
+	reps []*replica
 	// kernel is the kernel id of the request being routed, set by the
 	// event loop before every Route call so policies can read the
 	// replicas' price tables.
@@ -230,12 +205,13 @@ const maxSpansPerPolicy = 2000
 
 // sim is one (scenario, policy) cell's mutable state.
 type sim struct {
-	fleet   *Fleet
-	policy  Policy
-	closed  bool
-	trace   []workload.Request
-	kernels []int32 // per trace request: its kernel id
-	clients int     // closed-loop client count
+	scenario string
+	fleet    *Fleet
+	policy   Policy
+	closed   bool
+	trace    []workload.Request
+	kernels  []int32 // per trace request: its kernel id
+	clients  int     // closed-loop client count
 
 	events eventQueue
 	free   []*simFlight // finished flights, ready for reuse
@@ -268,19 +244,18 @@ func runPolicy(sc *Scenario, tr *workload.Trace, kernels []int32, prices []*spec
 			id:      i,
 			spec:    spec,
 			params:  prices[i].params,
-			model:   prices[i].model,
 			prices:  prices[i].table,
-			cache:   rescache.New(spec.CacheEntries, spec.CacheBytes),
+			cache:   rescache.New(spec.CacheEntries, replicaCacheBytes),
 			flights: map[uint64]*simFlight{},
 		}
 	}
 	words := (len(reps) + 63) / 64
 	s := &sim{
+		scenario: sc.Name,
 		fleet: &Fleet{
-			reps:       reps,
-			hitLatency: sc.HitLatency,
-			holders:    make([]uint64, len(prices[0].table)*words),
-			words:      words,
+			reps:    reps,
+			holders: make([]uint64, len(prices[0].table)*words),
+			words:   words,
 		},
 		policy:   policy,
 		closed:   tr.Closed,
@@ -347,7 +322,7 @@ func (s *sim) arrive(p pending) {
 	rep.requests++
 	price := &rep.prices[p.kernel]
 	if _, ok := rep.cache.Get(price.key); ok {
-		s.finish(p, s.now+s.fleet.hitLatency)
+		s.finish(p, s.now+hitLatency)
 		return
 	}
 	if f, joined := rep.flights[price.key]; joined {
@@ -399,6 +374,7 @@ func (s *sim) record(rep *replica, start, dur float64) {
 		Start: time.Duration(start * float64(time.Second)),
 		Dur:   time.Duration(dur * float64(time.Second)),
 		Tags: []trace.Tag{
+			{Key: "scenario", Val: s.scenario},
 			{Key: "policy", Val: s.policy.Name()},
 			{Key: "replica", Val: rep.id},
 			{Key: "machine", Val: rep.spec.Machine},

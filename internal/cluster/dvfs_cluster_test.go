@@ -3,8 +3,6 @@ package cluster
 import (
 	"context"
 	"testing"
-
-	"repro/internal/model"
 )
 
 // dvfsScenario returns the catalog's hetero_dvfs scenario shrunk to a
@@ -67,19 +65,14 @@ func TestReplicaReportCarriesOperatingPoint(t *testing.T) {
 	}
 }
 
-// TestOperatingPointSpecValidation covers the pinned-point spec errors:
-// points must exist on the machine's curve, and pinning requires the
-// analytic model (a blackbox fit knows nothing about scaled params).
+// TestOperatingPointSpecValidation covers the pinned-point spec rule:
+// points must exist on the machine's curve, which for an i7-950 is the
+// DVFS catalog's.
 func TestOperatingPointSpecValidation(t *testing.T) {
 	sc := dvfsScenario(t, 100)
 	sc.Replicas[2].OperatingPoint = "9.99x"
 	if _, err := RunScenario(context.Background(), sc, Options{}); err == nil {
 		t.Fatal("RunScenario accepted an unknown operating point")
-	}
-	sc = dvfsScenario(t, 100)
-	sc.Replicas[4].Model = model.BlackboxName
-	if _, err := RunScenario(context.Background(), sc, Options{}); err == nil {
-		t.Fatal("RunScenario accepted a blackbox model with a pinned point")
 	}
 	// A point on an i7-950: the DVFS catalog entry carries a curve even
 	// though the base catalog entry is curveless.

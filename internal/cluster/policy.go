@@ -116,13 +116,13 @@ func (energyAware) Name() string { return EnergyAware }
 // estimateInto gathers the per-replica (time, energy) estimates for the
 // request being routed into the fleet's scratch columns, growing them
 // only on the first call for a given fleet size. Each replica's
-// estimate reads its price table at f.kernel, where the miss columns
-// hold its own EnergyModel's predictions (ReplicaSpec.Model; analytic
-// by default). Only replicas whose holder bit is set are probed for a
-// hit; a probe that misses clears the bit (see Fleet.holders). Every
-// column equals what the scalar oracle Fleet.estimate (prices_test.go)
-// computes, bit for bit; the lockstep tests pin that on every routing
-// decision.
+// estimate reads its price table at f.kernel: a miss waits out the
+// replica's pending work and then costs the kernel's capped time and
+// energy, the same closed forms the replica serves with. Only replicas
+// whose holder bit is set are probed for a hit; a probe that misses
+// clears the bit (see Fleet.holders). Every column equals what the
+// scalar oracle Fleet.estimate (prices_test.go) computes, bit for bit;
+// the lockstep tests pin that on every routing decision.
 func (f *Fleet) estimateInto(now float64) (t, e []float64) {
 	n := len(f.reps)
 	if cap(f.estT) < n {
@@ -135,12 +135,12 @@ func (f *Fleet) estimateInto(now float64) (t, e []float64) {
 		p := &rep.prices[f.kernel]
 		if w, bit := &held[i/64], uint64(1)<<(i%64); *w&bit != 0 {
 			if rep.cache.Peek(p.key) {
-				t[i], e[i] = f.hitLatency, rep.params.Pi0*f.hitLatency
+				t[i], e[i] = hitLatency, rep.params.Pi0*hitLatency
 				continue
 			}
 			*w &^= bit
 		}
-		t[i], e[i] = rep.pendingWork(now)+p.estT, p.estE
+		t[i], e[i] = rep.pendingWork(now)+p.svc, p.joules
 	}
 	return t, e
 }

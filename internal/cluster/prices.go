@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/rescache"
 	"repro/internal/workload"
 )
@@ -87,21 +86,18 @@ func kernelHome(w, in uint64, log2 uint) int {
 type kernelPrice struct {
 	// key is the production cache and coalescing key (rescache.EvalKey).
 	key uint64
-	// svc is the analytic CappedTime: the simulated service time.
+	// svc is the CappedTime: the simulated service time, and the
+	// router's estimate of a miss's run time.
 	svc float64
-	// joules is the analytic CappedEnergy one engine run is charged.
+	// joules is the CappedEnergy one engine run is charged, and the
+	// router's estimate of a miss's energy.
 	joules float64
-	// estT and estE are the spec's EnergyModel capped time and energy:
-	// the router's beliefs about a miss.
-	estT, estE float64
 }
 
 // specPrices is what RunScenario resolves once per distinct replica
-// spec: the parameters the replica serves at, the EnergyModel its
-// router prices misses with, and its price table.
+// spec: the parameters the replica serves at and its price table.
 type specPrices struct {
 	params core.Params
-	model  model.EnergyModel
 	table  []kernelPrice
 }
 
@@ -111,16 +107,16 @@ type specPrices struct {
 func priceReplicas(specs []ReplicaSpec, ix kernelIndex) ([]*specPrices, error) {
 	bySpec := make(map[ReplicaSpec]*specPrices)
 	out := make([]*specPrices, len(specs))
+	prec := replicaPrecision.String()
 	for i, spec := range specs {
 		if sp, ok := bySpec[spec]; ok {
 			out[i] = sp
 			continue
 		}
-		params, em, err := resolveSpec(i, spec)
+		params, err := resolveSpec(i, spec)
 		if err != nil {
 			return nil, err
 		}
-		prec := spec.precisionName()
 		t := make([]kernelPrice, len(ix.work))
 		for k, w := range ix.work {
 			kern := core.KernelAt(w, ix.intensity[k])
@@ -128,11 +124,9 @@ func priceReplicas(specs []ReplicaSpec, ix kernelIndex) ([]*specPrices, error) {
 				key:    rescache.EvalKey(spec.Machine, prec, w, ix.intensity[k]),
 				svc:    params.CappedTime(kern),
 				joules: params.CappedEnergy(kern),
-				estT:   em.CappedTime(kern),
-				estE:   em.CappedEnergy(kern),
 			}
 		}
-		sp := &specPrices{params: params, model: em, table: t}
+		sp := &specPrices{params: params, table: t}
 		bySpec[spec] = sp
 		out[i] = sp
 	}

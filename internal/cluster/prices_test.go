@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/rescache"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -15,25 +14,25 @@ import (
 
 // estimate is the scalar oracle for Fleet.estimateInto: it predicts
 // (completion latency, marginal energy) for sending req to replica i
-// now, pricing a miss with the EnergyModel em. A predicted cache hit
-// costs the hit latency and its idle-power energy; a miss waits out the
-// replica's pending work and then runs the kernel, costing em's capped
-// time and energy predictions (eq. 6/9 under the default analytic
-// model). Unlike estimateInto it reads no price table.
-func (f *Fleet) estimate(now float64, i int, em model.EnergyModel, req workload.Request) (t, e float64) {
+// now. A predicted cache hit costs the hit latency and its idle-power
+// energy; a miss waits out the replica's pending work and then runs the
+// kernel, costing the replica's capped time and energy (eq. 6/9).
+// Unlike estimateInto it reads no price table.
+func (f *Fleet) estimate(now float64, i int, req workload.Request) (t, e float64) {
 	rep := f.reps[i]
 	if rep.cache.Peek(rep.key(req)) {
-		return f.hitLatency, rep.params.Pi0 * f.hitLatency
+		return hitLatency, rep.params.Pi0 * hitLatency
 	}
 	k := core.KernelAt(req.Work, req.Intensity)
-	return rep.pendingWork(now) + em.CappedTime(k), em.CappedEnergy(k)
+	return rep.pendingWork(now) + rep.params.CappedTime(k), rep.params.CappedEnergy(k)
 }
 
 // key recomputes the cache/coalescing key a replica uses for req, the
-// hash the live server's POST /v1/eval handler uses. The event loop
-// reads the same key from the replica's price table.
+// hash the live server's POST /v1/eval handler uses for a double
+// precision request. The event loop reads the same key from the
+// replica's price table.
 func (r *replica) key(req workload.Request) uint64 {
-	return rescache.EvalKey(r.spec.Machine, r.spec.precisionName(), req.Work, req.Intensity)
+	return rescache.EvalKey(r.spec.Machine, "double", req.Work, req.Intensity)
 }
 
 // multiSpecRequests is the request count the multi-spec fleets run at.
@@ -52,10 +51,9 @@ type specFleet struct {
 
 // multiSpecFleets returns fleets whose replicas differ in spec — and so
 // read different price tables — each with its own trace: hetero_1m,
-// hetero_dvfs, hetero_1m with one i7-950 and one gtx580 routed on a
-// blackbox model, hetero_1m replaying a trace in which two distinct
-// Keys share one (Work, Intensity) pair, hetero_1m with 8-entry caches,
-// and 64 i7-950 replicas followed by 8 gtx580 replicas. The last two
+// hetero_dvfs, hetero_1m replaying a trace in which two distinct Keys
+// share one (Work, Intensity) pair, hetero_1m with 8-entry caches, and
+// 64 i7-950 replicas followed by 8 gtx580 replicas. The last two
 // are there for the holder bits: the first evicts, so bits go stale,
 // and the second routes past replica 63, into a second bitset word. A
 // tiled hetero fleet would not do for that, as the router never leaves
@@ -66,12 +64,6 @@ func multiSpecFleets(t *testing.T) []specFleet {
 	hetero, dvfs := catalog["hetero_1m"], catalog["hetero_dvfs"]
 	hetero.Workload.Requests = multiSpecRequests
 	dvfs.Workload.Requests = multiSpecRequests
-
-	blackbox := hetero
-	blackbox.Name = "hetero_blackbox"
-	blackbox.Replicas = append([]ReplicaSpec(nil), hetero.Replicas...)
-	blackbox.Replicas[1].Model = model.BlackboxName
-	blackbox.Replicas[5].Model = model.BlackboxName
 
 	replay := hetero
 	replay.Name = "hetero_shared_kernel"
@@ -91,7 +83,7 @@ func multiSpecFleets(t *testing.T) []specFleet {
 	}
 
 	var out []specFleet
-	for _, sc := range []Scenario{hetero, dvfs, blackbox, replay, evicting, wide} {
+	for _, sc := range []Scenario{hetero, dvfs, replay, evicting, wide} {
 		tr, err := workload.Generate(sc.Workload)
 		if err != nil {
 			t.Fatal(err)
@@ -243,9 +235,8 @@ func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // the scalar oracle bit for bit, on every multi-spec fleet:
 //
 //  1. every request's table entry equals what the replica's scalar
-//     path computes from the request itself: the EvalKey hash, the
-//     analytic CappedTime and CappedEnergy, and the spec's EnergyModel
-//     beliefs;
+//     path computes from the request itself: the EvalKey hash and the
+//     CappedTime and CappedEnergy of the spec's parameters;
 //  2. on every routing decision of the energy-aware policy, the
 //     estimate columns it routed on equal Fleet.estimate for every
 //     replica, so a holder bit never hides a hit and never stands in
@@ -263,17 +254,16 @@ func TestPriceTablesMatchScalarOracle(t *testing.T) {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
 		for r, spec := range sc.Replicas {
-			params, em, err := resolveSpec(r, spec)
+			params, err := resolveSpec(r, spec)
 			if err != nil {
 				t.Fatalf("%s: %v", sc.Name, err)
 			}
-			rep := &replica{spec: spec, params: params, model: em}
+			rep := &replica{spec: spec, params: params}
 			for i, req := range tr.Requests {
 				p := prices[r].table[ix.ids[i]]
 				k := core.KernelAt(req.Work, req.Intensity)
 				if p.key != rep.key(req) ||
-					!bitsEqual(p.svc, rep.params.CappedTime(k)) || !bitsEqual(p.joules, rep.params.CappedEnergy(k)) ||
-					!bitsEqual(p.estT, rep.model.CappedTime(k)) || !bitsEqual(p.estE, rep.model.CappedEnergy(k)) {
+					!bitsEqual(p.svc, rep.params.CappedTime(k)) || !bitsEqual(p.joules, rep.params.CappedEnergy(k)) {
 					t.Fatalf("%s replica %d request %d: table entry %+v differs from the scalar path", sc.Name, r, i, p)
 				}
 			}
@@ -289,7 +279,7 @@ func TestPriceTablesMatchScalarOracle(t *testing.T) {
 				decisions++
 				fleet, maxChosen = f, max(maxChosen, chosen)
 				for i := range f.reps {
-					wt, we := f.estimate(now, i, f.reps[i].model, req)
+					wt, we := f.estimate(now, i, req)
 					if !bitsEqual(f.estT[i], wt) || !bitsEqual(f.estE[i], we) {
 						t.Fatalf("%s decision %d replica %d: table estimate (%g, %g), scalar oracle (%g, %g)",
 							sc.Name, decisions, i, f.estT[i], f.estE[i], wt, we)

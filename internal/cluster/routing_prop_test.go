@@ -74,8 +74,7 @@ func propScenario(trial int, policies []string) Scenario {
 			HiIntensity: 8,
 			Seed:        int64(stats.DeriveState(int64(trial), 3)),
 		},
-		Policies:   policies,
-		HitLatency: defaultHitLatency,
+		Policies: policies,
 	}
 }
 

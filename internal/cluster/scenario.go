@@ -8,26 +8,24 @@ import (
 )
 
 // Scenario is one named fleet experiment: a replica set, a workload
-// spec, the policies to compare, and the hit-path latency.
+// spec, and the policies to compare.
 type Scenario struct {
 	// Name identifies the scenario (`fleetsim -scenario <name>`).
-	Name string `json:"name"`
+	Name string
 	// Desc states what the scenario stresses.
-	Desc string `json:"description"`
+	Desc string
 	// Replicas is the fleet, in index order.
-	Replicas []ReplicaSpec `json:"replicas"`
+	Replicas []ReplicaSpec
 	// Workload is the traffic spec driven through the fleet.
-	Workload workload.Spec `json:"workload"`
+	Workload workload.Spec
 	// Policies lists the routing policies to compare, in report order;
 	// empty means PolicyNames().
-	Policies []string `json:"policies,omitempty"`
-	// HitLatency is the simulated seconds a cache hit takes end to end.
-	HitLatency float64 `json:"hit_latency_seconds"`
+	Policies []string
 }
 
 // Validate reports whether the scenario is runnable: at least one
-// replica on a known machine, a valid workload, known policies, and a
-// positive hit latency.
+// replica on a known machine (and operating point), a valid workload,
+// and known policies.
 func (sc Scenario) Validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("cluster: scenario needs a name")
@@ -36,7 +34,7 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("cluster: scenario %q has no replicas", sc.Name)
 	}
 	for i, spec := range sc.Replicas {
-		if _, _, err := resolveSpec(i, spec); err != nil {
+		if _, err := resolveSpec(i, spec); err != nil {
 			return err
 		}
 	}
@@ -48,9 +46,6 @@ func (sc Scenario) Validate() error {
 			return err
 		}
 	}
-	if !(sc.HitLatency > 0) {
-		return fmt.Errorf("cluster: scenario %q needs a positive hit latency", sc.Name)
-	}
 	return nil
 }
 
@@ -59,19 +54,10 @@ func (sc Scenario) Validate() error {
 func i7Replicas(n, entries int) []ReplicaSpec {
 	reps := make([]ReplicaSpec, n)
 	for i := range reps {
-		reps[i] = ReplicaSpec{
-			Machine:      "i7-950",
-			Precision:    "double",
-			CacheEntries: entries,
-			CacheBytes:   64 << 20,
-		}
+		reps[i] = ReplicaSpec{Machine: "i7-950", CacheEntries: entries}
 	}
 	return reps
 }
-
-// defaultHitLatency is the simulated cost of serving from cache: 500µs,
-// small against the ~20ms an i7-950 needs for a 1-gigaflop kernel.
-const defaultHitLatency = 500e-6
 
 // Scenarios returns the scenario catalog keyed by name. The *_1m
 // entries drive one million requests through at least eight replicas —
@@ -112,12 +98,7 @@ func Scenarios() map[string]Scenario {
 
 	hetero := append(i7Replicas(4, 4096), make([]ReplicaSpec, 4)...)
 	for i := 4; i < 8; i++ {
-		hetero[i] = ReplicaSpec{
-			Machine:      "gtx580",
-			Precision:    "double",
-			CacheEntries: 4096,
-			CacheBytes:   64 << 20,
-		}
+		hetero[i] = ReplicaSpec{Machine: "gtx580", CacheEntries: 4096}
 	}
 
 	// heteroDVFS mixes base-clock replicas with pinned operating points
@@ -130,57 +111,45 @@ func Scenarios() map[string]Scenario {
 		{"gtx580", "0.70x"}, {"gtx580", "0.70x"},
 		{"gtx580-4sm", "0.55x"}, {"gtx580-4sm", "0.55x"},
 	} {
-		heteroDVFS[2+i] = ReplicaSpec{
-			Machine:        pin.machine,
-			OperatingPoint: pin.point,
-			Precision:      "double",
-			CacheEntries:   4096,
-			CacheBytes:     64 << 20,
-		}
+		heteroDVFS[2+i] = ReplicaSpec{Machine: pin.machine, CacheEntries: 4096, OperatingPoint: pin.point}
 	}
 
 	return map[string]Scenario{
 		"smoke": {
-			Name:       "smoke",
-			Desc:       "4 i7-950 replicas, 20k Poisson requests: the fast CI/test variant",
-			Replicas:   i7Replicas(4, 1024),
-			Workload:   smokeWL,
-			HitLatency: defaultHitLatency,
+			Name:     "smoke",
+			Desc:     "4 i7-950 replicas, 20k Poisson requests: the fast CI/test variant",
+			Replicas: i7Replicas(4, 1024),
+			Workload: smokeWL,
 		},
 		"cluster_1m": {
-			Name:       "cluster_1m",
-			Desc:       "8 i7-950 replicas, 1M Poisson requests over a 50k-key Zipf universe",
-			Replicas:   i7Replicas(8, 4096),
-			Workload:   base,
-			HitLatency: defaultHitLatency,
+			Name:     "cluster_1m",
+			Desc:     "8 i7-950 replicas, 1M Poisson requests over a 50k-key Zipf universe",
+			Replicas: i7Replicas(8, 4096),
+			Workload: base,
 		},
 		"burst_1m": {
-			Name:       "burst_1m",
-			Desc:       "8 i7-950 replicas, 1M MMPP requests bursting 150 to 900 rps",
-			Replicas:   i7Replicas(8, 4096),
-			Workload:   burstWL,
-			HitLatency: defaultHitLatency,
+			Name:     "burst_1m",
+			Desc:     "8 i7-950 replicas, 1M MMPP requests bursting 150 to 900 rps",
+			Replicas: i7Replicas(8, 4096),
+			Workload: burstWL,
 		},
 		"closed_1m": {
-			Name:       "closed_1m",
-			Desc:       "8 i7-950 replicas, 1M requests from 512 closed-loop clients",
-			Replicas:   i7Replicas(8, 4096),
-			Workload:   closedWL,
-			HitLatency: defaultHitLatency,
+			Name:     "closed_1m",
+			Desc:     "8 i7-950 replicas, 1M requests from 512 closed-loop clients",
+			Replicas: i7Replicas(8, 4096),
+			Workload: closedWL,
 		},
 		"hetero_1m": {
-			Name:       "hetero_1m",
-			Desc:       "4 i7-950 + 4 gtx580 replicas, 1M Poisson requests: the energy-aware policy's home turf",
-			Replicas:   hetero,
-			Workload:   heteroWL,
-			HitLatency: defaultHitLatency,
+			Name:     "hetero_1m",
+			Desc:     "4 i7-950 + 4 gtx580 replicas, 1M Poisson requests: the energy-aware policy's home turf",
+			Replicas: hetero,
+			Workload: heteroWL,
 		},
 		"hetero_dvfs": {
-			Name:       "hetero_dvfs",
-			Desc:       "2 i7-950 + 2 gtx580 + 2 gtx580@0.70x + 2 gtx580-4sm@0.55x, 1M Poisson requests: DVFS-pinned replicas priced per operating point",
-			Replicas:   heteroDVFS,
-			Workload:   heteroWL,
-			HitLatency: defaultHitLatency,
+			Name:     "hetero_dvfs",
+			Desc:     "2 i7-950 + 2 gtx580 + 2 gtx580@0.70x + 2 gtx580-4sm@0.55x, 1M Poisson requests: DVFS-pinned replicas priced per operating point",
+			Replicas: heteroDVFS,
+			Workload: heteroWL,
 		},
 	}
 }

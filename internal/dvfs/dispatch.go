@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/model"
 )
 
 // Candidate is one platform-and-frequency a kernel can be dispatched
@@ -19,9 +18,6 @@ type Candidate struct {
 	Label string
 	// P are the pinned model parameters.
 	P core.Params
-	// EM evaluates the candidate through the EnergyModel interface (the
-	// columnar dispatch table uses its EvalInto).
-	EM model.EnergyModel
 }
 
 // DefaultPlatforms returns the study's fixed candidate set, baseline
@@ -47,13 +43,11 @@ func DefaultPlatforms() ([]Candidate, error) {
 		if !ok {
 			return nil, fmt.Errorf("dvfs: machine %q has no operating point %q", s.mkey, s.point)
 		}
-		p := core.FromMachineAt(m, machine.Double, op)
 		out = append(out, Candidate{
 			Machine: s.mkey,
 			Point:   s.point,
 			Label:   s.mkey + "@" + s.point,
-			P:       p,
-			EM:      model.NewAnalytic(p),
+			P:       core.FromMachineAt(m, machine.Double, op),
 		})
 	}
 	return out, nil
@@ -142,7 +136,7 @@ func dispatchTable(grid []float64, work float64) (DispatchTable, error) {
 	core.QAtInto(q, w, grid)
 	batches := make([]core.Batch, len(plats))
 	for i := range plats {
-		plats[i].EM.EvalInto(&batches[i], w, q)
+		plats[i].P.EvalInto(&batches[i], w, q)
 	}
 	out := DispatchTable{Baseline: plats[0].Label}
 	for i := range plats {

@@ -3,7 +3,6 @@ package dvfs
 import (
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/model"
 )
 
 // OptFreqPoint is the energy-minimal operating point at one intensity.
@@ -39,9 +38,9 @@ type OptFreqCurve struct {
 }
 
 // optFreqCurve sweeps every operating point of m through the batch
-// model evaluator and records the per-intensity energy argmin. The
-// per-point energies come from model.EnergyModel.EvalInto — the same
-// fused columnar path everything else uses; there is no scalar sweep.
+// evaluator and records the per-intensity energy argmin. The per-point
+// energies come from core.Params.EvalInto — the same fused columnar
+// path everything else uses; there is no scalar sweep.
 func optFreqCurve(m *machine.Machine, key string, prec machine.Precision, work float64, grid []float64) OptFreqCurve {
 	curve := m.OperatingPoints
 	n := len(grid)
@@ -55,8 +54,7 @@ func optFreqCurve(m *machine.Machine, key string, prec machine.Precision, work f
 	energies := make([][]float64, len(curve))
 	var b core.Batch
 	for pi, op := range curve {
-		var em model.EnergyModel = model.NewAnalytic(core.FromMachineAt(m, prec, op))
-		em.EvalInto(&b, w, q)
+		core.FromMachineAt(m, prec, op).EvalInto(&b, w, q)
 		energies[pi] = append([]float64(nil), b.Energy...)
 	}
 	base := energies[len(curve)-1]

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/strictjson"
 	"repro/internal/units"
 )
 
@@ -184,6 +185,12 @@ func (m *Machine) Validate() error {
 	if m.ConstantPower < 0 || m.IdlePower < 0 || m.PowerCap < 0 || m.RatedPower < 0 {
 		return fmt.Errorf("machine %s: powers must be non-negative", m.Name)
 	}
+	// A cap at or below π0 leaves no power for work: the capped closed
+	// forms would divide by a non-positive headroom (core.Params.Validate
+	// makes the same check).
+	if m.PowerCap > 0 && m.PowerCap <= m.ConstantPower {
+		return fmt.Errorf("machine %s: power cap %g W not above constant power %g W", m.Name, float64(m.PowerCap), float64(m.ConstantPower))
+	}
 	for _, pp := range []struct {
 		prec Precision
 		p    PrecisionParams
@@ -237,10 +244,12 @@ func (m *Machine) ToJSON() ([]byte, error) {
 	return json.MarshalIndent(m, "", "  ")
 }
 
-// FromJSON parses and validates a machine description.
+// FromJSON parses and validates a machine description. The decode is
+// strict (internal/strictjson): a misspelt field or anything after the
+// value is an error, not a setting silently left at zero.
 func FromJSON(data []byte) (*Machine, error) {
 	var m Machine
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := strictjson.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("machine: %v", err)
 	}
 	if err := m.Validate(); err != nil {

@@ -200,6 +200,23 @@ func TestFromJSONRejectsInvalid(t *testing.T) {
 	if _, err := FromJSON([]byte(`{"name":"x"}`)); err == nil {
 		t.Error("invalid machine should fail validation")
 	}
+	data, err := GTX580().ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, from, to, want string }{
+		{"misspelt field", `"power_cap"`, `"powercap"`, "unknown field"},
+		{"trailing data", "\n}", "\n} {}", "trailing data"},
+		{"cap at pi0", `"power_cap": 295`, `"power_cap": 122`, "not above constant power"},
+	} {
+		edited := strings.Replace(string(data), c.from, c.to, 1)
+		if edited == string(data) {
+			t.Fatalf("%s: no %q in the GTX 580 JSON", c.name, c.from)
+		}
+		if _, err := FromJSON([]byte(edited)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: FromJSON returned %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
 }
 
 func TestClone(t *testing.T) {

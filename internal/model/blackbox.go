@@ -116,9 +116,9 @@ func Fit(cfg FitConfig) (*Blackbox, error) {
 		return nil, fmt.Errorf("model: unknown machine %q", cfg.Machine)
 	}
 	prec, _ := machine.ParsePrecision(cfg.Precision) // Validate accepted it
-	grid := core.LogGrid(cfg.LoIntensity, cfg.HiIntensity, cfg.Points)
+	grid := core.LogGrid(fitLoIntensity, fitHiIntensity, cfg.Points)
 	var points []microbench.Point
-	for vi, vol := range cfg.Volumes {
+	for vi, vol := range fitVolumes {
 		// One engine per volume, on its own derived seed, so the noise
 		// draws of different volumes are independent streams.
 		eng, err := sim.New(m, sim.DefaultConfig(stats.DeriveSeed(cfg.Seed, blackboxStream, uint64(vi))))
@@ -139,9 +139,9 @@ func Fit(cfg FitConfig) (*Blackbox, error) {
 		points = append(points, pts...)
 	}
 
-	// Time plane, per flop: T/W = TauW + TauQ·(Q/W) + T0·(1/W). Two or
-	// more volumes keep Q/W and 1/W from being collinear (within one
-	// volume Q is held constant, so they would be).
+	// Time plane, per flop: T/W = TauW + TauQ·(Q/W) + T0·(1/W). The two
+	// volumes keep Q/W and 1/W from being collinear (within one volume
+	// Q is held constant, so they would be).
 	xt := make([][]float64, 0, len(points))
 	yt := make([]float64, 0, len(points))
 	// Energy plane, per flop: E/W = EpsW + EpsQ·(Q/W) + P0·(T/W), the

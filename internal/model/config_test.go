@@ -31,9 +31,7 @@ func TestParseFitConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if good.Precision != "double" || good.Points != 9 || good.Reps != 8 ||
-		good.LoIntensity != 0.25 || good.HiIntensity != 64 ||
-		len(good.Volumes) != 2 || good.Seed != 101 {
+	if good.Precision != "double" || good.Points != 9 || good.Reps != 8 || good.Seed != 101 {
 		t.Errorf("defaults not applied: %+v", good)
 	}
 
@@ -47,14 +45,9 @@ func TestParseFitConfig(t *testing.T) {
 		{"stray bracket", `{"machine": "gtx580"}]`, "trailing data"},
 		{"no machine", `{}`, "needs a machine"},
 		{"bad precision", `{"machine": "gtx580", "precision": "half"}`, "unknown precision"},
-		{"negative lo", `{"machine": "gtx580", "lo_intensity": -1}`, "lo_intensity"},
-		{"hi below lo", `{"machine": "gtx580", "lo_intensity": 8, "hi_intensity": 2}`, "hi_intensity"},
 		{"one point", `{"machine": "gtx580", "points": 1}`, "points"},
 		{"points cap", `{"machine": "gtx580", "points": 5000}`, "points"},
 		{"reps cap", `{"machine": "gtx580", "reps": 5000}`, "reps"},
-		{"single volume", `{"machine": "gtx580", "volumes": [1048576]}`, "volumes"},
-		{"equal volumes", `{"machine": "gtx580", "volumes": [1048576, 1048576]}`, "distinct"},
-		{"huge volume", `{"machine": "gtx580", "volumes": [1, 2e12]}`, "volume"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,8 +68,8 @@ func TestParseFitConfig(t *testing.T) {
 func FuzzModelConfig(f *testing.F) {
 	f.Add([]byte(`{"machine": "gtx580"}`))
 	f.Add([]byte(`{"machine": "i7-950", "precision": "single", "points": 5, "reps": 3}`))
-	f.Add([]byte(`{"machine": "fermi", "volumes": [1048576, 4194304], "seed": 99}`))
-	f.Add([]byte(`{"machine": "", "hi_intensity": 1e308}`))
+	f.Add([]byte(`{"machine": "fermi", "seed": 99}`))
+	f.Add([]byte(`{"machine": "", "points": 4096}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{"machine": "gtx580"} trailing`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -84,7 +77,7 @@ func FuzzModelConfig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if cfg.Machine == "" || cfg.Points < 2 || cfg.Reps < 1 || len(cfg.Volumes) < 2 {
+		if cfg.Machine == "" || cfg.Points < 2 || cfg.Reps < 1 || cfg.Seed == 0 {
 			t.Fatalf("accepted config missing defaults: %+v", cfg)
 		}
 	})

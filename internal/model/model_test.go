@@ -111,12 +111,7 @@ func TestBlackboxBatchScalarLockstep(t *testing.T) {
 // fitSmall fits one small, fast blackbox campaign for tests.
 func fitSmall(t *testing.T, machineKey string) *model.Blackbox {
 	t.Helper()
-	bb, err := model.Fit(model.FitConfig{
-		Machine: machineKey,
-		Points:  5,
-		Reps:    3,
-		Volumes: []float64{16 << 20, 64 << 20},
-	})
+	bb, err := model.Fit(model.FitConfig{Machine: machineKey, Points: 5, Reps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +127,7 @@ func TestFitDeterministic(t *testing.T) {
 		t.Fatalf("refit differs:\n%+v\n%+v", base, again)
 	}
 	for _, workers := range []int{1, 4} {
-		cfg := model.FitConfig{
-			Machine: "i7-950",
-			Points:  5,
-			Reps:    3,
-			Volumes: []float64{16 << 20, 64 << 20},
-			Workers: workers,
-		}
-		bb, err := model.Fit(cfg)
+		bb, err := model.Fit(model.FitConfig{Machine: "i7-950", Points: 5, Reps: 3, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/sim"
 )
 
@@ -58,65 +57,43 @@ type Summary struct {
 	Slack float64
 }
 
-// Config controls a validation sweep.
+// Config controls a validation sweep. The lattice is fixed: machines
+// gtx580 and i7-950, both precisions, and the intensity grid
+// LogGrid(0.25, 64, 9), checked at a slack of 3%.
 type Config struct {
-	// Machines are catalog keys (default: gtx580, i7-950).
-	Machines []string
-	// Intensities is the sweep grid (default LogGrid(0.25, 64, 9)).
-	Intensities []float64
 	// Reps per point (default 5).
 	Reps int
 	// Seed drives the noise.
 	Seed int64
-	// Slack is the violation tolerance (default 0.03, covering the 1%
-	// time and 1.5% power measurement noises).
-	Slack float64
-	// Model names the EnergyModel providing the time and energy
-	// denominators (default "analytic", which reproduces the harness's
-	// historical output byte-for-byte). The power-line denominator is
-	// always the analytic eq. 7 curve — it is the bound the paper
-	// states, not a model prediction. With a non-analytic model the
-	// "bound violation" counts read as model residuals instead of
-	// bound checks (see docs/MODELS.md).
-	Model string
 }
+
+// The fixed lattice: the catalog keys swept, in engine-seed order, and
+// the intensity grid in flop/byte.
+var (
+	machines    = []string{"gtx580", "i7-950"}
+	intensities = core.LogGrid(0.25, 64, 9)
+)
+
+// slack is the violation tolerance, covering the 1% time and 1.5% power
+// measurement noises.
+const slack = 0.03
 
 // Run executes the validation sweep.
 func Run(cfg Config) (*Summary, error) {
-	if len(cfg.Machines) == 0 {
-		cfg.Machines = []string{"gtx580", "i7-950"}
-	}
-	if cfg.Intensities == nil {
-		cfg.Intensities = core.LogGrid(0.25, 64, 9)
-	}
-	if len(cfg.Intensities) == 0 {
-		return nil, errors.New("validate: empty intensity grid")
-	}
 	if cfg.Reps == 0 {
 		cfg.Reps = 5
 	}
 	if cfg.Reps < 1 {
 		return nil, errors.New("validate: reps must be >= 1")
 	}
-	if cfg.Slack == 0 {
-		cfg.Slack = 0.03
-	}
-	if cfg.Slack < 0 {
-		return nil, errors.New("validate: negative slack")
-	}
-	if !model.Known(cfg.Model) {
-		return nil, fmt.Errorf("validate: unknown model %q", cfg.Model)
-	}
 	catalog := machine.Catalog()
-	s := &Summary{Slack: cfg.Slack, WorstTimeRatio: math.Inf(1)}
+	s := &Summary{Slack: slack, WorstTimeRatio: math.Inf(1)}
 	var energySum float64
 	var energyN int
-	// Model denominators come from the selected EnergyModel's columnar
-	// batch path: one (W, Q) column pair per (machine, precision). The
-	// default analytic model's columns are bit-identical to the direct
-	// core scalar methods, so violation counts and ratios are unchanged
-	// from the pre-interface harness.
-	nI := len(cfg.Intensities)
+	// Model denominators come from the closed forms' columnar batch
+	// path, one (W, Q) column pair per (machine, precision), which is
+	// bit-identical to the scalar methods.
+	nI := len(intensities)
 	w := make([]float64, nI)
 	q := make([]float64, nI)
 	for j := range w {
@@ -126,25 +103,18 @@ func Run(cfg Config) (*Summary, error) {
 	var mb core.Batch
 	specs := make([]sim.KernelSpec, cfg.Reps)
 	runs := make([]sim.Run, cfg.Reps)
-	for mi, key := range cfg.Machines {
-		m, ok := catalog[key]
-		if !ok {
-			return nil, fmt.Errorf("validate: unknown machine %q", key)
-		}
+	for mi, key := range machines {
+		m := catalog[key]
 		eng, err := sim.New(m, sim.DefaultConfig(cfg.Seed+int64(mi)*97))
 		if err != nil {
 			return nil, err
 		}
 		for _, prec := range []machine.Precision{machine.Single, machine.Double} {
 			p := core.FromMachine(m, prec)
-			em, err := model.For(cfg.Model, key, prec)
-			if err != nil {
-				return nil, err
-			}
-			core.QAtInto(q, w, cfg.Intensities)
-			em.EvalInto(&mb, w, q)
-			p.PowerLineInto(pl, cfg.Intensities)
-			for j, i := range cfg.Intensities {
+			core.QAtInto(q, w, intensities)
+			p.EvalInto(&mb, w, q)
+			p.PowerLineInto(pl, intensities)
+			for j, i := range intensities {
 				spec := sim.KernelSpec{W: w[j], Q: q[j], Precision: prec, Tuning: eng.OptimalTuning()}
 				for r := range specs {
 					specs[r] = spec
@@ -170,10 +140,10 @@ func Run(cfg Config) (*Summary, error) {
 					EnergyRatio: (sumE / n) / mb.Energy[j],
 				}
 				s.Cases = append(s.Cases, c)
-				if c.TimeRatio < 1-cfg.Slack {
+				if c.TimeRatio < 1-slack {
 					s.TimeBoundViolations++
 				}
-				if c.PowerRatio > 1+cfg.Slack {
+				if c.PowerRatio > 1+slack {
 					s.PowerBoundViolations++
 				}
 				if c.TimeRatio < s.WorstTimeRatio {
