@@ -7,8 +7,11 @@
 // Usage:
 //
 //	roofline [-machine gtx580|i7-950|fermi] [-json file] [-prec single|double]
-//	         [-lo I] [-hi I] [-points N] [-chart] [-svgfile file] [-intensity I]
+//	         [-lo I] [-hi I] [-points N] [-chart] [-svgfile file]
+//	roofline [-machine gtx580|i7-950|fermi] [-json file] [-prec single|double] -intensity I
 //	roofline -compare [-prec single|double]
+//
+// A flag the chosen mode does not read is a usage error (exit 2).
 package main
 
 import (
@@ -16,6 +19,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/chart"
 	"repro/internal/core"
@@ -41,6 +46,9 @@ func main() {
 	prec, err := machine.ParsePrecision(*precStr)
 	if err == nil {
 		err = checkFlags(*lo, *hi, *points, *atI)
+	}
+	if err == nil {
+		err = checkMode(*compare, *atI)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "roofline:", err)
@@ -145,6 +153,36 @@ func checkFlags(lo, hi float64, points int, atI float64) error {
 		return fmt.Errorf("bad intensity range: need 0 < -lo < -hi, got -lo %g -hi %g", lo, hi)
 	case points < 2:
 		return fmt.Errorf("-points must be >= 2, got %d", points)
+	}
+	return nil
+}
+
+// checkMode rejects a set flag that the chosen mode never reads, which
+// would otherwise be dropped without a word: -compare reads only -prec,
+// and the -intensity analysis prints no table and no chart.
+func checkMode(compare bool, atI float64) error {
+	var mode string
+	var unread func(name string) bool
+	switch {
+	case compare:
+		mode = "-compare"
+		unread = func(name string) bool { return name != "compare" && name != "prec" }
+	case atI > 0:
+		mode = "-intensity"
+		unread = func(name string) bool {
+			return slices.Contains([]string{"lo", "hi", "points", "chart", "svgfile"}, name)
+		}
+	default:
+		return nil
+	}
+	var names []string
+	flag.Visit(func(f *flag.Flag) {
+		if unread(f.Name) {
+			names = append(names, "-"+f.Name)
+		}
+	})
+	if len(names) > 0 {
+		return fmt.Errorf("%s does not read %s", mode, strings.Join(names, " "))
 	}
 	return nil
 }

@@ -271,6 +271,12 @@ func TestRooflineBinary(t *testing.T) {
 	runUsageError(t, bin, "-lo must be finite", "-lo", "NaN")
 	runUsageError(t, bin, "intensity range", "-lo", "0")
 
+	// A flag the chosen mode does not read is an error, not dropped:
+	// -intensity prints no table or chart, -compare reads only -prec.
+	runUsageError(t, bin, "-intensity does not read -chart -svgfile", "-intensity", "8", "-chart", "-svgfile", filepath.Join(dir, "x.svg"))
+	runUsageError(t, bin, "-compare does not read -json", "-compare", "-json", filepath.Join(dir, "missing.json"))
+	runUsageError(t, bin, "-compare does not read -machine", "-compare", "-machine", "bogus")
+
 	// The machine file is decoded strictly, so a misspelt power_cap is
 	// an error and not an uncapped machine, and the cap must exceed π0
 	// (122 W on the GTX 580), below which capped times go negative.

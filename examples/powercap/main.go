@@ -7,8 +7,9 @@
 //
 // Part 2 sweeps the constant power π0 and shows the race-to-halt
 // verdict flipping exactly where the effective energy-balance point
-// crosses the time-balance point, plus a DVFS-style frequency sweep on
-// the simulator confirming the verdict behaviourally.
+// crosses the time-balance point, plus a DVFS sweep over s-law
+// operating points (clock fraction s, V ∝ f) confirming the verdict at
+// the clock.
 package main
 
 import (
@@ -16,8 +17,6 @@ import (
 
 	roofline "repro"
 	"repro/internal/machine"
-	"repro/internal/sim"
-	"repro/internal/units"
 )
 
 func main() {
@@ -49,26 +48,20 @@ func main() {
 	fmt.Println("\nwith today's π0 = 122 W the gap is benign and racing wins; drive π0 → 0")
 	fmt.Println("and the GPU double-precision case reverses (§V-B).")
 
-	// Behavioural confirmation on the simulator: run a compute-bound
-	// kernel at several clock scalings and compare energies.
-	fmt.Println("\nDVFS sweep on the simulator (compute-bound double-precision kernel):")
+	// The same verdict from the clock: price a compute-bound kernel at
+	// several s-law operating points and compare energies.
+	fmt.Println("\nDVFS sweep over s-law operating points (compute-bound double-precision kernel):")
+	k := roofline.Kernel{W: 1e11, Q: 1e7}
 	for _, pi0 := range []float64{122, 0} {
-		mm := roofline.GTX580()
-		mm.ConstantPower = units.Watts(pi0)
-		eng, err := sim.New(mm, sim.Config{Seed: 7, Ideal: true})
-		if err != nil {
-			panic(err)
-		}
+		q := pd
+		q.Pi0 = pi0
 		fmt.Printf("  π0 = %3.0f W: ", pi0)
 		bestS, bestE := 0.0, 0.0
 		for _, s := range []float64{0.4, 0.6, 0.8, 1.0} {
-			r, err := eng.Run(sim.KernelSpec{W: 1e11, Q: 1e7, Precision: machine.Double, FreqScale: s})
-			if err != nil {
-				panic(err)
-			}
-			fmt.Printf("s=%.1f→%.1fJ  ", s, float64(r.Energy))
-			if bestE == 0 || float64(r.Energy) < bestE {
-				bestE, bestS = float64(r.Energy), s
+			e := q.AtOperatingPoint(machine.SLawPoint(s)).Energy(k)
+			fmt.Printf("s=%.1f→%.1fJ  ", s, e)
+			if bestE == 0 || e < bestE {
+				bestE, bestS = e, s
 			}
 		}
 		verdict := "race-to-halt wins"

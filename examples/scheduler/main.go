@@ -1,16 +1,18 @@
 // Frame scheduler: the race-to-halt question as an operator would meet
 // it. Periodic jobs must each finish within their frame; the scheduler
-// picks, per job, between racing (full clock, then idle) and pacing
-// (DVFS-stretching into the frame), using the model's frame analysis.
-// The verdict tracks the balance between active constant power and the
-// idle state's draw — the §V-B story in scheduling form.
+// picks, per job, between racing (the base operating point, then idle)
+// and pacing (the slowest s-law point that fills the frame), pricing
+// both with dvfs.PolicyEnergy. The verdict tracks the balance between
+// active constant power and the idle state's draw — the §V-B story in
+// scheduling form.
 package main
 
 import (
 	"fmt"
 
 	roofline "repro"
-	"repro/internal/core"
+	"repro/internal/dvfs"
+	"repro/internal/machine"
 	"repro/internal/units"
 )
 
@@ -39,14 +41,8 @@ func main() {
 		"job", "frame", "run time", "race E", "pace E", "decision", "saving")
 	var total, naive float64
 	for _, j := range jobs {
-		strat, race, pace, err := p.BestFrameStrategy(j.kernel, j.frameSecs, idle, sMin)
-		if err != nil {
-			panic(err)
-		}
-		best := race
-		if strat == core.Pace {
-			best = pace
-		}
+		race, pace := frameEnergies(p, j, idle, sMin)
+		strat, best := decide(race, pace)
 		total += best
 		naive += race
 		saving := (1 - best/race) * 100
@@ -64,12 +60,34 @@ func main() {
 	fp := roofline.FromMachine(fm, roofline.Double)
 	fmt.Printf("\non %s (π0 = 0):\n", fm.Name)
 	for _, j := range jobs {
-		strat, race, pace, err := fp.BestFrameStrategy(j.kernel, j.frameSecs, 0, sMin)
-		if err != nil {
-			panic(err)
-		}
+		race, pace := frameEnergies(fp, j, 0, sMin)
+		strat, _ := decide(race, pace)
 		fmt.Printf("  %-16s %v (race %.4f J, pace %.4f J)\n", j.name, strat, race, pace)
 	}
 	fmt.Println("\nthe flip is the paper's §V-B prediction: race-to-halt is an artifact of")
 	fmt.Println("today's constant power, not a law.")
+}
+
+// frameEnergies prices job j on p both ways: race at the base point and
+// idle out the frame, or pace at the slowest s-law point, no slower
+// than sMin, that fills it (s_F = W·τflop/F).
+func frameEnergies(p roofline.Params, j job, idle, sMin float64) (race, pace float64) {
+	race, err := dvfs.PolicyEnergy(p, machine.BasePoint(), j.kernel, idle, j.frameSecs)
+	if err != nil {
+		panic(err)
+	}
+	sF := max(j.kernel.W*p.TauFlop/j.frameSecs, sMin)
+	pace, err = dvfs.PolicyEnergy(p, machine.SLawPoint(sF), j.kernel, idle, j.frameSecs)
+	if err != nil {
+		panic(err)
+	}
+	return race, pace
+}
+
+// decide names the cheaper policy, racing on a tie, and its energy.
+func decide(race, pace float64) (string, float64) {
+	if race <= pace {
+		return "race-to-halt", race
+	}
+	return "pace", pace
 }

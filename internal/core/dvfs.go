@@ -10,14 +10,16 @@ import (
 // DVFS extension: the paper frames race-to-halt (§II-D, §V-B) and the
 // DVFS literature (§VI) as strategies the balance gap arbitrates. This
 // file makes that quantitative under the standard voltage-frequency
-// coupling: scaling the compute clock by s ∈ (0, 1] stretches the time
-// per flop by 1/s and scales the dynamic energy per flop by s²
+// coupling, the s-law: scaling the compute clock by s ∈ (0, 1] stretches
+// the time per flop by 1/s and scales the dynamic energy per flop by s²
 // (E ∝ V² with V ∝ f), while memory throughput, memory energy, and
 // constant power are unaffected:
 //
 //	T(s) = max(W·τflop/s, Q·τmem)
 //	E(s) = W·εflop·s² + Q·εmem + π0·T(s)
 //
+// The s-law is one operating point, machine.SLawPoint(s), so T(s) and
+// E(s) are Time and Energy of AtOperatingPoint(machine.SLawPoint(s)).
 // Minimising E(s) in the compute-bound regime yields the closed form
 //
 //	s* = (ε0 / (2·εflop))^(1/3),   ε0 = π0·τflop,
@@ -30,10 +32,10 @@ import (
 
 // AtOperatingPoint folds a machine.OperatingPoint's scale factors into
 // the parameters: τ and ε multiply by their scales, π0 by Pi0Scale, and
-// the power cap — an electrical limit of the board — is unchanged. The
-// TimeAtFreq/EnergyAtFreq closed forms above are the special case
-// TauFlopScale = 1/s, EpsFlopScale = s², everything else 1; operating
-// points generalise them to measured or synthesized V(s) laws.
+// the power cap — an electrical limit of the board — is unchanged. It
+// is the one place a clock fraction scales the model: the s-law above
+// is machine.SLawPoint, and the DVFS catalog curves are measured or
+// synthesized V(s) laws.
 func (p Params) AtOperatingPoint(op machine.OperatingPoint) Params {
 	return Params{
 		TauFlop:  p.TauFlop * op.TauFlopScale,
@@ -51,21 +53,6 @@ func FromMachineAt(m *machine.Machine, prec machine.Precision, op machine.Operat
 	return FromMachine(m, prec).AtOperatingPoint(op)
 }
 
-// TimeAtFreq returns T(s) for clock scale s ∈ (0, 1].
-func (p Params) TimeAtFreq(k Kernel, s float64) float64 {
-	return math.Max(k.W*p.TauFlop/s, k.Q*p.TauMem)
-}
-
-// EnergyAtFreq returns E(s) for clock scale s ∈ (0, 1].
-func (p Params) EnergyAtFreq(k Kernel, s float64) float64 {
-	return k.W*p.EpsFlop*s*s + k.Q*p.EpsMem + p.Pi0*p.TimeAtFreq(k, s)
-}
-
-// PowerAtFreq returns the average power E(s)/T(s).
-func (p Params) PowerAtFreq(k Kernel, s float64) float64 {
-	return p.EnergyAtFreq(k, s) / p.TimeAtFreq(k, s)
-}
-
 // CriticalFreqScale returns s* = (ε0/(2·εflop))^(1/3), the unclamped
 // stationary point of E(s) in the compute-bound regime.
 func (p Params) CriticalFreqScale() float64 {
@@ -77,7 +64,8 @@ func (p Params) CriticalFreqScale() float64 {
 // stationary point per piece, so the minimum is attained at one of:
 // the bounds, the compute-bound stationary point s*, or the regime
 // boundary s = I/Bτ (where the kernel switches between compute- and
-// memory-bound under scaling).
+// memory-bound under scaling). Each candidate is priced at its s-law
+// operating point.
 func (p Params) OptimalFreqScale(k Kernel, sMin float64) (s, energy float64, err error) {
 	if sMin <= 0 || sMin > 1 {
 		return 0, 0, errors.New("core: sMin must be in (0, 1]")
@@ -98,20 +86,9 @@ func (p Params) OptimalFreqScale(k Kernel, sMin float64) (s, energy float64, err
 	best := math.Inf(1)
 	bestS := sMin
 	for _, c := range candidates {
-		if e := p.EnergyAtFreq(k, c); e < best {
+		if e := p.AtOperatingPoint(machine.SLawPoint(c)).Energy(k); e < best {
 			best, bestS = e, c
 		}
 	}
 	return bestS, best, nil
-}
-
-// RaceToHaltOptimalDVFS reports whether running at full clock minimises
-// energy for this kernel under the DVFS model (given the slowest
-// available scale sMin).
-func (p Params) RaceToHaltOptimalDVFS(k Kernel, sMin float64) (bool, error) {
-	s, _, err := p.OptimalFreqScale(k, sMin)
-	if err != nil {
-		return false, err
-	}
-	return s == 1, nil
 }

@@ -7,46 +7,21 @@ import (
 	"testing/quick"
 
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-func TestDVFSMatchesSimulator(t *testing.T) {
-	// The analytic E(s)/T(s) must agree with the execution simulator's
-	// ideal mode at every frequency scale.
-	m := machine.GTX580()
-	m.PowerCap = 0 // isolate DVFS from throttling
-	p := FromMachine(m, machine.Double)
-	eng, err := sim.New(m, sim.Config{Seed: 1, Ideal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := KernelAt(1e10, 8)
-	for _, s := range []float64{0.3, 0.5, 0.75, 1} {
-		r, err := eng.Run(sim.KernelSpec{W: k.W, Q: k.Q, Precision: machine.Double, FreqScale: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.RelErr(float64(r.Duration), p.TimeAtFreq(k, s)) > 1e-12 {
-			t.Errorf("s=%v: T sim %v vs model %v", s, r.Duration, p.TimeAtFreq(k, s))
-		}
-		if stats.RelErr(float64(r.Energy), p.EnergyAtFreq(k, s)) > 1e-12 {
-			t.Errorf("s=%v: E sim %v vs model %v", s, r.Energy, p.EnergyAtFreq(k, s))
-		}
-	}
-}
+// atFreq pins p to the s-law operating point at clock fraction s.
+func atFreq(p Params, s float64) Params { return p.AtOperatingPoint(machine.SLawPoint(s)) }
 
+// TestDVFSFullClockRecoversBaseModel: the s-law point at full clock is
+// the base point, so pinning it leaves every parameter's bits alone.
 func TestDVFSFullClockRecoversBaseModel(t *testing.T) {
+	if got := machine.SLawPoint(1); got != machine.BasePoint() {
+		t.Errorf("s-law point at s=1 is %+v, want the base point", got)
+	}
 	p := FromMachine(machine.CoreI7950(), machine.Single)
-	k := KernelAt(1e9, 2)
-	if p.TimeAtFreq(k, 1) != p.Time(k) {
-		t.Error("T(1) != T")
-	}
-	if math.Abs(p.EnergyAtFreq(k, 1)-p.Energy(k)) > 1e-12*p.Energy(k) {
-		t.Error("E(1) != E")
-	}
-	if stats.RelErr(p.PowerAtFreq(k, 1), p.AveragePower(k)) > 1e-12 {
-		t.Error("P(1) != P")
+	if got := atFreq(p, 1); got != p {
+		t.Errorf("s-law point at s=1 moved the parameters: %+v vs %+v", got, p)
 	}
 }
 
@@ -98,12 +73,8 @@ func TestCriticalFreqScaleCondition(t *testing.T) {
 		t.Errorf("s* = %v, want > 1 for the GTX 580 double case", p.CriticalFreqScale())
 	}
 	k := KernelAt(1e10, 1e6) // strongly compute-bound
-	rth, err := p.RaceToHaltOptimalDVFS(k, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rth {
-		t.Error("race-to-halt should be DVFS-optimal at π0 = 122 W")
+	if s, _, err := p.OptimalFreqScale(k, 0.1); err != nil || s != 1 {
+		t.Errorf("race-to-halt should be DVFS-optimal at π0 = 122 W: s = %v, err %v", s, err)
 	}
 	// π0 = 0: the slowest clock wins.
 	p0 := p
@@ -141,7 +112,7 @@ func TestOptimalFreqScaleInterior(t *testing.T) {
 	}
 	// It really is a minimum: neighbours cost more.
 	for _, ds := range []float64{-0.05, 0.05} {
-		if p.EnergyAtFreq(k, s+ds) <= e {
+		if atFreq(p, s+ds).Energy(k) <= e {
 			t.Errorf("s=%v not a local minimum", s)
 		}
 	}
@@ -174,7 +145,7 @@ func TestMemoryBoundKernelIgnoresModestDownclock(t *testing.T) {
 	if s >= 1 {
 		t.Errorf("memory-bound optimum = %v, want < 1", s)
 	}
-	if p.TimeAtFreq(k, s) != p.Time(k) {
+	if atFreq(p, s).Time(k) != p.Time(k) {
 		t.Error("downclocking within the memory-bound regime must not cost time")
 	}
 }
@@ -194,7 +165,7 @@ func TestPropOptimalBeatsGridSearch(t *testing.T) {
 		}
 		for g := 0; g <= 200; g++ {
 			sg := sMin + (1-sMin)*float64(g)/200
-			if p.EnergyAtFreq(k, sg) < e*(1-1e-9) {
+			if atFreq(p, sg).Energy(k) < e*(1-1e-9) {
 				return false
 			}
 		}
@@ -206,15 +177,17 @@ func TestPropOptimalBeatsGridSearch(t *testing.T) {
 }
 
 func TestPropEnergyAtFreqDecomposition(t *testing.T) {
-	// E(s) parts: flop term scales as s², memory term constant,
-	// constant term equals π0·T(s).
+	// The s-law point is the closed form: T(s) = max(W·τflop/s, Q·τmem),
+	// and E(s)'s flop term scales as s², its memory term is constant
+	// and its constant term is π0·T(s).
 	f := func(a, b, c, ri, rs float64) bool {
 		p := randParams(a, b, c)
 		k := KernelAt(1e9, randIntensity(ri))
 		s := 0.1 + 0.9*math.Abs(math.Mod(rs, 1))
-		e := p.EnergyAtFreq(k, s)
-		parts := k.W*p.EpsFlop*s*s + k.Q*p.EpsMem + p.Pi0*p.TimeAtFreq(k, s)
-		return math.Abs(e-parts) <= 1e-12*parts
+		at := atFreq(p, s)
+		ts := math.Max(k.W*p.TauFlop/s, k.Q*p.TauMem)
+		parts := k.W*p.EpsFlop*s*s + k.Q*p.EpsMem + p.Pi0*ts
+		return stats.RelErr(at.Time(k), ts) <= 1e-12 && stats.RelErr(at.Energy(k), parts) <= 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -1,159 +1,123 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
+	"repro/internal/core"
+	"repro/internal/dvfs"
 	"repro/internal/machine"
 )
 
-func TestFrameStrategyStrings(t *testing.T) {
-	if Race.String() != "race-to-halt" || Pace.String() != "pace" {
-		t.Error("strategy strings")
-	}
-}
+// A kernel must finish within a frame of F seconds. The processor
+// either races at the base point and idles out the frame, or paces at
+// the slowest s-law point that fills it, s_F = W·τflop/F. Both are
+// dvfs.PolicyEnergy at an operating point applied by
+// core.Params.AtOperatingPoint.
 
-func TestFrameEnergyRaceAccounting(t *testing.T) {
-	p := FromMachine(machine.GTX580(), machine.Double)
-	k := KernelAt(1e10, 100)
-	tRun := p.Time(k)
-	frame := 2 * tRun
-	const idle = 39.6 // the paper's measured GTX 580 idle power
-	e, err := p.FrameEnergyRace(k, frame, idle)
+// frameEnergies returns the energies of racing and of pacing kernel k
+// through a frame of F seconds with idle draw idleW, and the pace point.
+func frameEnergies(t *testing.T, p core.Params, k core.Kernel, frame, idleW float64) (race, pace float64, sF machine.OperatingPoint) {
+	t.Helper()
+	race, err := dvfs.PolicyEnergy(p, machine.BasePoint(), k, idleW, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := p.Energy(k) + idle*(frame-tRun)
+	sF = machine.SLawPoint(k.W * p.TauFlop / frame)
+	pace, err = dvfs.PolicyEnergy(p, sF, k, idleW, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return race, pace, sF
+}
+
+func TestFrameEnergyRaceAccounting(t *testing.T) {
+	p := core.FromMachine(machine.GTX580(), machine.Double)
+	k := core.KernelAt(1e10, 100)
+	run := p.Time(k)
+	frame := 2 * run
+	const idle = 39.6 // the paper's measured GTX 580 idle power
+	e, err := dvfs.PolicyEnergy(p, machine.BasePoint(), k, idle, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.Energy(k) + idle*(frame-run)
 	if math.Abs(e-want) > 1e-9*want {
 		t.Errorf("race frame energy = %v, want %v", e, want)
 	}
-	// Errors.
-	if _, err := p.FrameEnergyRace(k, tRun/2, idle); err == nil {
+	if _, err := dvfs.PolicyEnergy(p, machine.BasePoint(), k, idle, run/2); err == nil {
 		t.Error("short frame accepted")
-	}
-	if _, err := p.FrameEnergyRace(k, frame, -1); err == nil {
-		t.Error("negative idle accepted")
 	}
 }
 
 func TestFrameEnergyPaceFillsFrame(t *testing.T) {
-	p := FromMachine(machine.GTX580(), machine.Double)
+	p := core.FromMachine(machine.GTX580(), machine.Double)
 	p.Pi0 = 0 // make pacing clearly attractive
-	k := KernelAt(1e10, 1e6)
-	tRun := p.Time(k)
-	frame := 2 * tRun
-	e, err := p.FrameEnergyPace(k, frame, 0, 0.1)
-	if err != nil {
-		t.Fatal(err)
+	k := core.KernelAt(1e10, 1e6)
+	run := p.Time(k)
+	frame := 2 * run
+	_, pace, sF := frameEnergies(t, p, k, frame, 0)
+	if math.Abs(sF.FreqScale-0.5) > 1e-12 {
+		t.Fatalf("pace point for a frame of two runs: s = %v, want 0.5", sF.FreqScale)
+	}
+	if paced := p.AtOperatingPoint(sF).Time(k); math.Abs(paced/frame-1) > 1e-9 {
+		t.Errorf("paced run takes %v s, want the %v s frame", paced, frame)
 	}
 	// Pacing at s = 1/2 quarters the dynamic flop energy.
-	want := p.EnergyAtFreq(k, 0.5)
-	if math.Abs(e-want) > 1e-9*want {
-		t.Errorf("pace energy = %v, want %v", e, want)
+	want := k.W*p.EpsFlop/4 + k.Q*p.EpsMem
+	if math.Abs(pace-want) > 1e-9*want {
+		t.Errorf("pace energy = %v, want %v", pace, want)
 	}
-	// sMin floors the stretch: a very long frame with sMin = 0.5 runs
-	// at 0.5 and idles the remainder.
-	frame = 10 * tRun
-	e, err = p.FrameEnergyPace(k, frame, 5, 0.5)
+	// A clock floored at s = 1/2 in a long frame runs at 1/2 and idles
+	// the remainder.
+	half := machine.SLawPoint(0.5)
+	q := p.AtOperatingPoint(half)
+	frame = 10 * run
+	e, err := dvfs.PolicyEnergy(p, half, k, 5, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = p.EnergyAtFreq(k, 0.5) + 5*(frame-p.TimeAtFreq(k, 0.5))
+	want = q.Energy(k) + 5*(frame-q.Time(k))
 	if math.Abs(e-want) > 1e-9*want {
 		t.Errorf("floored pace energy = %v, want %v", e, want)
 	}
-	// Error paths.
-	if _, err := p.FrameEnergyPace(k, tRun/2, 0, 0.5); err == nil {
+	// A frame shorter than the paced run is an error.
+	if _, err := dvfs.PolicyEnergy(p, half, k, 0, run); err == nil {
 		t.Error("short frame accepted")
-	}
-	if _, err := p.FrameEnergyPace(k, frame, -1, 0.5); err == nil {
-		t.Error("negative idle accepted")
-	}
-	if _, err := p.FrameEnergyPace(k, frame, 0, 0); err == nil {
-		t.Error("sMin=0 accepted")
 	}
 }
 
 func TestBestFrameStrategyRegimes(t *testing.T) {
 	// Today's GTX 580: active constant power 122 W, idle 39.6 W —
 	// racing into the low-power idle state wins.
-	p := FromMachine(machine.GTX580(), machine.Double)
-	k := KernelAt(1e10, 1e6)
+	p := core.FromMachine(machine.GTX580(), machine.Double)
+	k := core.KernelAt(1e10, 1e6)
 	frame := 2 * p.Time(k)
-	strat, race, pace, err := p.BestFrameStrategy(k, frame, 39.6, 0.2)
-	if err != nil {
-		t.Fatal(err)
+	race, pace, _ := frameEnergies(t, p, k, frame, 39.6)
+	if race > pace {
+		t.Errorf("GTX 580 frame: race %v J, pace %v J, want race to win", race, pace)
 	}
-	if strat != Race {
-		t.Errorf("GTX 580 frame: %v (race %v, pace %v)", strat, race, pace)
-	}
-	// A machine with π0 = 0 and idle power equal to nothing saved by
-	// halting (idle = π0-like draw even when "halted"): pacing wins by
-	// cutting dynamic energy.
+	// With π0 = 0 and no idle draw, pacing wins by cutting dynamic
+	// energy.
 	p0 := p
 	p0.Pi0 = 0
-	strat, race, pace, err = p0.BestFrameStrategy(k, frame, 0, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strat != Pace {
-		t.Errorf("π0=0 frame: %v (race %v, pace %v)", strat, race, pace)
-	}
+	race, pace, _ = frameEnergies(t, p0, k, frame, 0)
 	if pace >= race {
-		t.Error("pace should beat race when constant and idle power vanish")
-	}
-	// Propagates errors.
-	if _, _, _, err := p.BestFrameStrategy(k, 0, 0, 0.5); err == nil {
-		t.Error("impossible frame accepted")
-	}
-}
-
-func TestPropFrameEnergiesBounded(t *testing.T) {
-	// Both strategies cost at least the kernel's dynamic minimum and
-	// the best strategy is by construction the cheaper one.
-	f := func(a, b, c, ri, rf float64) bool {
-		p := randParams(a, b, c)
-		k := KernelAt(1e9, randIntensity(ri))
-		frame := p.Time(k) * (1 + math.Abs(math.Mod(rf, 4)))
-		idle := p.Pi0 * 0.3
-		strat, race, pace, err := p.BestFrameStrategy(k, frame, idle, 0.1)
-		if err != nil {
-			return false
-		}
-		floor := k.Q * p.EpsMem // irreducible transfer energy
-		if race < floor || pace < floor {
-			return false
-		}
-		if strat == Race {
-			return race <= pace
-		}
-		return pace < race
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
+		t.Errorf("π0=0 frame: race %v J, pace %v J, want pace to win", race, pace)
 	}
 }
 
 func TestFrameIdlePowerTipsTheScale(t *testing.T) {
 	// Same machine, same kernel, same frame: cheap idle favours racing,
 	// expensive idle favours pacing (there is nowhere good to hide).
-	p := FromMachine(machine.GTX580(), machine.Double)
+	p := core.FromMachine(machine.GTX580(), machine.Double)
 	p.Pi0 = 30 // modest active constant power so pacing can compete
-	k := KernelAt(1e10, 1e6)
+	k := core.KernelAt(1e10, 1e6)
 	frame := 3 * p.Time(k)
-	cheap, _, _, err := p.BestFrameStrategy(k, frame, 0, 0.2)
-	if err != nil {
-		t.Fatal(err)
+	if race, pace, _ := frameEnergies(t, p, k, frame, 0); race > pace {
+		t.Errorf("free idle: race %v J, pace %v J, want race to win", race, pace)
 	}
-	expensive, _, _, err := p.BestFrameStrategy(k, frame, 120, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cheap == expensive {
-		t.Skipf("idle power did not flip the verdict (cheap=%v, expensive=%v)", cheap, expensive)
-	}
-	if cheap != Pace && expensive != Pace {
-		t.Error("expected pacing to win somewhere in the sweep")
+	if race, pace, _ := frameEnergies(t, p, k, frame, 120); race <= pace {
+		t.Errorf("costly idle: race %v J, pace %v J, want pace to win", race, pace)
 	}
 }

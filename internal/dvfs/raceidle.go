@@ -60,6 +60,7 @@ func Crossover(p core.Params, curve []machine.OperatingPoint, k core.Kernel, idl
 		if op.IsBase() {
 			continue
 		}
+		// Inline: AtOperatingPoint's W·(τ·scale) rounds apart and moves dvfs_golden.json.
 		ts := math.Max(k.W*p.TauFlop*op.TauFlopScale, k.Q*p.TauMem*op.TauMemScale)
 		dyns := k.W*p.EpsFlop*op.EpsFlopScale + k.Q*p.EpsMem*op.EpsMemScale
 		a := dyn1 - dyns

@@ -378,7 +378,7 @@ func runDVFS(Config) (*Report, error) {
 			return nil, err
 		}
 		fmt.Fprintf(&sb, "%10.1f %10.3f %14.3f %14.3f\n",
-			pi0, q.CriticalFreqScale(), s, e/q.EnergyAtFreq(k, 1))
+			pi0, q.CriticalFreqScale(), s, e/q.Energy(k))
 	}
 	// The analytic threshold: race-to-halt optimal iff ε0 ≥ 2εflop,
 	// i.e. π0 ≥ 2·εflop/τflop = 2·πflop.

@@ -195,6 +195,12 @@ func (l ScalingLaw) Point(s float64) OperatingPoint {
 	}
 }
 
+// SLawPoint returns the operating point of the s-law, the paper-side
+// DVFS closed form: clock fraction s with V ∝ f and a constant π0, so
+// τflop scales by 1/s, εflop by s² and everything else by 1. It is
+// ScalingLaw{Pi0Floor: 1}.Point(s).
+func SLawPoint(s float64) OperatingPoint { return ScalingLaw{Pi0Floor: 1}.Point(s) }
+
 // Curve synthesizes and validates a curve at the given clock fractions,
 // which must be strictly increasing and end at 1 (the base point).
 func (l ScalingLaw) Curve(scales []float64) ([]OperatingPoint, error) {

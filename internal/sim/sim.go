@@ -8,8 +8,9 @@
 // power) together with the imperfections that make measured data look
 // like Fig. 4 rather than like the ideal curves: a tuning-dependent
 // achieved fraction of peak, kernel launch overhead, run-to-run noise,
-// power-cap throttling (the §V-B effect), and optional frequency
-// scaling for race-to-halt studies.
+// and power-cap throttling (the §V-B effect). It runs at the nominal
+// clock: a clock fraction scales the model through
+// core.Params.AtOperatingPoint, not here.
 package sim
 
 import (
@@ -51,10 +52,6 @@ type KernelSpec struct {
 	Precision machine.Precision
 	// Tuning are the launch parameters; zero values get defaults.
 	Tuning Tuning
-	// FreqScale optionally scales the clock: 1 (default) is nominal.
-	// Time per op scales as 1/s, dynamic energy per op as s² (DVFS
-	// voltage-frequency coupling); constant power is unaffected.
-	FreqScale float64
 }
 
 // Config controls simulator behaviour.
@@ -275,13 +272,6 @@ func (e *Engine) runInto(rng *stats.Rand, spec KernelSpec, out *Run) error {
 	if spec.W < 0 || spec.Q < 0 || spec.W+spec.Q == 0 {
 		return fmt.Errorf("sim: kernel must have non-negative W, Q with W+Q > 0 (got W=%g Q=%g)", spec.W, spec.Q)
 	}
-	s := spec.FreqScale
-	if s == 0 {
-		s = 1
-	}
-	if s <= 0 || s > 1 {
-		return fmt.Errorf("sim: frequency scale %g outside (0, 1]", s)
-	}
 
 	pp := e.m.Params(spec.Precision)
 	quality := 1.0
@@ -295,15 +285,14 @@ func (e *Engine) runInto(rng *stats.Rand, spec KernelSpec, out *Run) error {
 		overhead = 0
 	}
 
-	// Achieved throughputs under tuning and frequency scaling.
-	flopRate := pp.PeakFlops * fracFlop * quality * s
-	bwRate := e.m.Bandwidth * fracBW * quality // memory clock not scaled
+	// Achieved throughputs under tuning.
+	flopRate := pp.PeakFlops * fracFlop * quality
+	bwRate := e.m.Bandwidth * fracBW * quality
 	tFlops := spec.W / flopRate
 	tMem := spec.Q / bwRate
 	trueT := math.Max(tFlops, tMem) + overhead
 
-	// Dynamic energy with DVFS scaling on the compute side.
-	eFlops := spec.W * float64(pp.EnergyPerFlop) * s * s
+	eFlops := spec.W * float64(pp.EnergyPerFlop)
 	eMem := spec.Q * float64(e.m.EnergyPerByte)
 	dynE := eFlops + eMem
 	trueE := dynE + float64(e.m.ConstantPower)*trueT

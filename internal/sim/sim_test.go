@@ -50,8 +50,6 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{W: -1, Q: 1},
 		{W: 1, Q: -1},
 		{W: 0, Q: 0},
-		{W: 1, Q: 1, FreqScale: -0.5},
-		{W: 1, Q: 1, FreqScale: 1.5},
 	}
 	for i, s := range bad {
 		if _, err := e.Run(s); err == nil {
@@ -250,47 +248,6 @@ func TestPowerWaveIntegratesToEnergy(t *testing.T) {
 	}
 }
 
-func TestFreqScalingTradeoff(t *testing.T) {
-	// Scaling the clock down: slower, lower dynamic energy, but more
-	// constant energy. On a compute-bound kernel with large π0,
-	// race-to-halt (s=1) should win on energy.
-	m := machine.GTX580()
-	e := idealEngine(t, m)
-	spec := KernelSpec{W: 1e11, Q: 1e7, Precision: machine.Double}
-	full, err := e.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.FreqScale = 0.5
-	half, err := e.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(half.Duration) <= float64(full.Duration) {
-		t.Error("downclocked run must be slower")
-	}
-	if float64(half.Energy) <= float64(full.Energy) {
-		t.Error("with π0 = 122 W, race-to-halt should use less energy")
-	}
-	// With π0 = 0 the verdict flips: downclocking saves energy.
-	m0 := machine.GTX580()
-	m0.ConstantPower = 0
-	e0 := idealEngine(t, m0)
-	spec.FreqScale = 0
-	f0, err := e0.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.FreqScale = 0.5
-	h0, err := e0.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(h0.Energy) >= float64(f0.Energy) {
-		t.Error("with π0 = 0, downclocking should save energy")
-	}
-}
-
 func TestRunRepeatedAndAggregate(t *testing.T) {
 	e, err := New(machine.CoreI7950(), DefaultConfig(5))
 	if err != nil {
@@ -401,28 +358,6 @@ func TestEnergyBreakdownSums(t *testing.T) {
 	wantFlops := k.W * float64(machine.GTX580().SP.EnergyPerFlop)
 	if stats.RelErr(float64(rt.EnergyFlops), wantFlops) > 1e-9 {
 		t.Errorf("throttling changed flop energy: %v vs %v", rt.EnergyFlops, wantFlops)
-	}
-}
-
-func TestPropFreqScaleMonotone(t *testing.T) {
-	// Slower clocks never make a run faster, and on a compute-bound
-	// kernel the time scales exactly as 1/s.
-	e := idealEngine(t, machine.CoreI7950())
-	f := func(rs float64) bool {
-		s := 0.1 + 0.9*math.Abs(math.Mod(rs, 1))
-		full, err := e.Run(KernelSpec{W: 1e10, Q: 1e3, Precision: machine.Double, FreqScale: 1})
-		if err != nil {
-			return false
-		}
-		slow, err := e.Run(KernelSpec{W: 1e10, Q: 1e3, Precision: machine.Double, FreqScale: s})
-		if err != nil {
-			return false
-		}
-		ratio := float64(slow.Duration) / float64(full.Duration)
-		return ratio >= 1 && math.Abs(ratio-1/s) < 1e-6/s
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -170,3 +170,57 @@ func FuzzArrivalStream(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseTrace feeds arbitrary bytes to ParseTrace, the decoder
+// behind fleetsim -replay. Whatever it accepts must Marshal and parse
+// back to an equal trace. The seeds are short traces on the fleet smoke
+// scenario's workload, open and closed, each with the edits ParseTrace
+// must reject: a row numbered out of place and a row on the wrong
+// client.
+func FuzzParseTrace(f *testing.F) {
+	smoke := Spec{Kind: Poisson, Rate: 300, Requests: 6, Keys: 50000, ZipfS: 1.1,
+		WorkFlops: 1e9, LoIntensity: 0.5, HiIntensity: 8, Seed: 2026}
+	closed := smoke
+	closed.Kind, closed.Clients, closed.ThinkSeconds = Closed, 3, 0.1
+	for _, c := range []struct {
+		spec  Spec
+		edits [][2]string // from, to
+	}{
+		{smoke, [][2]string{{`"id": 3,`, `"id": 4,`}, {`"id": 3,`, `"id": 3, "client": 1,`}}},
+		{closed, [][2]string{{`"id": 3,`, `"id": 4,`}, {`"client": 1`, `"client": 2`}}},
+	} {
+		tr, err := Generate(c.spec)
+		if err != nil {
+			f.Fatalf("seed trace: %v", err)
+		}
+		data, err := tr.Marshal()
+		if err != nil {
+			f.Fatalf("seed trace: %v", err)
+		}
+		f.Add(data)
+		for _, e := range c.edits {
+			edited := bytes.Replace(data, []byte(e[0]), []byte(e[1]), 1)
+			if _, err := ParseTrace(edited); bytes.Equal(edited, data) || err == nil {
+				f.Fatalf("seed edit %s -> %s: not made or not rejected (%v)", e[0], e[1], err)
+			}
+			f.Add(edited)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ParseTrace(data)
+		if err != nil {
+			return
+		}
+		out, err := tr.Marshal()
+		if err != nil {
+			t.Fatalf("Marshal of an accepted trace: %v", err)
+		}
+		back, err := ParseTrace(out)
+		if err != nil {
+			t.Fatalf("ParseTrace rejected the Marshal of a trace it accepted: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(tr, back) {
+			t.Fatalf("round trip changed the trace:\n%+v\nvs\n%+v", tr, back)
+		}
+	})
+}

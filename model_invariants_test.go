@@ -81,18 +81,6 @@ func TestModelInvariantsAcrossCatalog(t *testing.T) {
 				}
 			}
 
-			// Frame strategies: the chosen one is never worse.
-			frame := 2 * p.Time(KernelAt(1e9, 4))
-			strat, race, pace, err := p.BestFrameStrategy(KernelAt(1e9, 4), frame, float64(m.IdlePower), 0.2)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if strat == core.Race && race > pace {
-				t.Errorf("%s: race chosen while pace is cheaper", name)
-			}
-			if strat == core.Pace && pace >= race {
-				t.Errorf("%s: pace chosen while race is cheaper", name)
-			}
 		}
 	}
 }
