@@ -127,8 +127,10 @@ func run(o options, in io.Reader, stdout, stderr io.Writer) int {
 
 // parse copies go test -bench output from in to echo and returns the
 // scenario names in input order with their metrics. It fails on a
-// duplicate scenario, a result without ns/op or allocs/op, no result
-// at all, and any line that reports a failed run.
+// duplicate scenario, a name that still ends in -N once its suffix is
+// removed, a result without ns/op or allocs/op, a value that is NaN,
+// infinite, negative or beyond int64, no result at all, and any line
+// that reports a failed run.
 func parse(in io.Reader, echo io.Writer) ([]string, map[string]benchfile.Metrics, error) {
 	var names []string
 	got := map[string]benchfile.Metrics{}
@@ -154,10 +156,10 @@ func parse(in io.Reader, echo io.Writer) ([]string, map[string]benchfile.Metrics
 			continue
 		}
 		name := fields[0][strings.LastIndexByte(fields[0], '/')+1:]
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			if _, e := strconv.Atoi(name[i+1:]); e == nil {
-				name = name[:i]
-			}
+		name, _ = cutCPUSuffix(name)
+		if _, ok := cutCPUSuffix(name); ok {
+			err = fmt.Errorf("%s: scenario %s ends in -N, which keys cannot tell from a GOMAXPROCS suffix", fields[0], name)
+			continue
 		}
 		if _, dup := got[name]; dup {
 			err = fmt.Errorf("scenario %s appears twice", name)
@@ -168,6 +170,8 @@ func parse(in io.Reader, echo io.Writer) ([]string, map[string]benchfile.Metrics
 			v, e := strconv.ParseFloat(fields[i], 64)
 			if e != nil {
 				err = fmt.Errorf("%s: %v", fields[0], e)
+			} else if !(v >= 0 && v < 1<<63) {
+				err = fmt.Errorf("%s: %s %s is not in [0, 2^63)", fields[0], fields[i], fields[i+1])
 			}
 			units[fields[i+1]] = v
 		}
@@ -187,6 +191,18 @@ func parse(in io.Reader, echo io.Writer) ([]string, map[string]benchfile.Metrics
 		err = errors.New("no benchmark results on stdin")
 	}
 	return names, got, err
+}
+
+// cutCPUSuffix splits a trailing -N (digits) off name.
+func cutCPUSuffix(name string) (string, bool) {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 {
+		return name, false
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return name, false
+	}
+	return name[:i], true
 }
 
 // oldestNs returns ns/op in the oldest entry that records scenario

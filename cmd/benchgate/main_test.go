@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -71,6 +72,11 @@ func TestUnusableInput(t *testing.T) {
 		{"panic", ok + "panic: runtime error: index out of range\n", "run failed"},
 		{"duplicate", ok + ok, "scenario BenchmarkServerEvalWarm appears twice"},
 		{"no allocs/op", "BenchmarkServerEvalWarm-2 \t 1000\t 2071 ns/op\n", "-benchmem"},
+		{"NaN", "BenchmarkCore/single_run-2 100 NaN ns/op 144 B/op 1 allocs/op\n", "NaN ns/op is not in [0, 2^63)"},
+		{"negative time", "BenchmarkCore/single_run-2 100 -5 ns/op 144 B/op 1 allocs/op\n", "-5 ns/op is not in"},
+		{"beyond int64", "BenchmarkCore/single_run-2 100 1e30 ns/op 144 B/op 1 allocs/op\n", "1e30 ns/op is not in"},
+		{"negative allocs", "BenchmarkCore/single_run-2 100 130 ns/op 144 B/op -3 allocs/op\n", "-3 allocs/op is not in"},
+		{"-N after the suffix", result("BenchmarkCore/single_run-4", 130, 1), "scenario single_run-4 ends in -N"},
 		{"no -file", ok, "-file is required"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -87,6 +93,35 @@ func TestUnusableInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseBench feeds parse arbitrary text: whatever it accepts keys
+// each result by a unique name with no -N suffix, and records no
+// negative or NaN metric.
+func FuzzParseBench(f *testing.F) {
+	f.Add(result("BenchmarkCore/single_run", 130, 1) + result("BenchmarkServerEvalWarm", 2071, 2))
+	f.Add("BenchmarkFleet/closed_1m \t 1\t2688190512 ns/op\t 1560270 sim_rps\t200109504 B/op\t 3648 allocs/op\n")
+	f.Add("BenchmarkCore/single_run-2 100 NaN ns/op 144 B/op 1 allocs/op\n")
+	f.Add("BenchmarkCore/single_run-2 100 1e30 ns/op 144 B/op -3 allocs/op\n")
+	f.Add(result("BenchmarkA/x", 1, 1) + result("BenchmarkB/x-2", 1, 1))
+	f.Fuzz(func(t *testing.T, in string) {
+		names, got, err := parse(strings.NewReader(in), io.Discard)
+		if err != nil {
+			return
+		}
+		if len(names) == 0 || len(names) != len(got) {
+			t.Fatalf("%d names for %d results", len(names), len(got))
+		}
+		for _, name := range names {
+			if _, ok := cutCPUSuffix(name); ok {
+				t.Errorf("name %q keeps a -N suffix", name)
+			}
+			m := got[name]
+			if m.NsPerOp < 0 || m.BytesPerOp < 0 || m.AllocsPerOp < 0 || !(m.SimulatedRPS >= 0) {
+				t.Errorf("%s: metrics %+v", name, m)
+			}
+		}
+	})
 }
 
 // TestRules pins every check -check applies, each failing alone.

@@ -2,6 +2,7 @@ package energyroofline
 
 import (
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,64 @@ func TestFleetsimDependencies(t *testing.T) {
 	for _, p := range goList(t, "-f", `{{join .Imports " "}}`, "./internal/rescache") {
 		if p == "sync" || p == "sync/atomic" {
 			t.Errorf("internal/rescache imports %s; its cache is unsynchronised by design", p)
+		}
+	}
+}
+
+// TestBinaryBudgets pins what each binary costs in module packages
+// (repro/ packages in `go list -deps`, so the count does not move with
+// the toolchain's standard library) and in flags (as `-h` lists them).
+// Growth, or a new binary, is then one reviewed edit of this table.
+func TestBinaryBudgets(t *testing.T) {
+	budgets := []struct {
+		name        string
+		pkgs, flags int
+	}{
+		{"benchgate", 3, 8},
+		{"campaign", 14, 7},
+		{"cyclesim", 12, 7},
+		{"experiments", 23, 9},
+		{"fleetsim", 11, 8},
+		{"roofline", 6, 10},
+		{"rooflined", 17, 8},
+	}
+	if cmds := goList(t, "./cmd/..."); len(cmds) != len(budgets) {
+		t.Errorf("cmd/ holds %d binaries, the budget table %d: %v", len(cmds), len(budgets), cmds)
+	}
+	for _, b := range budgets {
+		pkgs := 0
+		for _, p := range goList(t, "-deps", "./cmd/"+b.name) {
+			if strings.HasPrefix(p, "repro/") {
+				pkgs++
+			}
+		}
+		if pkgs != b.pkgs {
+			t.Errorf("%s links %d module packages, budget %d", b.name, pkgs, b.pkgs)
+		}
+	}
+	if testing.Short() {
+		t.Skip("flag counts build every binary")
+	}
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/...")
+	build.Dir = mustModuleRoot(t)
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
+	}
+	for _, b := range budgets {
+		out, err := exec.Command(filepath.Join(dir, b.name), "-h").CombinedOutput()
+		if err != nil {
+			t.Errorf("%s -h: %v\n%s", b.name, err, out)
+			continue
+		}
+		flags := 0
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "  -") {
+				flags++
+			}
+		}
+		if flags != b.flags {
+			t.Errorf("%s has %d flags, budget %d", b.name, flags, b.flags)
 		}
 	}
 }

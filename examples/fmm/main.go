@@ -57,10 +57,10 @@ func main() {
 	}
 	params := core.FromMachine(m, machine.Single)
 	for _, v := range []fmm.Variant{
-		{Layout: fmm.SoA, Staging: fmm.CacheOnly, TargetTile: 1, Unroll: 1, VectorWidth: 1},
-		{Layout: fmm.SoA, Staging: fmm.CacheOnly, TargetTile: 16, Unroll: 4, VectorWidth: 4},
+		{Shape: fmm.Shape{Layout: fmm.SoA, Staging: fmm.CacheOnly, TargetTile: 1}, Unroll: 1, VectorWidth: 1},
+		{Shape: fmm.Shape{Layout: fmm.SoA, Staging: fmm.CacheOnly, TargetTile: 16}, Unroll: 4, VectorWidth: 4},
 	} {
-		tr, err := tree.SimulateTraffic(u, v, h)
+		tr, err := tree.SimulateTraffic(u, v.Shape, h)
 		if err != nil {
 			panic(err)
 		}

@@ -168,7 +168,6 @@ type Hierarchy struct {
 	segScratch []Segment
 	segLA      []uint64
 	segWays    []segWay
-	segRec     sweepRecord
 }
 
 // New builds a hierarchy from innermost (L1) to outermost. All levels

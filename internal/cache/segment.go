@@ -1,11 +1,9 @@
 // Bulk segment replay: strided access runs are simulated one cache
-// line at a time instead of one word at a time, and repeated sweeps
-// over a block proven resident in the innermost level are applied as
-// closed-form counter updates. Every counter, line state, and LRU
-// timestamp is exactly what the word-at-a-time walk would produce; the
-// fast paths fall back to the exact scalar walk whenever that
-// equivalence cannot be proven locally (line-straddling elements,
-// failed residency checks).
+// line at a time instead of one word at a time. Every counter, line
+// state, and LRU timestamp is exactly what the word-at-a-time walk
+// would produce; the replay falls back to the exact scalar walk
+// whenever that equivalence cannot be proven locally (line-straddling
+// elements, a line evicted within its own chunk).
 
 package cache
 
@@ -59,26 +57,14 @@ func (h *Hierarchy) AccessSegment(s Segment) {
 //
 // — the access order of a loop nest that walks several parallel arrays
 // in lock step (a structure-of-arrays record read is one group of four
-// segments). Two layers of coalescing apply:
-//
-//  1. Within a sweep, runs of elements that stay on one cache line per
-//     segment are resolved with a single genuine lookup per line; the
-//     remaining accesses are bulk-applied as hits after verifying every
-//     line of the run survived the lookups (an install or prefetch in
-//     the same round can evict a neighbour's line; verification makes
-//     the bulk path exact, and failure falls back to the scalar walk).
-//  2. Across sweeps, if every distinct line touched by sweep 1 is still
-//     resident in the innermost level afterwards, sweeps 2..n would
-//     replay as pure innermost-level hits — hits never evict, so
-//     residency is invariant — and all their counter updates (hits,
-//     bytes served, per-line dirty bits and LRU timestamps, tick
-//     advance) are applied in closed form. If any line is absent
-//     (the block outgrew the level, or conflict misses displaced it),
-//     every remaining sweep is replayed through layer 1 instead.
+// segments). Each sweep is replayed in chunks: a run of rounds whose
+// elements stay on one cache line per segment is resolved with a
+// single genuine lookup per line, and the remaining accesses are
+// bulk-applied as hits after verifying every line of the run survived
+// the lookups (an install or prefetch in the same round can evict a
+// neighbour's line; verification makes the bulk path exact, and
+// failure falls back to the scalar walk).
 func (h *Hierarchy) ReplaySegments(segs []Segment, sweeps int) {
-	if sweeps < 1 || len(segs) == 0 {
-		return
-	}
 	// Drop no-op segments (matching Access's early return).
 	act := h.segScratch[:0]
 	for _, s := range segs {
@@ -91,58 +77,9 @@ func (h *Hierarchy) ReplaySegments(segs []Segment, sweeps int) {
 	if len(act) == 0 {
 		return
 	}
-	var rec *sweepRecord
-	if sweeps > 1 {
-		rec = &h.segRec
-		rec.reset(h.tick)
+	for s := 0; s < sweeps; s++ {
+		h.replaySweep(act)
 	}
-	h.replaySweep(act, rec)
-	if sweeps == 1 {
-		return
-	}
-	perSweep := h.tick - rec.startTick
-	if h.sweepResident(rec) {
-		h.applyResidentSweeps(rec, uint64(sweeps-1), perSweep)
-		return
-	}
-	for s := 1; s < sweeps; s++ {
-		h.replaySweep(act, nil)
-	}
-}
-
-// segLine is one run of accesses to a single cache line during a
-// recorded sweep: n touches, the last at tick offset lastOff (1-based,
-// from the sweep's start). A line touched at several points of the
-// sweep appears as several records, in chronological order — applying
-// records in order therefore reproduces the scalar walk's last-write-
-// wins line state (dirty bit, LRU stamp) while the counter sums stay
-// additive, with no per-line dedup structure on the hot path.
-type segLine struct {
-	la      uint64
-	n       uint64
-	lastOff uint64
-	write   bool
-	// way is filled by sweepResident when the closed-form path is
-	// taken.
-	way *line
-}
-
-// sweepRecord accumulates the line-touch profile of one sweep, in
-// chronological order. It lives on the Hierarchy and is reused across
-// ReplaySegments calls to keep the replay allocation-free.
-type sweepRecord struct {
-	startTick uint64
-	lines     []segLine
-}
-
-func (r *sweepRecord) reset(tick uint64) {
-	r.startTick = tick
-	r.lines = r.lines[:0]
-}
-
-// add records n accesses to line la, the last at tick offset off.
-func (r *sweepRecord) add(la uint64, write bool, n, off uint64) {
-	r.lines = append(r.lines, segLine{la: la, n: n, lastOff: off, write: write})
 }
 
 // lineOf maps a byte address to its line address.
@@ -153,16 +90,12 @@ func (h *Hierarchy) lineOf(addr uint64) uint64 {
 	return addr / h.lineSize
 }
 
-// elemScalar replays one element exactly as Access would, recording
-// each line touch when rec is non-nil.
-func (h *Hierarchy) elemScalar(addr uint64, size int, write bool, rec *sweepRecord) {
+// elemScalar replays one element exactly as Access would.
+func (h *Hierarchy) elemScalar(addr uint64, size int, write bool) {
 	first := h.lineOf(addr)
 	last := h.lineOf(addr + uint64(size) - 1)
 	for la := first; la <= last; la++ {
 		h.tick++
-		if rec != nil {
-			rec.add(la, write, 1, h.tick-rec.startTick)
-		}
 		h.accessLine(la, write)
 	}
 }
@@ -203,11 +136,10 @@ func (h *Hierarchy) sameLineRun(s *Segment, i, maxRun int) int {
 	return n
 }
 
-// segWay pairs a chunk-resident innermost-level way with its line and
-// request type, for the bulk hit application.
+// segWay pairs a chunk-resident innermost-level way with its request
+// type, for the bulk hit application.
 type segWay struct {
 	w     *line
-	la    uint64
 	write bool
 }
 
@@ -228,9 +160,8 @@ func (h *Hierarchy) findInnerWay(la uint64) *line {
 
 // replaySweep replays one interleaved pass over segs, chunking rounds
 // whose elements stay line-stable into one genuine lookup per segment
-// plus bulk hit updates. When rec is non-nil every line touch is
-// recorded for the cross-sweep residency fast path.
-func (h *Hierarchy) replaySweep(segs []Segment, rec *sweepRecord) {
+// plus bulk hit updates.
+func (h *Hierarchy) replaySweep(segs []Segment) {
 	maxCount := 0
 	for i := range segs {
 		if segs[i].Count > maxCount {
@@ -268,7 +199,7 @@ func (h *Hierarchy) replaySweep(segs []Segment, rec *sweepRecord) {
 			for si := range segs {
 				s := &segs[si]
 				if i < s.Count {
-					h.elemScalar(s.Base+uint64(i)*s.Stride, s.Size, s.Write, rec)
+					h.elemScalar(s.Base+uint64(i)*s.Stride, s.Size, s.Write)
 				}
 			}
 			i++
@@ -285,9 +216,6 @@ func (h *Hierarchy) replaySweep(segs []Segment, rec *sweepRecord) {
 			addr := h.lineOf(s.Base + uint64(i)*s.Stride)
 			la = append(la, addr)
 			h.tick++
-			if rec != nil {
-				rec.add(addr, s.Write, 1, h.tick-rec.startTick)
-			}
 			h.accessLine(addr, s.Write)
 		}
 		h.segLA = la[:0]
@@ -312,7 +240,7 @@ func (h *Hierarchy) replaySweep(segs []Segment, rec *sweepRecord) {
 				resident = false
 				break
 			}
-			ways = append(ways, segWay{w: w, la: la[ai], write: s.Write})
+			ways = append(ways, segWay{w: w, write: s.Write})
 			ai++
 		}
 		h.segWays = ways[:0]
@@ -324,7 +252,7 @@ func (h *Hierarchy) replaySweep(segs []Segment, rec *sweepRecord) {
 				for si := range segs {
 					s := &segs[si]
 					if i+r < s.Count {
-						h.elemScalar(s.Base+uint64(i+r)*s.Stride, s.Size, s.Write, rec)
+						h.elemScalar(s.Base+uint64(i+r)*s.Stride, s.Size, s.Write)
 					}
 				}
 			}
@@ -352,58 +280,8 @@ func (h *Hierarchy) replaySweep(segs []Segment, rec *sweepRecord) {
 				l0.stats.ReadHits += rounds
 			}
 			wy.w.used = lastTick
-			if rec != nil {
-				rec.add(wy.la, wy.write, rounds, lastTick-rec.startTick)
-			}
 		}
 		h.tick = t0 + rounds*m
 		i += k
 	}
-}
-
-// sweepResident reports whether every line the recorded sweep touched
-// is resident in the innermost level, filling each record's way
-// pointer. This is the proof obligation of the closed-form sweep path:
-// resident lines make the next sweep all hits, hits never evict, so
-// residency — and with it the hit guarantee — is invariant across all
-// remaining sweeps.
-func (h *Hierarchy) sweepResident(rec *sweepRecord) bool {
-	for i := range rec.lines {
-		e := &rec.lines[i]
-		e.way = h.findInnerWay(e.la)
-		if e.way == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// applyResidentSweeps applies the counter updates of extra further
-// sweeps, each of perSweep ticks, given that every recorded line is
-// resident in the innermost level: per record, n hits per sweep; per
-// level-0 totals, the summed counts; per line state, the dirty bit for
-// written lines and the LRU timestamp of its final access in the final
-// sweep (records apply in chronological order, so the last record of a
-// line wins); and the tick advance of the full replay.
-func (h *Hierarchy) applyResidentSweeps(rec *sweepRecord, extra, perSweep uint64) {
-	l0 := h.levels[0]
-	base := h.tick
-	var acc, rh, wh uint64
-	for i := range rec.lines {
-		e := &rec.lines[i]
-		acc += e.n
-		if e.write {
-			wh += e.n
-			e.way.dirty = true
-		} else {
-			rh += e.n
-		}
-		e.way.used = base + (extra-1)*perSweep + e.lastOff
-	}
-	l0.stats.Accesses += extra * acc
-	l0.stats.Hits += extra * acc
-	l0.stats.ReadHits += extra * rh
-	l0.stats.WriteHits += extra * wh
-	l0.stats.BytesServed += extra * acc * h.lineSize
-	h.tick = base + extra*perSweep
 }

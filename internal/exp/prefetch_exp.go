@@ -60,7 +60,7 @@ func runAblationPrefetch(Config) (*Report, error) {
 			return 0, err
 		}
 		h.EnablePrefetch(pf)
-		ref := fmm.Variant{Layout: fmm.SoA, Staging: fmm.CacheOnly, TargetTile: 1, Unroll: 1, VectorWidth: 1}
+		ref := fmm.Shape{Layout: fmm.SoA, Staging: fmm.CacheOnly, TargetTile: 1}
 		tf, err := tr.SimulateTraffic(u, ref, h)
 		if err != nil {
 			return 0, err

@@ -145,7 +145,7 @@ func TestPhaseIsComputeBound(t *testing.T) {
 		Seed:     5,
 		N:        2048,
 		LeafSize: 128,
-		Variants: []Variant{{Layout: SoA, Staging: CacheOnly, TargetTile: 1, Unroll: 1, VectorWidth: 1}},
+		Variants: []Variant{{Shape: Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 1}, Unroll: 1, VectorWidth: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)

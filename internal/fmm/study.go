@@ -3,6 +3,8 @@ package fmm
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -108,11 +110,12 @@ type StudyResult struct {
 	CacheOnlyCount int
 }
 
-// RunStudy reproduces §V-C: build one FMM instance, replay every
-// variant's memory behaviour through the cache simulator, "measure"
-// each variant's energy on the simulated platform, estimate it with the
-// basic two-level model (eq. 2), fit the lumped cache energy from the
-// reference implementation, and re-estimate the L1/L2-only class.
+// RunStudy reproduces §V-C: build one FMM instance, replay each
+// distinct variant Shape's memory behaviour through the cache simulator
+// once, "measure" each variant's energy on the simulated platform,
+// estimate it with the basic two-level model (eq. 2), fit the lumped
+// cache energy from the reference implementation, and re-estimate the
+// L1/L2-only class.
 func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	return RunStudyCtx(context.Background(), cfg)
 }
@@ -120,10 +123,11 @@ func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 // RunStudyCtx is RunStudy with span tracing: when ctx carries a
 // trace.Tracer the study records an "fmm.study" span enclosing an
 // "fmm.tree" span (octree build + U-list construction), one
-// "fmm.cache_replay" span covering the per-variant traffic simulation
-// through the cache hierarchy, and an "fmm.fit" span for the lumped
-// cache-energy fit and refined estimates. Tracing reads only the
-// clock, so results are identical with or without it.
+// "fmm.cache_replay" span covering the per-shape traffic simulation
+// through the cache hierarchy (tagged with the number of shapes), and
+// an "fmm.fit" span for the lumped cache-energy fit and refined
+// estimates. Tracing reads only the clock, so results are identical
+// with or without it.
 func RunStudyCtx(ctx context.Context, cfg StudyConfig) (*StudyResult, error) {
 	cfg.defaults()
 	ctx, study := trace.Start(ctx, "fmm.study")
@@ -168,9 +172,15 @@ func RunStudyCtx(ctx context.Context, cfg StudyConfig) (*StudyResult, error) {
 	}
 
 	_, replay := trace.Start(ctx, "fmm.cache_replay")
-	refIdx := -1
+	traffic := map[Shape]Traffic{}
 	for _, v := range cfg.Variants {
-		tr, err := tree.SimulateTraffic(u, v, h)
+		if v.TargetTile < 1 || v.Unroll < 1 || v.VectorWidth < 1 {
+			return nil, fmt.Errorf("fmm: variant %s has non-positive parameters", v.Name())
+		}
+		if _, ok := traffic[v.Shape]; ok {
+			continue
+		}
+		tr, err := tree.SimulateTraffic(u, v.Shape, h)
 		if err != nil {
 			return nil, err
 		}
@@ -178,6 +188,14 @@ func RunStudyCtx(ctx context.Context, cfg StudyConfig) (*StudyResult, error) {
 		for i := range tr.Levels {
 			tr.Levels[i].EpsPerByte = levelEnergy[tr.Levels[i].Name]
 		}
+		traffic[v.Shape] = tr
+	}
+	replay.Tag("shapes", len(traffic)).End()
+
+	refIdx := -1
+	for _, v := range cfg.Variants {
+		tr := traffic[v.Shape]
+		tr.Levels = slices.Clone(tr.Levels)
 		t := w / (peak * v.Efficiency())
 
 		// Ground truth: flops + DRAM + per-level cache + staging +
@@ -207,7 +225,6 @@ func RunStudyCtx(ctx context.Context, cfg StudyConfig) (*StudyResult, error) {
 		}
 		res.Results = append(res.Results, vr)
 	}
-	replay.End()
 	if refIdx < 0 {
 		return nil, errors.New("fmm: variant population lacks the reference implementation (SoA, cache-only, tile 1, unroll 1, width 1)")
 	}

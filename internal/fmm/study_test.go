@@ -1,12 +1,15 @@
 package fmm
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func TestGenerateVariantsPopulation(t *testing.T) {
@@ -46,7 +49,7 @@ func TestGenerateVariantsPopulation(t *testing.T) {
 }
 
 func TestEfficiencyRespondsToParameters(t *testing.T) {
-	base := Variant{Layout: SoA, Staging: CacheOnly, TargetTile: 1, Unroll: 1, VectorWidth: 1}
+	base := Variant{Shape: Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 1}, Unroll: 1, VectorWidth: 1}
 	blocked := base
 	blocked.TargetTile = 16
 	if blocked.Efficiency() <= base.Efficiency() {
@@ -61,7 +64,7 @@ func TestEfficiencyRespondsToParameters(t *testing.T) {
 }
 
 func TestVariantStrings(t *testing.T) {
-	v := Variant{ID: 3, Layout: AoS, Staging: SharedMem, TargetTile: 4, Unroll: 2, VectorWidth: 1}
+	v := Variant{ID: 3, Shape: Shape{Layout: AoS, Staging: SharedMem, TargetTile: 4}, Unroll: 2, VectorWidth: 1}
 	name := v.Name()
 	for _, want := range []string{"v003", "AoS", "shared", "t4", "u2", "w1"} {
 		if !strings.Contains(name, want) {
@@ -87,7 +90,7 @@ func TestSimulateTrafficShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := Variant{Layout: SoA, Staging: CacheOnly, TargetTile: 1, Unroll: 1, VectorWidth: 1}
+	ref := Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 1}
 	t0, err := tr.SimulateTraffic(u, ref, h)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +99,7 @@ func TestSimulateTrafficShapes(t *testing.T) {
 		t.Fatalf("reference traffic empty: %+v", t0)
 	}
 	if t0.SharedBytes != 0 || t0.TextureBytes != 0 {
-		t.Error("cache-only variant must not use staging paths")
+		t.Error("cache-only shape must not use staging paths")
 	}
 
 	// Register blocking cuts cache traffic.
@@ -140,7 +143,7 @@ func TestSimulateTrafficShapes(t *testing.T) {
 		t.Errorf("DRAM reads %v below half the dataset footprint %v", t0.DRAMReadBytes, footprint)
 	}
 
-	// Bad variant parameters are rejected.
+	// A non-positive tile is rejected.
 	bad := ref
 	bad.TargetTile = 0
 	if _, err := tr.SimulateTraffic(u, bad, h); err == nil {
@@ -165,7 +168,7 @@ func TestAoSReducesLineFetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soa := Variant{Layout: SoA, Staging: CacheOnly, TargetTile: 8, Unroll: 1, VectorWidth: 1}
+	soa := Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 8}
 	aos := soa
 	aos.Layout = AoS
 	ts, err := tr.SimulateTraffic(u, soa, h)
@@ -232,7 +235,7 @@ func TestStudyReproducesSectionVC(t *testing.T) {
 }
 
 func TestStudyErrors(t *testing.T) {
-	noRef := []Variant{{Layout: AoS, Staging: CacheOnly, TargetTile: 2, Unroll: 1, VectorWidth: 1}}
+	noRef := []Variant{{Shape: Shape{Layout: AoS, Staging: CacheOnly, TargetTile: 2}, Unroll: 1, VectorWidth: 1}}
 	if _, err := RunStudy(StudyConfig{Variants: noRef, N: 64, LeafSize: 16}); err == nil {
 		t.Error("population without reference accepted")
 	}
@@ -242,12 +245,62 @@ func TestStudyErrors(t *testing.T) {
 	} else {
 		t.Error("empty variant slice accepted")
 	}
+	// Every knob is checked with one error text, including the two the
+	// replay never reads.
+	for _, bad := range []Variant{
+		{Shape: Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 0}, Unroll: 1, VectorWidth: 1},
+		{Shape: Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 1}, Unroll: 0, VectorWidth: 1},
+		{Shape: Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 1}, Unroll: 1, VectorWidth: -1},
+	} {
+		_, err := RunStudy(StudyConfig{Variants: []Variant{bad}, N: 64, LeafSize: 16})
+		want := "fmm: variant " + bad.Name() + " has non-positive parameters"
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", bad.Name(), err, want)
+		}
+	}
+}
+
+// TestStudyReplaysEachShapeOnce pins the study's replay count: the 392
+// generated variants have 42 traffic shapes, and the
+// "fmm.cache_replay" span counts one replay per shape. Variants that
+// share a shape get equal Traffic, each in its own copy.
+func TestStudyReplaysEachShapeOnce(t *testing.T) {
+	tr := trace.New(trace.Config{})
+	res, err := RunStudyCtx(trace.WithTracer(context.Background(), tr), StudyConfig{Seed: 3, N: 256, LeafSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := 0
+	for _, ev := range tr.Events() {
+		if ev.Name != "fmm.cache_replay" {
+			continue
+		}
+		for _, tag := range ev.Tags {
+			if tag.Key == "shapes" {
+				shapes, _ = tag.Val.(int)
+			}
+		}
+	}
+	if shapes != 42 {
+		t.Errorf("study replayed %d shapes, want 42", shapes)
+	}
+	a, b := &res.Results[0], &res.Results[1]
+	if a.Variant.Shape != b.Variant.Shape {
+		t.Fatalf("%s and %s do not share a shape", a.Variant.Name(), b.Variant.Name())
+	}
+	if !reflect.DeepEqual(a.Traffic, b.Traffic) {
+		t.Fatalf("one shape, two traffics:\n%+v\n%+v", a.Traffic, b.Traffic)
+	}
+	a.Traffic.Levels[0].Bytes++
+	if b.Traffic.Levels[0].Bytes == a.Traffic.Levels[0].Bytes {
+		t.Error("variants of one shape share a Levels slice")
+	}
 }
 
 func TestStudyDeterminism(t *testing.T) {
 	subset := []Variant{
-		{Layout: SoA, Staging: CacheOnly, TargetTile: 1, Unroll: 1, VectorWidth: 1},
-		{Layout: SoA, Staging: CacheOnly, TargetTile: 8, Unroll: 1, VectorWidth: 1},
+		{Shape: Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 1}, Unroll: 1, VectorWidth: 1},
+		{Shape: Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 8}, Unroll: 1, VectorWidth: 1},
 	}
 	a, err := RunStudy(StudyConfig{Seed: 7, N: 512, LeafSize: 64, Variants: subset})
 	if err != nil {
@@ -278,6 +331,36 @@ func BenchmarkStudyFullPopulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunStudy(StudyConfig{Seed: 42}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimulateTraffic times the study's replay stage alone: one
+// SimulateTraffic call for each of the 14 cache-only shapes, at the
+// study's default size (4,096 points, leaf 256).
+func BenchmarkSimulateTraffic(b *testing.B) {
+	tree, err := Build(UniformPoints(4096, 42), 256, studyMaxDepth)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := tree.BuildULists()
+	h, err := cache.FromMachine(machine.GTX580())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var shapes []Shape
+	for _, sh := range distinctShapes(GenerateVariants()) {
+		if sh.IsCacheOnly() {
+			shapes = append(shapes, sh)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sh := range shapes {
+			if _, err := tree.SimulateTraffic(u, sh, h); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -336,7 +419,7 @@ func TestStudyOnClusteredPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := Variant{Layout: SoA, Staging: CacheOnly, TargetTile: 1, Unroll: 1, VectorWidth: 1}
+	ref := Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 1}
 	tf, err := tr.SimulateTraffic(u, ref, h)
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func (tr Traffic) CacheBytes() float64 {
 	return s
 }
 
-// SimulateTraffic replays the memory behaviour of variant v over the
+// SimulateTraffic replays the memory behaviour of shape sh over the
 // U-list phase through the given cache hierarchy (which is reset
 // first) and returns the byte accounting.
 //
@@ -65,11 +65,11 @@ func (tr Traffic) CacheBytes() float64 {
 // once (registers hold them afterwards); for every source node
 // S ∈ U(B), the source records are swept once per
 // ceil(|B| / (TargetTile·BroadcastWidth)) target groups; a cache-only
-// variant replays every sweep through the cache hierarchy, while
+// shape replays every sweep through the cache hierarchy, while
 // shared/texture staging loads each block once through the hierarchy
 // and serves the remaining sweeps from the staging path. Without
 // register blocking the per-target potential is re-read and re-written
-// around every (B, S) sweep; register-blocked variants keep it live.
+// around every (B, S) sweep; register-blocked shapes keep it live.
 //
 // Segment decomposition: instead of issuing one cache access per
 // 4-byte word, the replay hands the hierarchy bulk descriptors
@@ -79,29 +79,27 @@ func (tr Traffic) CacheBytes() float64 {
 // element-interleaved word segments (x, y, z, d at bases 1 GiB apart)
 // for SoA — cache.Hierarchy.ReplaySegments interleaves segments per
 // element index, matching the original x[j], y[j], z[j], d[j] read
-// order. The cache-only sweep loop collapses into a single
-// ReplaySegments(recordSegs, sweeps) call, letting the hierarchy's
-// resident-sweep fast path account repeated sweeps in closed form; the
-// φ spill is a two-segment read/write interleave and the final
-// write-out a single write segment. The counters this produces are
-// bit-identical to the scalar replay (pinned by
-// TestSimulateTrafficMatchesWordReplay).
-func (t *Tree) SimulateTraffic(u ULists, v Variant, h *cache.Hierarchy) (Traffic, error) {
+// order. The cache-only sweep loop is a single
+// ReplaySegments(recordSegs, sweeps) call; the φ spill is a
+// two-segment read/write interleave and the final write-out a single
+// write segment. The counters this produces are bit-identical to the
+// scalar replay (pinned by TestSimulateTrafficMatchesWordReplay).
+func (t *Tree) SimulateTraffic(u ULists, sh Shape, h *cache.Hierarchy) (Traffic, error) {
 	if len(u) != len(t.Leaves) {
 		return Traffic{}, errors.New("fmm: U-list count does not match leaves")
 	}
-	if v.TargetTile < 1 || v.Unroll < 1 || v.VectorWidth < 1 {
-		return Traffic{}, fmt.Errorf("fmm: variant %s has non-positive parameters", v.Name())
+	if sh.TargetTile < 1 {
+		return Traffic{}, fmt.Errorf("fmm: non-positive target tile %d", sh.TargetTile)
 	}
 	h.Reset()
 	var tr Traffic
 
-	group := v.TargetTile * BroadcastWidth
+	group := sh.TargetTile * BroadcastWidth
 	// recordSegs describes the particle records [first, first+count) as
 	// replay segments (see the segment-decomposition note above).
 	var segBuf [4]cache.Segment
 	recordSegs := func(first, count int) []cache.Segment {
-		if v.Layout == AoS {
+		if sh.Layout == AoS {
 			segBuf[0] = cache.Segment{Base: baseAoS + uint64(first)*recordBytes, Stride: recordBytes, Count: count, Size: recordBytes}
 			return segBuf[:1]
 		}
@@ -128,7 +126,7 @@ func (t *Tree) SimulateTraffic(u ULists, v Variant, h *cache.Hierarchy) (Traffic
 				continue
 			}
 			blockBytes := float64(qs * recordBytes)
-			switch v.Staging {
+			switch sh.Staging {
 			case CacheOnly:
 				h.ReplaySegments(recordSegs(s.Start, qs), sweeps)
 			case SharedMem:
@@ -145,7 +143,7 @@ func (t *Tree) SimulateTraffic(u ULists, v Variant, h *cache.Hierarchy) (Traffic
 			}
 			// Without register blocking the accumulator spills: φ is
 			// re-read and re-written around every (B, S) sweep.
-			if v.TargetTile == 1 {
+			if sh.TargetTile == 1 {
 				phiBase := basePhi + uint64(b.Start)*wordBytes
 				phiBuf[0] = cache.Segment{Base: phiBase, Stride: wordBytes, Count: qb, Size: wordBytes}
 				phiBuf[1] = cache.Segment{Base: phiBase, Stride: wordBytes, Count: qb, Size: wordBytes, Write: true}

@@ -13,7 +13,7 @@ import (
 // preserved verbatim as the reference semantics for SimulateTraffic.
 // Every counter the segment-based implementation produces must be
 // bit-identical to this loop.
-func simulateTrafficWords(t *Tree, u ULists, v Variant, h *cache.Hierarchy) (Traffic, error) {
+func simulateTrafficWords(t *Tree, u ULists, v Shape, h *cache.Hierarchy) (Traffic, error) {
 	h.Reset()
 	var tr Traffic
 
@@ -114,34 +114,58 @@ func lockstepHierarchies(t *testing.T) map[string]func() *cache.Hierarchy {
 	}
 }
 
-// TestSimulateTrafficMatchesWordReplay replays every generated variant
-// (all layouts × stagings × tiles × unrolls × widths) through the
-// segment-based SimulateTraffic and the preserved word-at-a-time
-// reference, on two hierarchies, and requires identical Traffic —
-// DRAM bytes, per-level served bytes in order, staging bytes.
+// distinctShapes returns the shapes of vs in first-seen order.
+func distinctShapes(vs []Variant) []Shape {
+	seen := map[Shape]bool{}
+	var out []Shape
+	for _, v := range vs {
+		if !seen[v.Shape] {
+			seen[v.Shape] = true
+			out = append(out, v.Shape)
+		}
+	}
+	return out
+}
+
+// matchWordReplay replays each shape through the segment-based
+// SimulateTraffic and the preserved word-at-a-time reference, on both
+// lockstep hierarchies, and requires identical Traffic — DRAM bytes,
+// per-level served bytes in order, staging bytes.
+func matchWordReplay(t *testing.T, tree *Tree, shapes []Shape) {
+	t.Helper()
+	u := tree.BuildULists()
+	for name, mk := range lockstepHierarchies(t) {
+		hSeg, hWord := mk(), mk()
+		for _, sh := range shapes {
+			got, err := tree.SimulateTraffic(u, sh, hSeg)
+			if err != nil {
+				t.Fatalf("%s/%+v: %v", name, sh, err)
+			}
+			want, err := simulateTrafficWords(tree, u, sh, hWord)
+			if err != nil {
+				t.Fatalf("%s/%+v: reference: %v", name, sh, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%+v: traffic diverged\n got  %+v\n want %+v", name, sh, got, want)
+			}
+		}
+	}
+}
+
+// TestSimulateTrafficMatchesWordReplay checks every shape of the
+// generated population (2 layouts × 3 stagings × 7 tiles) against the
+// word-at-a-time reference.
 func TestSimulateTrafficMatchesWordReplay(t *testing.T) {
 	p := UniformPoints(768, 6)
 	tree, err := Build(p, 96, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := tree.BuildULists()
-	for name, mk := range lockstepHierarchies(t) {
-		hSeg, hWord := mk(), mk()
-		for _, v := range GenerateVariants() {
-			got, err := tree.SimulateTraffic(u, v, hSeg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, v.Name(), err)
-			}
-			want, err := simulateTrafficWords(tree, u, v, hWord)
-			if err != nil {
-				t.Fatalf("%s/%s: reference: %v", name, v.Name(), err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: traffic diverged\n got  %+v\n want %+v", name, v.Name(), got, want)
-			}
-		}
+	shapes := distinctShapes(GenerateVariants())
+	if len(shapes) != 42 {
+		t.Fatalf("population has %d shapes, want 42", len(shapes))
 	}
+	matchWordReplay(t, tree, shapes)
 }
 
 // TestSimulateTrafficMatchesWordReplayClustered repeats the lockstep
@@ -153,29 +177,13 @@ func TestSimulateTrafficMatchesWordReplayClustered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := tree.BuildULists()
-	for name, mk := range lockstepHierarchies(t) {
-		hSeg, hWord := mk(), mk()
-		for _, v := range []Variant{
-			{Layout: SoA, Staging: CacheOnly, TargetTile: 1, Unroll: 1, VectorWidth: 1},
-			{Layout: SoA, Staging: CacheOnly, TargetTile: 16, Unroll: 4, VectorWidth: 2},
-			{Layout: AoS, Staging: CacheOnly, TargetTile: 4, Unroll: 2, VectorWidth: 1},
-			{Layout: SoA, Staging: SharedMem, TargetTile: 8, Unroll: 1, VectorWidth: 4},
-			{Layout: AoS, Staging: TextureMem, TargetTile: 1, Unroll: 8, VectorWidth: 1},
-		} {
-			got, err := tree.SimulateTraffic(u, v, hSeg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, v.Name(), err)
-			}
-			want, err := simulateTrafficWords(tree, u, v, hWord)
-			if err != nil {
-				t.Fatalf("%s/%s: reference: %v", name, v.Name(), err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: traffic diverged\n got  %+v\n want %+v", name, v.Name(), got, want)
-			}
-		}
-	}
+	matchWordReplay(t, tree, []Shape{
+		{Layout: SoA, Staging: CacheOnly, TargetTile: 1},
+		{Layout: SoA, Staging: CacheOnly, TargetTile: 16},
+		{Layout: AoS, Staging: CacheOnly, TargetTile: 4},
+		{Layout: SoA, Staging: SharedMem, TargetTile: 8},
+		{Layout: AoS, Staging: TextureMem, TargetTile: 1},
+	})
 }
 
 // TestSimulateTrafficAllocs pins the PR 4 allocation regression fix:
@@ -192,7 +200,7 @@ func TestSimulateTrafficAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := Variant{Layout: SoA, Staging: CacheOnly, TargetTile: 4, Unroll: 2, VectorWidth: 2}
+	v := Shape{Layout: SoA, Staging: CacheOnly, TargetTile: 4}
 	if _, err := tree.SimulateTraffic(u, v, h); err != nil {
 		t.Fatal(err)
 	}

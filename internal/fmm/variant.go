@@ -48,12 +48,9 @@ func (s Staging) String() string {
 	}
 }
 
-// Variant is one FMM U-list code variant — the reproduction's analogue
-// of the paper's ~390 generated implementations, parameterised by the
-// optimisation techniques the paper's generator varied.
-type Variant struct {
-	// ID is a stable index in the population.
-	ID int
+// Shape is what decides a variant's memory traffic: Tree.SimulateTraffic
+// reads nothing else, so variants that share a Shape share a Traffic.
+type Shape struct {
 	// Layout is the particle data layout.
 	Layout Layout
 	// Staging is the data-reuse mechanism.
@@ -61,15 +58,25 @@ type Variant struct {
 	// TargetTile is the number of targets register-blocked per source
 	// sweep (1 = no register blocking, the reference setting).
 	TargetTile int
+}
+
+// IsCacheOnly reports whether the shape relies only on L1/L2 for
+// reuse.
+func (s Shape) IsCacheOnly() bool { return s.Staging == CacheOnly }
+
+// Variant is one FMM U-list code variant — the reproduction's analogue
+// of the paper's ~390 generated implementations, parameterised by the
+// optimisation techniques the paper's generator varied: its traffic
+// Shape plus two knobs that set only its Efficiency.
+type Variant struct {
+	// ID is a stable index in the population.
+	ID int
+	Shape
 	// Unroll is the inner-loop unroll depth (performance only).
 	Unroll int
 	// VectorWidth is the SIMD width (performance only).
 	VectorWidth int
 }
-
-// IsCacheOnly reports whether the variant relies only on L1/L2 for
-// reuse.
-func (v Variant) IsCacheOnly() bool { return v.Staging == CacheOnly }
 
 // IsReference reports whether the variant is the paper's reference
 // implementation: cache-only, no register blocking, scalar.
@@ -135,7 +142,8 @@ func (v Variant) Efficiency() float64 {
 // variants), plus shared- and texture-staged classes with two widths
 // each (112 + 112), totalling 392 — matching the paper's "approximately
 // 390 different code implementations" of which "about 160" are
-// L1/L2-only.
+// L1/L2-only. The 392 variants have 42 shapes (2 layouts × 7 tiles ×
+// 3 stagings), 14 of them cache-only.
 func GenerateVariants() []Variant {
 	tiles := []int{1, 2, 4, 8, 16, 32, 64}
 	unrolls := []int{1, 2, 4, 8}
@@ -148,7 +156,7 @@ func GenerateVariants() []Variant {
 		for _, tile := range tiles {
 			for _, unroll := range unrolls {
 				for _, w := range []int{1, 2, 4} {
-					add(Variant{Layout: layout, Staging: CacheOnly, TargetTile: tile, Unroll: unroll, VectorWidth: w})
+					add(Variant{Shape: Shape{Layout: layout, Staging: CacheOnly, TargetTile: tile}, Unroll: unroll, VectorWidth: w})
 				}
 			}
 		}
@@ -158,7 +166,7 @@ func GenerateVariants() []Variant {
 			for _, tile := range tiles {
 				for _, unroll := range unrolls {
 					for _, w := range []int{1, 4} {
-						add(Variant{Layout: layout, Staging: staging, TargetTile: tile, Unroll: unroll, VectorWidth: w})
+						add(Variant{Shape: Shape{Layout: layout, Staging: staging, TargetTile: tile}, Unroll: unroll, VectorWidth: w})
 					}
 				}
 			}

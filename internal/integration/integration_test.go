@@ -116,7 +116,7 @@ func TestFMMTrafficCoversKernelFootprint(t *testing.T) {
 	}
 	res, err := fmm.RunStudy(fmm.StudyConfig{
 		Seed: 3, N: 1500, LeafSize: 96,
-		Variants: []fmm.Variant{{Layout: fmm.SoA, Staging: fmm.CacheOnly, TargetTile: 1, Unroll: 1, VectorWidth: 1}},
+		Variants: []fmm.Variant{{Shape: fmm.Shape{Layout: fmm.SoA, Staging: fmm.CacheOnly, TargetTile: 1}, Unroll: 1, VectorWidth: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,21 +14,21 @@ import (
 // invalid.
 type FitConfig struct {
 	// Machine is the catalog key to fit ("gtx580", ...).
-	Machine string `json:"machine"`
+	Machine string
 	// Precision is "single" or "double" (default "double").
-	Precision string `json:"precision,omitempty"`
+	Precision string
 	// Points is the number of log-spaced grid intensities (default 9).
-	Points int `json:"points,omitempty"`
+	Points int
 	// Reps is the repetitions per (volume, intensity) cell; every
 	// repetition is one regression observation (default 8).
-	Reps int `json:"reps,omitempty"`
+	Reps int
 	// Seed roots the derived noise streams (default 101). The same
 	// (config, seed) always fits bit-identical coefficients.
-	Seed int64 `json:"seed,omitempty"`
+	Seed int64
 	// Workers bounds sweep concurrency (not part of the fit identity:
-	// results are byte-identical at any worker count, so it is not on
-	// the wire). < 1 means one worker per CPU.
-	Workers int `json:"-"`
+	// results are byte-identical at any worker count). < 1 means one
+	// worker per CPU.
+	Workers int
 }
 
 // The fit campaign: a 2-volume, 9-point, 8-rep sweep (144 observations
